@@ -14,25 +14,32 @@ Sequences are time-major (T, B, D) so recurrent code slices axis 0.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 from qnn.errors import ContractError, DimensionError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Per-thread recording flag, so one thread's no_grad never leaks into another."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (frozen evaluation)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block (frozen evaluation) on this thread."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 class Node:
@@ -117,7 +124,7 @@ def tensor(data, dtype=None, requires_grad: bool = False) -> Tensor:
 
 def op_result(data: np.ndarray, inputs, op: str, backward) -> Tensor:
     """Wrap an op's output, attaching a Node when gradients are being tracked."""
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_mode.enabled and any(t.requires_grad for t in inputs):
         return Tensor(data, requires_grad=True, node=Node(op, tuple(inputs), backward))
     return Tensor(data)
 
@@ -229,9 +236,14 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return op_result(out, (x, b), "add_bias", backward)
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array, without overflow for large |x|."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    z = np.exp(-np.abs(a.data))
-    out = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = stable_sigmoid(a.data)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -357,19 +369,6 @@ def reverse_time(a: Tensor) -> Tensor:
         return (g[::-1].copy(),)
 
     return op_result(out, (a,), "reverse_time", backward)
-
-
-def stack0(tensors) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("stack0 of zero tensors")
-    out = np.stack([t.data for t in tensors], axis=0)
-
-    def backward(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return op_result(out, tuple(tensors), "stack0", backward)
 
 
 class Tape:

@@ -19,6 +19,7 @@ import struct
 
 import numpy as np
 
+from qnn.data import ByteReader
 from qnn.errors import ContractError, FormatError
 
 MAGIC = b"QNN1"
@@ -49,28 +50,10 @@ def save_checkpoint(path: str, named_params, digest: str) -> None:
             fh.write(data.astype(dtype, copy=False).tobytes())
 
 
-class _Reader:
-    def __init__(self, fh):
-        self.fh = fh
-        self.offset = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        chunk = self.fh.read(n)
-        if len(chunk) != n:
-            raise FormatError(
-                f"truncated checkpoint: wanted {n} bytes for {what} at byte offset {self.offset}"
-            )
-        self.offset += n
-        return chunk
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-
 def load_checkpoint(path: str):
     """Returns (digest, dict of name -> ndarray)."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh)
+        reader = ByteReader(fh, "checkpoint")
         magic = reader.take(4, "magic")
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r} at byte offset 0 (expected {MAGIC!r})")

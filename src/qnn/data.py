@@ -82,19 +82,20 @@ def write_features(path: str, utterances: list) -> None:
             fh.write(np.ascontiguousarray(utt.labels, dtype="<i4").tobytes())
 
 
-class _Reader:
-    """Byte-counting wrapper so format errors can name the offset."""
+class ByteReader:
+    """Byte-counting reader for the binary containers (QFEA and checkpoints),
+    so format errors can name the offset."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, container: str):
         self.fh = fh
+        self.container = container
         self.offset = 0
 
     def take(self, n: int, what: str) -> bytes:
         chunk = self.fh.read(n)
         if len(chunk) != n:
-            raise FormatError(
-                f"truncated QFEA file: wanted {n} bytes for {what} at byte offset {self.offset}, got {len(chunk)}"
-            )
+            raise FormatError(f"truncated {self.container}: wanted {n} bytes for {what} "
+                              f"at byte offset {self.offset}, got {len(chunk)}")
         self.offset += n
         return chunk
 
@@ -103,7 +104,7 @@ class _Reader:
 
 
 def _read_qfea(fh) -> list:
-    reader = _Reader(fh)
+    reader = ByteReader(fh, "QFEA file")
     magic = reader.take(4, "magic")
     if magic != QFEA_MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte offset 0 (expected {QFEA_MAGIC!r})")

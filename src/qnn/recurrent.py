@@ -18,6 +18,11 @@ Sequences are time-major (T, B, D) with a boolean validity mask; states
 carry across padded frames unchanged and padded outputs are zeroed, so
 appending padding to a batch never changes valid-frame results.
 
+Each direction is one graph node (Appleyard et al., arXiv:1604.01946): the
+input projections of all frames are one matmul, a numpy loop runs the
+recurrence caching gates and states, and the backward is full BPTT over that
+cache whose (T, B, 4H) gate gradients give R's gradient in one more matmul.
+
 Bidirectional layers run a second cell over the reversed sequence and merge
 by componentwise sum (concatenation available but non-default).
 """
@@ -26,8 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qnn import autograd
-from qnn.autograd import Tensor, add_bias, concat, matmul, mul, narrow, reshape, reverse_time, sigmoid, stack0, tanh
+from qnn.autograd import Tensor, add_bias, concat, matmul, op_result, reshape, reverse_time, stable_sigmoid
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch, naive_quat_compose
 from qnn.errors import ConfigError, DimensionError
@@ -36,86 +40,69 @@ from qnn.layers import QuatLinear, RealLinear, RealToQuatEncoder, quaternion_dro
 GATES = ("f", "i", "c", "o")
 
 
-class QLSTMCell:
-    """One direction of a quaternion LSTM layer.
+class _LSTMCell:
+    """Gate maps shared by both cell kinds: per-gate input maps W and
+    recurrent maps R without internal bias, and one zero-initialised bias
+    vector of the real hidden width per gate."""
 
-    Weight blocks are QuatLinear maps without internal bias; each gate has a
-    single zero-initialised bias vector of the real hidden width.
-    """
+    def __init__(self, linear, n_in: int, n_hidden: int, rng: np.random.Generator, dtype):
+        self.w = {g: linear(n_in, n_hidden, rng, dtype=dtype, bias=False) for g in GATES}
+        self.r = {g: linear(n_hidden, n_hidden, rng, dtype=dtype, bias=False) for g in GATES}
+        self.b = {g: Tensor(np.zeros(self.hidden_size, dtype=dtype), requires_grad=True) for g in GATES}
+
+    def prepared(self):
+        wx = concat([self.w[g].weight_matrix() for g in GATES], axis=1)
+        wh = concat([self.r[g].weight_matrix() for g in GATES], axis=1)
+        bias = concat([self.b[g] for g in GATES], axis=0)
+        return wx, wh, bias
+
+    def named_parameters(self, prefix: str = ""):
+        out = []
+        for g in GATES:
+            out.extend(self.w[g].named_parameters(f"{prefix}w_{g}."))
+        for g in GATES:
+            out.extend(self.r[g].named_parameters(f"{prefix}r_{g}."))
+        for g in GATES:
+            out.append((f"{prefix}b_{g}", self.b[g]))
+        return out
+
+    def weight_scalar_count(self) -> int:
+        return sum(self.w[g].weight_scalar_count() + self.r[g].weight_scalar_count() for g in GATES)
+
+
+class QLSTMCell(_LSTMCell):
+    """One direction of a quaternion LSTM layer (widths in quaternions)."""
 
     def __init__(self, in_q: int, hidden_q: int, rng: np.random.Generator, dtype=np.float32):
         self.in_q = in_q
         self.hidden_q = hidden_q
         self.input_size = 4 * in_q
         self.hidden_size = 4 * hidden_q
-        self.w = {g: QuatLinear(in_q, hidden_q, rng, dtype=dtype, bias=False) for g in GATES}
-        self.r = {g: QuatLinear(hidden_q, hidden_q, rng, dtype=dtype, bias=False) for g in GATES}
-        self.b = {g: Tensor(np.zeros(4 * hidden_q, dtype=dtype), requires_grad=True) for g in GATES}
-
-    def prepared(self):
-        wx = concat([self.w[g].weight_matrix() for g in GATES], axis=1)
-        wh = concat([self.r[g].weight_matrix() for g in GATES], axis=1)
-        bias = concat([self.b[g] for g in GATES], axis=0)
-        return wx, wh, bias
-
-    def named_parameters(self, prefix: str = ""):
-        out = []
-        for g in GATES:
-            out.extend(self.w[g].named_parameters(f"{prefix}w_{g}."))
-        for g in GATES:
-            out.extend(self.r[g].named_parameters(f"{prefix}r_{g}."))
-        for g in GATES:
-            out.append((f"{prefix}b_{g}", self.b[g]))
-        return out
-
-    def weight_scalar_count(self) -> int:
-        return sum(self.w[g].weight_scalar_count() + self.r[g].weight_scalar_count() for g in GATES)
+        super().__init__(QuatLinear, in_q, hidden_q, rng, dtype)
 
 
-class RealLSTMCell:
+class RealLSTMCell(_LSTMCell):
     """One direction of the real-valued baseline LSTM layer."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator, dtype=np.float32):
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.w = {g: RealLinear(input_size, hidden_size, rng, dtype=dtype, bias=False) for g in GATES}
-        self.r = {g: RealLinear(hidden_size, hidden_size, rng, dtype=dtype, bias=False) for g in GATES}
-        self.b = {g: Tensor(np.zeros(hidden_size, dtype=dtype), requires_grad=True) for g in GATES}
-
-    def prepared(self):
-        wx = concat([self.w[g].weight_matrix() for g in GATES], axis=1)
-        wh = concat([self.r[g].weight_matrix() for g in GATES], axis=1)
-        bias = concat([self.b[g] for g in GATES], axis=0)
-        return wx, wh, bias
-
-    def named_parameters(self, prefix: str = ""):
-        out = []
-        for g in GATES:
-            out.extend(self.w[g].named_parameters(f"{prefix}w_{g}."))
-        for g in GATES:
-            out.extend(self.r[g].named_parameters(f"{prefix}r_{g}."))
-        for g in GATES:
-            out.append((f"{prefix}b_{g}", self.b[g]))
-        return out
-
-    def weight_scalar_count(self) -> int:
-        return sum(self.w[g].weight_scalar_count() + self.r[g].weight_scalar_count() for g in GATES)
+        super().__init__(RealLinear, input_size, hidden_size, rng, dtype)
 
 
-def lstm_step(gates: Tensor, c_prev: Tensor, hidden: int):
-    """Shared gate arithmetic: gates is the (B, 4*hidden) pre-activation
-    block [f | i | c | o]; returns (h_t, c_t)."""
-    f = sigmoid(narrow(gates, 1, 0, hidden))
-    i = sigmoid(narrow(gates, 1, hidden, hidden))
-    g = tanh(narrow(gates, 1, 2 * hidden, hidden))
-    o = sigmoid(narrow(gates, 1, 3 * hidden, hidden))
-    c_t = mul(f, c_prev) + mul(i, g)
-    h_t = mul(o, tanh(c_t))
-    return h_t, c_t
+def lstm_gates(pre: np.ndarray, c_prev: np.ndarray, hidden: int):
+    """Gate arithmetic on plain arrays: pre is the (B, 4*hidden) pre-activation
+    block [f | i | c | o]. Returns (activated gates, c_t, tanh(c_t), h_t)."""
+    act = stable_sigmoid(pre)
+    act[:, 2 * hidden:3 * hidden] = np.tanh(pre[:, 2 * hidden:3 * hidden])
+    f, i, g, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
+    c_t = f * c_prev + i * g
+    tanh_c = np.tanh(c_t)
+    return act, c_t, tanh_c, o * tanh_c
 
 
 def cell_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One recurrence step on a (B, input) frame; returns (h_t, c_t)."""
+    """One recurrence step on a (B, input) frame; returns (h_t, c_t), values only."""
     if x_t.shape[-1] != cell.input_size:
         raise DimensionError(f"frame width {x_t.shape[-1]} does not match cell input {cell.input_size}")
     if h_prev.shape != c_prev.shape or h_prev.shape[-1] != cell.hidden_size:
@@ -123,8 +110,61 @@ def cell_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
             f"state widths {h_prev.shape}/{c_prev.shape} do not match cell hidden {cell.hidden_size}"
         )
     wx, wh, bias = cell.prepared()
-    pre = add_bias(matmul(x_t, wx), bias) + matmul(h_prev, wh)
-    return lstm_step(pre, c_prev, cell.hidden_size)
+    pre = (x_t.data @ wx.data + bias.data) + h_prev.data @ wh.data
+    _, c_t, _, h_t = lstm_gates(pre, c_prev.data, cell.hidden_size)
+    return Tensor(h_t), Tensor(c_t)
+
+
+def lstm_direction(proj: Tensor, wh: Tensor, mask: np.ndarray) -> Tensor:
+    """Fused LSTM recurrence over hoisted input projections.
+
+    proj is (T, B, 4*hidden), x_t @ wx + bias for every frame; wh is the
+    (hidden, 4*hidden) recurrent map. The graph sees one node: the forward
+    caches gates and states, the backward runs full BPTT over that cache.
+    """
+    t_len, batch, width = proj.shape
+    hidden = width // 4
+    dtype = proj.data.dtype
+    gates = np.empty((t_len, batch, width), dtype=dtype)
+    tanh_c = np.empty((t_len, batch, hidden), dtype=dtype)
+    h_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)  # h_states[t] is h_{t-1}
+    c_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)
+    keeps = [None if m.all() else m[:, None].astype(dtype) for m in mask]
+    for t, keep in enumerate(keeps):
+        h, c = h_states[t], c_states[t]
+        gates[t], c_new, tanh_c[t], h_new = lstm_gates(proj.data[t] + h @ wh.data, c, hidden)
+        if keep is None:
+            h_states[t + 1], c_states[t + 1] = h_new, c_new
+        else:  # padded sequences carry their state
+            h_states[t + 1] = h_new * keep + h * (1 - keep)
+            c_states[t + 1] = c_new * keep + c * (1 - keep)
+    out = h_states[1:] * mask[:, :, None]  # padded frames emit zeros
+
+    def backward(grad):
+        f, i, g, o = np.split(gates, 4, axis=2)
+        # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t
+        local = np.concatenate([c_states[:-1] * f * (1 - f), g * i * (1 - i), i * (1 - g * g),
+                                tanh_c * o * (1 - o)], axis=2)
+        through = o * (1 - tanh_c * tanh_c)
+        d_pre = np.empty_like(gates)
+        d_h = d_c = np.zeros((batch, hidden), dtype=dtype)  # rebound, never written in place
+        for t in reversed(range(t_len)):
+            keep = keeps[t]
+            if keep is None:
+                d_h = d_h + grad[t]
+                d_h_skip = d_c_skip = 0
+            else:  # state gradients pass unchanged through padded frames
+                d_h = d_h + grad[t] * keep
+                d_h, d_h_skip = d_h * keep, d_h * (1 - keep)
+                d_c, d_c_skip = d_c * keep, d_c * (1 - keep)
+            d_c = d_c + d_h * through[t]
+            d_pre[t] = np.concatenate((d_c, d_c, d_c, d_h), axis=1) * local[t]
+            d_c = d_c * f[t] + d_c_skip
+            d_h = d_pre[t] @ wh.data.T + d_h_skip
+        d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre.reshape(-1, width)
+        return d_pre, d_wh
+
+    return op_result(out, (proj, wh), "lstm_direction", backward)
 
 
 def run_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
@@ -138,31 +178,11 @@ def run_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
         raise DimensionError(f"sequence width {width} does not match cell input {cell.input_size}")
     if mask.shape != (t_len, batch):
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {(t_len, batch)}")
-    hidden = cell.hidden_size
-    dtype = seq.data.dtype
     wx, wh, bias = cell.prepared()
 
     # input-side projections for every frame in one matmul
     proj = add_bias(matmul(reshape(seq, (t_len * batch, width)), wx), bias)
-    proj = reshape(proj, (t_len, batch, 4 * hidden))
-
-    zeros = Tensor(np.zeros((batch, hidden), dtype=dtype))
-    h, c = zeros, zeros
-    outs = []
-    for t in range(t_len):
-        pre = reshape(narrow(proj, 0, t, 1), (batch, 4 * hidden)) + matmul(h, wh)
-        h_new, c_new = lstm_step(pre, c, hidden)
-        m = mask[t]
-        if m.all():
-            h, c = h_new, c_new
-            outs.append(h)
-        else:
-            keep = Tensor(np.broadcast_to(m[:, None], (batch, hidden)).astype(dtype))
-            drop = Tensor(np.broadcast_to(~m[:, None], (batch, hidden)).astype(dtype))
-            h = mul(h_new, keep) + mul(h, drop)
-            c = mul(c_new, keep) + mul(c, drop)
-            outs.append(mul(h, keep))
-    return stack0(outs)
+    return lstm_direction(reshape(proj, (t_len, batch, 4 * cell.hidden_size)), wh, mask)
 
 
 class BiRecurrentLayer:
@@ -285,18 +305,22 @@ def count_params(model: AcousticModel) -> int:
     return sum(p.size for _, p in model.named_parameters())
 
 
+def _breakdown(front: int, stack: int, output: int, stack_weights: int) -> dict:
+    return {"front_end": front, "stack": stack, "output": output,
+            "total": front + stack + output, "stack_weight_scalars": stack_weights}
+
+
 def param_breakdown(model: AcousticModel) -> dict:
     """Per-module totals plus the bias-free stack count used for ratios."""
     front = sum(p.size for _, p in model.front_end.named_parameters(""))
     stack = sum(p.size for n, p in model.named_parameters() if n.startswith("stack."))
     output = sum(p.size for _, p in model.output.named_parameters(""))
-    return {
-        "front_end": front,
-        "stack": stack,
-        "output": output,
-        "total": front + stack + output,
-        "stack_weight_scalars": model.stack_weight_scalars(),
-    }
+    return _breakdown(front, stack, output, model.stack_weight_scalars())
+
+
+def _check_stack_input(config: ModelConfig, width: int) -> None:
+    if config.stack_kind == "qlstm" and width % 4 != 0:
+        raise ConfigError(f"qlstm stack needs an input width divisible by 4, front end provides {width}")
 
 
 def symbolic_param_counts(config: ModelConfig) -> dict:
@@ -305,39 +329,18 @@ def symbolic_param_counts(config: ModelConfig) -> dict:
     exactly; used by the params command so large configs stay cheap."""
     config.validate()
     dim = config.input_dim
-    if config.front_end in ("r2h-norm", "r2h"):
-        front = dim * config.r2h_size + config.r2h_size
-        width = config.r2h_size
-    elif config.front_end == "naive-quat":
-        front = 0
-        width = 4 * ((dim + 3) // 4)
-    else:
-        front = 0
-        width = dim
-    if config.stack_kind == "qlstm" and width % 4 != 0:
-        raise ConfigError(
-            f"qlstm stack needs an input width divisible by 4, front end provides {width}"
-        )
-    stack = 0
-    stack_weights = 0
+    width = {"identity": dim, "naive-quat": 4 * ((dim + 3) // 4)}.get(config.front_end, config.r2h_size)
+    front = dim * width + width if config.front_end in ("r2h-norm", "r2h") else 0
+    _check_stack_input(config, width)
     hidden = config.hidden_real_width
+    shrink = 4 if config.stack_kind == "qlstm" else 1  # real scalars per weight entry
+    stack_weights = 0
     for _ in range(config.depth):
-        if config.stack_kind == "qlstm":
-            per_dir_weights = 4 * (width * hidden // 4 + hidden * hidden // 4)
-        else:
-            per_dir_weights = 4 * (width * hidden + hidden * hidden)
-        per_dir = per_dir_weights + 4 * hidden
-        stack += 2 * per_dir
-        stack_weights += 2 * per_dir_weights
+        # two directions, four gates, each an input map W and a recurrent map R
+        stack_weights += 2 * 4 * (width * hidden + hidden * hidden) // shrink
         width = hidden
-    output = width * config.classes + config.classes
-    return {
-        "front_end": front,
-        "stack": stack,
-        "output": output,
-        "total": front + stack + output,
-        "stack_weight_scalars": stack_weights,
-    }
+    stack = stack_weights + config.depth * 2 * 4 * hidden
+    return _breakdown(front, stack, width * config.classes + config.classes, stack_weights)
 
 
 def build_model(config: ModelConfig) -> AcousticModel:
@@ -368,10 +371,7 @@ def build_model(config: ModelConfig) -> AcousticModel:
 
     stack = []
     width = front.output_dim
-    if config.stack_kind == "qlstm" and width % 4 != 0:
-        raise ConfigError(
-            f"qlstm stack needs an input width divisible by 4, front end provides {width}"
-        )
+    _check_stack_input(config, width)
     for _ in range(config.depth):
         if config.stack_kind == "qlstm":
             fwd = QLSTMCell(width // 4, config.hidden_real_width // 4, rng, dtype=dtype)

@@ -26,7 +26,7 @@ from qnn.autograd import Tensor, op_result
 from qnn.checkpoint import save_checkpoint
 from qnn.config import ModelConfig
 from qnn.data import make_batches
-from qnn.errors import ContractError, DataError, TrainingAbort
+from qnn.errors import ConfigError, ContractError, DataError, TrainingAbort
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -149,6 +149,14 @@ def _batch_metrics(model, batch):
     return loss * batch.valid_frames, errors, batch.valid_frames
 
 
+def eval_threads() -> int:
+    """Worker threads for evaluate(): QNN_THREADS, a positive integer, default 1."""
+    text = os.environ.get("QNN_THREADS", "").strip() or "1"
+    if not text.isdecimal() or int(text) < 1:
+        raise ConfigError(f"QNN_THREADS must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def evaluate(model, utterances, batch_size: int = 8):
     """(mean loss, frame error rate %) over valid frames, batch-size invariant.
 
@@ -159,7 +167,7 @@ def evaluate(model, utterances, batch_size: int = 8):
     batches = make_batches(utterances, batch_size)
     if not batches:
         return 0.0, 0.0
-    threads = int(os.environ.get("QNN_THREADS", "1") or "1")
+    threads = eval_threads()
     if threads > 1 and len(batches) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda b: _batch_metrics(model, b), batches))
@@ -181,6 +189,7 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
     when out_dir is given. A non-finite training loss aborts immediately.
     """
     config.validate()
+    eval_threads()  # a bad QNN_THREADS fails here, not after the first epoch
     digest = config.digest()
     params = model.named_parameters()
     optimizer = Adam(params, lr=config.lr0)

@@ -1,5 +1,8 @@
 """Forward semantics and finite-difference gradient checks for the tape."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,6 @@ from qnn.autograd import (
     reverse_time,
     sigmoid,
     sqrt,
-    stack0,
     sub,
     tanh,
     tensor,
@@ -199,16 +201,11 @@ def test_narrow_out_of_range():
         narrow(v, 1, 3, 2)
 
 
-def test_stack0_and_reshape_fd():
+def test_reshape_fd():
     rng = np.random.default_rng(12)
-    xs = [leaf(rng, (2, 3)) for _ in range(4)]
-
-    def build():
-        s = stack0(xs)
-        return tanh(reshape(s, (4 * 2, 3))).sum()
-
-    errs = gradient_check(build, [(f"x{i}", x) for i, x in enumerate(xs)])
-    assert max(errs.values()) < 1e-6
+    s = leaf(rng, (4, 2, 3))
+    errs = gradient_check(lambda: tanh(reshape(s, (4 * 2, 3))).sum(), [("s", s)])
+    assert errs["s"] < 1e-6
 
 
 def test_reverse_time_fd():
@@ -223,6 +220,33 @@ def test_no_grad_suppresses_graph():
     with autograd.no_grad():
         out = mul(w, 3.0)
     assert out.node is None and not out.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # threads entering and leaving no_grad must never switch recording off
+    # for another thread
+    w = Tensor(np.ones(2), requires_grad=True)
+    stop = threading.Event()
+
+    def churn():
+        while not stop.is_set():
+            with autograd.no_grad():
+                pass
+
+    workers = [threading.Thread(target=churn) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        recorded = [mul(w, 2.0).node is not None for _ in range(2000)]
+    finally:
+        stop.set()
+        for t in workers:
+            t.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert all(recorded)
 
 
 def test_no_nan_for_moderate_inputs():

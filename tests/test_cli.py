@@ -73,6 +73,23 @@ def test_train_then_eval_round_trip(tmp_path, capsys):
     assert float(fields["fer"]) == float(summary["final_val_fer"])
 
 
+def test_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch):
+    main(synth_args(tmp_path / "data"))
+    train_args = ["train", "--train", str(tmp_path / "data/train.qfea"),
+                  "--valid", str(tmp_path / "data/valid.qfea"), *TRAIN_FLAGS]
+    assert main([*train_args, "--out", str(tmp_path / "run"), "--epochs", "0"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("QNN_THREADS", "abc")
+    for args in (
+        ["eval", str(tmp_path / "run" / "initial.qnn"), "--test", str(tmp_path / "data/test.qfea")],
+        [*train_args, "--out", str(tmp_path / "again")],
+    ):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "QNN_THREADS" in err and "Traceback" not in err
+    assert not (tmp_path / "again" / "metrics.txt").exists()
+
+
 def test_train_twice_metrics_byte_identical(tmp_path, capsys):
     main(synth_args(tmp_path / "data"))
     base = ["--train", str(tmp_path / "data/train.qfea"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qnn import autograd
-from qnn.autograd import Tensor
+from qnn.autograd import Tensor, add_bias, concat, matmul, mul, narrow, reshape, sigmoid, tanh
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
 from qnn.errors import ConfigError, DimensionError
@@ -147,6 +147,96 @@ def test_state_freezes_on_padded_frames():
     short = run_direction(cell, Tensor(seq[:3, 1:2]), np.ones((3, 1), dtype=bool))
     assert np.allclose(out.data[:3, 1], short.data[:, 0], atol=1e-12)
     assert np.array_equal(out.data[3:, 1], np.zeros((2, 4)))
+
+
+def reference_direction(cell, seq, mask):
+    """Per-frame autograd unroll of run_direction, built from graph primitives."""
+    t_len, batch, width = seq.shape
+    hid = cell.hidden_size
+    wx, wh, bias = cell.prepared()
+    proj = reshape(add_bias(matmul(reshape(seq, (t_len * batch, width)), wx), bias), (t_len, batch, 4 * hid))
+    h = c = Tensor(np.zeros((batch, hid), dtype=seq.dtype))
+    outs = []
+    for t in range(t_len):
+        pre = reshape(narrow(proj, 0, t, 1), (batch, 4 * hid)) + matmul(h, wh)
+        f, i, o = (sigmoid(narrow(pre, 1, k * hid, hid)) for k in (0, 1, 3))
+        c_new = mul(f, c) + mul(i, tanh(narrow(pre, 1, 2 * hid, hid)))
+        h_new = mul(o, tanh(c_new))
+        keep = Tensor(np.broadcast_to(mask[t][:, None], (batch, hid)).astype(seq.dtype))
+        drop = Tensor(1 - keep.data)
+        h, c = mul(h_new, keep) + mul(h, drop), mul(c_new, keep) + mul(c, drop)
+        outs.append(reshape(mul(h, keep), (1, batch, hid)))
+    return concat(outs, axis=0)
+
+
+def ragged_mask(t_len, lengths):
+    return np.arange(t_len)[:, None] < np.array(lengths)[None, :]
+
+
+def gapped_mask():
+    # frames 2-3 of sequence 1 are padding between valid frames, so the
+    # carried state and its gradient must pass through them unchanged
+    mask = ragged_mask(6, [6, 6, 4])
+    mask[2:4, 1] = False
+    return mask
+
+
+RAGGED_MASKS = {
+    "mid_batch_padding": ragged_mask(6, [6, 2, 6, 4]),
+    "length_one_sequence": ragged_mask(5, [5, 1, 3]),
+    "single_frame": ragged_mask(1, [1, 1]),
+    "interior_gap": gapped_mask(),
+}
+
+
+def make_cell(kind, dtype, rng):
+    cell = QLSTMCell(2, 3, rng, dtype=dtype) if kind == "qlstm" else RealLSTMCell(5, 6, rng, dtype=dtype)
+    for _, p in cell.named_parameters():  # biases too, so no gate sits at its zero-bias value
+        p.data[:] = rng.uniform(-1.0, 1.0, p.data.shape)
+    return cell
+
+
+def direction_grads(cell, seq, mask, direction, cotangent):
+    leaf = Tensor(seq.copy(), requires_grad=True)
+    for _, p in cell.named_parameters():
+        p.zero_grad()
+    out = direction(cell, leaf, mask)
+    autograd.backward(autograd.sum_all(mul(out, Tensor(cotangent))))
+    return out.data, [leaf.grad] + [p.grad.copy() for _, p in cell.named_parameters()]
+
+
+@pytest.mark.parametrize("case", sorted(RAGGED_MASKS))
+@pytest.mark.parametrize("kind", ["qlstm", "lstm"])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_fused_direction_matches_reference_unroll(case, kind, dtype, tol):
+    rng = np.random.default_rng(22)
+    mask = RAGGED_MASKS[case]
+    cell = make_cell(kind, dtype, rng)
+    seq = (2.0 * rng.standard_normal(mask.shape + (cell.input_size,))).astype(dtype)
+    cotangent = rng.standard_normal(mask.shape + (cell.hidden_size,)).astype(dtype)
+    out, grads = direction_grads(cell, seq, mask, run_direction, cotangent)
+    ref_out, ref_grads = direction_grads(cell, seq, mask, reference_direction, cotangent)
+    assert out.dtype == dtype and np.array_equal(out, ref_out)
+    assert not out[~mask].any()
+    names = ["input"] + [name for name, _ in cell.named_parameters()]
+    for name, got, want in zip(names, grads, ref_grads):
+        assert got.dtype == dtype, name
+        assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want))), name
+
+
+@pytest.mark.parametrize("kind", ["qlstm", "lstm"])
+def test_ragged_rollout_gradients_match_finite_differences(kind):
+    rng = np.random.default_rng(23)
+    cell = make_cell(kind, np.float64, rng)
+    mask = np.concatenate([ragged_mask(6, [6, 2, 1, 4]), gapped_mask()[:, 1:2]], axis=1)
+    seq = Tensor(rng.standard_normal((6, 5, cell.input_size)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((6, 5, cell.hidden_size)))
+
+    def build_loss():
+        return mul(run_direction(cell, seq, mask), weights).sum()
+
+    errors = gradient_check(build_loss, [("input", seq)] + cell.named_parameters())
+    assert max(errors.values()) < 1e-6, errors
 
 
 # --- bidirectional layer -------------------------------------------------

@@ -11,7 +11,7 @@ from qnn.autograd import Tensor
 from qnn.checkpoint import load_checkpoint, load_into_model, save_checkpoint
 from qnn.config import ModelConfig
 from qnn.data import SynthSpec, generate_synthetic, make_batches
-from qnn.errors import ContractError, DataError, FormatError, TrainingAbort
+from qnn.errors import ConfigError, ContractError, DataError, FormatError, TrainingAbort
 from qnn.gradcheck import gradient_check
 from qnn.recurrent import build_model
 from qnn.training import (
@@ -304,6 +304,29 @@ def test_train_aborts_on_nan_with_location():
     model.output.bias.data[0] = np.nan
     with pytest.raises(TrainingAbort, match=r"epoch 1, batch 0"):
         train(model, train_utts, valid_utts, cfg)
+
+
+def test_threaded_evaluation_keeps_training_recorded(monkeypatch):
+    # no_grad in evaluate()'s worker threads must not switch recording off
+    # for the training thread; threaded runs equal the serial run exactly
+    cfg = tiny_config(epochs=3)
+    train_utts, valid_utts, _ = synth_utts(valid_utts=16)
+    serial_model = build_model(cfg)
+    serial = train(serial_model, train_utts, valid_utts, cfg)
+    monkeypatch.setenv("QNN_THREADS", "2")
+    threaded_model = build_model(cfg)
+    threaded = train(threaded_model, train_utts, valid_utts, cfg)
+    assert [r.record("d", 0) for r in threaded] == [r.record("d", 0) for r in serial]
+    for (name, a), (_, b) in zip(threaded_model.named_parameters(), serial_model.named_parameters()):
+        assert np.array_equal(a.data, b.data), name
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_count_is_config_error(monkeypatch, value):
+    _, valid, _ = synth_utts()
+    monkeypatch.setenv("QNN_THREADS", value)
+    with pytest.raises(ConfigError, match="QNN_THREADS"):
+        evaluate(StubModel(4, perfect=True), valid)
 
 
 # --- checkpoints ---------------------------------------------------------
