@@ -237,9 +237,15 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function on a plain array, without overflow for large |x|."""
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    """Logistic function on a plain array via sigma(x) = tanh(x/2)/2 + 1/2.
+
+    tanh saturates, so nothing overflows for large |x| and no branch is
+    needed. The absolute error stays within about eps/2, but relative
+    precision in the far negative tail is lost: sigma(-50) is 0, not 2e-22.
+    Scaling by a power of two is exact, which lets the fused LSTM kernel fold
+    the 1/2 into its weights and still match this function bit for bit.
+    """
+    return np.tanh(0.5 * x) * 0.5 + 0.5
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from qnn.data import ByteReader
+from qnn.data import ByteReader, atomic_write
 from qnn.errors import ContractError, FormatError
 
 MAGIC = b"QNN1"
@@ -28,8 +28,9 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def save_checkpoint(path: str, named_params, digest: str) -> None:
+    """Atomic: a save that fails leaves any earlier file at path untouched."""
     params = list(named_params)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         raw_digest = digest.encode("utf-8")
         fh.write(struct.pack("<I", len(raw_digest)))

@@ -23,7 +23,10 @@ identical and only temporal context can separate them.
 from __future__ import annotations
 
 import csv
+import os
 import struct
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +70,24 @@ class UtteranceBatch:
         return int(self.mask.sum())
 
 
+@contextmanager
+def atomic_write(path: str, text: bool = False):
+    """Open a new file beside path for writing; it replaces path only when
+    the block completes, and is removed if the block raises, so a failed
+    write never leaves a partial file at path."""
+    tmp_path = f"{path}.{uuid.uuid4().hex[:12]}.tmp"
+    fh = open(tmp_path, "x", encoding="utf-8") if text else open(tmp_path, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp_path, path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
+
+
 def write_features(path: str, utterances: list) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(QFEA_MAGIC)
         fh.write(struct.pack("<II", QFEA_VERSION, len(utterances)))
         for utt in utterances:

@@ -22,6 +22,9 @@ Each direction is one graph node (Appleyard et al., arXiv:1604.01946): the
 input projections of all frames are one matmul, a numpy loop runs the
 recurrence caching gates and states, and the backward is full BPTT over that
 cache whose (T, B, 4H) gate gradients give R's gradient in one more matmul.
+The loop works in place on its caches and applies one tanh per frame over
+all four gates, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded
+into the projections and R once per call.
 
 Bidirectional layers run a second cell over the reversed sequence and merge
 by componentwise sum (concatenation available but non-default).
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qnn.autograd import Tensor, add_bias, concat, matmul, op_result, reshape, reverse_time, stable_sigmoid
+from qnn.autograd import Tensor, add_bias, concat, matmul, op_result, reshape, reverse_time
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch, naive_quat_compose
 from qnn.errors import ConfigError, DimensionError
@@ -90,15 +93,30 @@ class RealLSTMCell(_LSTMCell):
         super().__init__(RealLinear, input_size, hidden_size, rng, dtype)
 
 
-def lstm_gates(pre: np.ndarray, c_prev: np.ndarray, hidden: int):
-    """Gate arithmetic on plain arrays: pre is the (B, 4*hidden) pre-activation
-    block [f | i | c | o]. Returns (activated gates, c_t, tanh(c_t), h_t)."""
-    act = stable_sigmoid(pre)
-    act[:, 2 * hidden:3 * hidden] = np.tanh(pre[:, 2 * hidden:3 * hidden])
-    f, i, g, o = (act[:, k * hidden:(k + 1) * hidden] for k in range(4))
-    c_t = f * c_prev + i * g
-    tanh_c = np.tanh(c_t)
-    return act, c_t, tanh_c, o * tanh_c
+def gate_affine(hidden: int, dtype):
+    """(scale, shift) over the [f | i | c | o] columns: with s = 1/2 on f, i
+    and o, sigmoid(x) = tanh(s x) s + (1 - s), and with s = 1 on c the same
+    expression is tanh(x), so one tanh activates all four gates."""
+    scale = np.full(4 * hidden, 0.5, dtype=dtype)
+    scale[2 * hidden:3 * hidden] = 1
+    return scale, 1 - scale
+
+
+def lstm_gates(gates: np.ndarray, c_prev: np.ndarray, affine, c_out, tanh_out, h_out) -> None:
+    """Gate arithmetic on plain arrays, in place: gates is the (B, 4*hidden)
+    pre-activation block [f | i | c | o] already multiplied by affine's
+    scale, and on return holds the activated gates; c_t, tanh(c_t) and h_t
+    are written into c_out, tanh_out and h_out."""
+    scale, shift = affine
+    np.tanh(gates, out=gates)
+    gates *= scale
+    gates += shift
+    n = c_prev.shape[-1]
+    f, i, g, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n], gates[:, 3 * n:]
+    np.multiply(f, c_prev, out=c_out)
+    c_out += i * g
+    np.tanh(c_out, out=tanh_out)
+    np.multiply(o, tanh_out, out=h_out)
 
 
 def cell_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
@@ -110,8 +128,10 @@ def cell_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
             f"state widths {h_prev.shape}/{c_prev.shape} do not match cell hidden {cell.hidden_size}"
         )
     wx, wh, bias = cell.prepared()
-    pre = (x_t.data @ wx.data + bias.data) + h_prev.data @ wh.data
-    _, c_t, _, h_t = lstm_gates(pre, c_prev.data, cell.hidden_size)
+    affine = gate_affine(cell.hidden_size, wh.dtype)
+    gates = ((x_t.data @ wx.data + bias.data) + h_prev.data @ wh.data) * affine[0]
+    h_t, c_t = np.empty_like(c_prev.data), np.empty_like(c_prev.data)
+    lstm_gates(gates, c_prev.data, affine, c_t, np.empty_like(c_t), h_t)
     return Tensor(h_t), Tensor(c_t)
 
 
@@ -125,19 +145,23 @@ def lstm_direction(proj: Tensor, wh: Tensor, mask: np.ndarray) -> Tensor:
     t_len, batch, width = proj.shape
     hidden = width // 4
     dtype = proj.data.dtype
-    gates = np.empty((t_len, batch, width), dtype=dtype)
+    affine = gate_affine(hidden, dtype)
+    # the pre-activations scaled by gate_affine; power-of-two scaling is exact
+    gates = proj.data * affine[0]
+    wh_scaled = wh.data * affine[0]
+    recurrent = np.empty((batch, width), dtype=dtype)
     tanh_c = np.empty((t_len, batch, hidden), dtype=dtype)
     h_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)  # h_states[t] is h_{t-1}
     c_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)
     keeps = [None if m.all() else m[:, None].astype(dtype) for m in mask]
     for t, keep in enumerate(keeps):
-        h, c = h_states[t], c_states[t]
-        gates[t], c_new, tanh_c[t], h_new = lstm_gates(proj.data[t] + h @ wh.data, c, hidden)
-        if keep is None:
-            h_states[t + 1], c_states[t + 1] = h_new, c_new
-        else:  # padded sequences carry their state
-            h_states[t + 1] = h_new * keep + h * (1 - keep)
-            c_states[t + 1] = c_new * keep + c * (1 - keep)
+        np.matmul(h_states[t], wh_scaled, out=recurrent)
+        gates[t] += recurrent
+        lstm_gates(gates[t], c_states[t], affine, c_states[t + 1], tanh_c[t], h_states[t + 1])
+        if keep is not None:  # padded sequences carry their state
+            drop = ~mask[t][:, None]
+            np.copyto(h_states[t + 1], h_states[t], where=drop)
+            np.copyto(c_states[t + 1], c_states[t], where=drop)
     out = h_states[1:] * mask[:, :, None]  # padded frames emit zeros
 
     def backward(grad):

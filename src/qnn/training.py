@@ -186,7 +186,8 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
     Per epoch: shuffled length-bucketed batches, one Adam step per batch,
     validation pass, learning-rate update, metrics line, checkpoint. The
     initial model, the final model, and the best-validation model are kept
-    when out_dir is given. A non-finite training loss aborts immediately.
+    when out_dir is given. A non-finite training loss or parameter gradient
+    aborts immediately, before the optimizer step.
     """
     config.validate()
     eval_threads()  # a bad QNN_THREADS fails here, not after the first epoch
@@ -222,6 +223,13 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
                         f"(utterances {', '.join(batch.ids)})"
                     )
                 autograd.backward(loss)
+                bad = next((name for name, p in params
+                            if p.grad is not None and not np.isfinite(p.grad).all()), None)
+                if bad is not None:
+                    raise TrainingAbort(
+                        f"non-finite gradient for parameter '{bad}' at epoch {epoch}, batch {index} "
+                        f"(utterances {', '.join(batch.ids)})"
+                    )
                 optimizer.step()
                 loss_sum += value * batch.valid_frames
                 frames += batch.valid_frames

@@ -73,6 +73,21 @@ def test_elementwise_values():
     assert relu(Tensor(np.array([-2.0, 3.0]))).data.tolist() == [0.0, 3.0]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_edges_stay_finite_and_accurate(dtype):
+    eps = np.finfo(dtype).eps
+    edges = np.array([-1e4, -100.0, 0.0, 100.0, 1e4], dtype=dtype)
+    grid = np.linspace(-30.0, 30.0, 2401).astype(dtype)
+    with np.errstate(all="raise"):  # no overflow, underflow or invalid flag
+        out = sigmoid(Tensor(edges)).data
+        got = sigmoid(Tensor(grid)).data
+    assert out.dtype == got.dtype == dtype
+    assert np.isfinite(out).all() and ((out >= 0) & (out <= 1)).all()
+    assert out[2] == 0.5
+    x = grid.astype(np.longdouble)
+    assert np.max(np.abs(got - 1 / (1 + np.exp(-x)))) <= eps
+
+
 def test_elementwise_shape_error():
     with pytest.raises(DimensionError):
         add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))

@@ -87,7 +87,7 @@ def test_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch):
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "QNN_THREADS" in err and "Traceback" not in err
-    assert not (tmp_path / "again" / "metrics.txt").exists()
+    assert not (tmp_path / "again").exists()
 
 
 def test_train_twice_metrics_byte_identical(tmp_path, capsys):

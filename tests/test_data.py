@@ -79,6 +79,18 @@ def test_qfea_rejects_non_finite(tmp_path):
         write_features(tmp_path / "x.qfea", [utt])
 
 
+def test_failed_qfea_write_keeps_earlier_file(tmp_path):
+    rng = np.random.default_rng(2)
+    path = tmp_path / "feats.qfea"
+    write_features(path, random_utts(rng, count=2))
+    before = path.read_bytes()
+    bad = Utterance("bad", np.full((3, 2), np.nan, dtype=np.float32), np.zeros(3, dtype=np.int32))
+    with pytest.raises(DataError, match="non-finite"):
+        write_features(path, random_utts(rng, count=2) + [bad])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["feats.qfea"]
+
+
 # --- CSV fallback --------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,26 @@ def test_train_aborts_on_nan_with_location():
         train(model, train_utts, valid_utts, cfg)
 
 
+def test_train_aborts_on_non_finite_gradient_before_step(tmp_path, monkeypatch):
+    cfg = tiny_config(epochs=1)
+    train_utts, valid_utts, _ = synth_utts()
+    model = build_model(cfg)
+    name, target = model.named_parameters()[3]
+    real_backward = autograd.backward
+
+    def poisoned_backward(loss):  # the loss stays finite, one gradient entry does not
+        real_backward(loss)
+        target.grad.flat[0] = np.inf
+
+    monkeypatch.setattr(autograd, "backward", poisoned_backward)
+    before = [p.data.copy() for _, p in model.named_parameters()]
+    with pytest.raises(TrainingAbort, match=rf"gradient for parameter '{re.escape(name)}' at epoch 1, batch 0"):
+        train(model, train_utts, valid_utts, cfg, out_dir=str(tmp_path))
+    for (n, p), old in zip(model.named_parameters(), before):
+        assert np.array_equal(p.data, old), n
+    assert not (tmp_path / "last.qnn").exists()
+
+
 def test_threaded_evaluation_keeps_training_recorded(monkeypatch):
     # no_grad in evaluate()'s worker threads must not switch recording off
     # for the training thread; threaded runs equal the serial run exactly
@@ -341,6 +362,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert digest == cfg.digest()
     for name, tensor in model.named_parameters():
         assert params[name].tobytes() == tensor.data.tobytes()
+
+
+def test_failed_checkpoint_save_keeps_earlier_file(tmp_path):
+    cfg = tiny_config()
+    params = build_model(cfg).named_parameters()
+    path = tmp_path / "model.qnn"
+    save_checkpoint(str(path), params, cfg.digest())
+    before = path.read_bytes()
+    # the format has no float16 tag, so this save fails after the header and
+    # the first parameter are written
+    name, second = params[1]
+    bad = [params[0], (name, Tensor(second.data.astype(np.float16)))] + params[2:]
+    with pytest.raises(ContractError, match="float16"):
+        save_checkpoint(str(path), bad, "other digest")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.qnn"]
 
 
 def test_checkpoint_load_restores_evaluation(tmp_path):
