@@ -15,6 +15,7 @@ different architecture. Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -58,20 +59,22 @@ def load_checkpoint(path: str):
         magic = reader.take(4, "magic")
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r} at byte offset 0 (expected {MAGIC!r})")
-        digest = reader.take(reader.u32("digest length"), "digest").decode("utf-8")
+        digest = reader.text(reader.u32("digest length"), "digest")
         count = reader.u32("parameter count")
         params = {}
         for index in range(count):
-            name = reader.take(reader.u32(f"name length of parameter {index}"), "name").decode("utf-8")
+            name = reader.text(reader.u32(f"name length of parameter {index}"), "name")
             tag = reader.take(1, f"dtype tag of '{name}'")[0]
             if tag not in _TAG_DTYPES:
                 raise FormatError(f"unknown dtype tag {tag} for parameter '{name}'")
             rank = reader.u32(f"rank of '{name}'")
             shape = tuple(reader.u32(f"dim {d} of '{name}'") for d in range(rank))
             dtype = _TAG_DTYPES[tag]
-            n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = reader.take(n_items * dtype.itemsize, f"data of '{name}'")
-            params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            raw = reader.take(math.prod(shape) * dtype.itemsize, f"data of '{name}'")
+            try:
+                params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            except ValueError as exc:  # e.g. more dimensions than numpy allows
+                raise FormatError(f"parameter '{name}' has unsupported shape: {exc}") from None
         return digest, params
 
 

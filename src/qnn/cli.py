@@ -34,7 +34,7 @@ from qnn.errors import (
 )
 from qnn.recurrent import build_model, count_params, symbolic_param_counts
 from qnn.selfcheck import run_selfcheck, sign_flipped_hamilton
-from qnn.training import eval_threads, evaluate, train
+from qnn.training import evaluate, train
 
 _CONFIG_FLAGS = (
     "front_end", "r2h_size", "r2h_activation", "stack_kind", "depth",
@@ -102,7 +102,6 @@ def cmd_train(args) -> int:
     config.validate()
     _check_dataset("train", train_utts, config)
     _check_dataset("valid", valid_utts, config)
-    eval_threads()  # a rejected run leaves no output directory
 
     os.makedirs(args.out, exist_ok=True)
     with atomic_write(os.path.join(args.out, "config.txt"), text=True) as fh:

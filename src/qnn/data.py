@@ -103,23 +103,33 @@ def write_features(path: str, utterances: list) -> None:
 
 class ByteReader:
     """Byte-counting reader for the binary containers (QFEA and checkpoints),
-    so format errors can name the offset."""
+    so format errors can name the offset; it never reads past the file's size."""
 
     def __init__(self, fh, container: str):
         self.fh = fh
         self.container = container
         self.offset = 0
+        self.size = os.fstat(fh.fileno()).st_size
 
     def take(self, n: int, what: str) -> bytes:
-        chunk = self.fh.read(n)
-        if len(chunk) != n:
+        left = self.size - self.offset
+        if n > left:
             raise FormatError(f"truncated {self.container}: wanted {n} bytes for {what} "
-                              f"at byte offset {self.offset}, got {len(chunk)}")
+                              f"at byte offset {self.offset}, got {left}")
+        chunk = self.fh.read(n)
         self.offset += n
         return chunk
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
+
+    def text(self, n: int, what: str) -> str:
+        raw = self.take(n, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.container}: {what} at byte offset {self.offset - n} "
+                              f"is not UTF-8 ({exc.reason})") from None
 
 
 def _read_qfea(fh) -> list:
@@ -134,7 +144,7 @@ def _read_qfea(fh) -> list:
     utterances = []
     for index in range(count):
         id_len = reader.u32(f"id length of utterance {index}")
-        ident = reader.take(id_len, f"id of utterance {index}").decode("utf-8")
+        ident = reader.text(id_len, f"id of utterance {index}")
         t_len = reader.u32(f"frame count of '{ident}'")
         dim = reader.u32(f"feature dim of '{ident}'")
         feat_bytes = reader.take(4 * t_len * dim, f"features of '{ident}'")
@@ -199,8 +209,8 @@ def read_features(path: str) -> list:
     """Read a QFEA file, falling back to CSV when the magic is absent."""
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == QFEA_MAGIC:
-        with open(path, "rb") as fh:
+        if head == QFEA_MAGIC:
+            fh.seek(0)
             return _read_qfea(fh)
     if head[:3] in (b"id,", b"\xef\xbb\xbfi"):
         return _read_csv(path)

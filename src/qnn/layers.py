@@ -3,24 +3,20 @@
 A vector of H quaternions lives in a real vector of length 4H using the
 quarter-block convention: entries [0, H) are the r parts, then the x, y and
 z parts. A quaternion-weighted dense layer multiplies by a structured real
-matrix built from four component matrices with the sign pattern
-
-    [ Wr -Wx -Wy -Wz ]
-    [ Wx  Wr -Wz  Wy ]
-    [ Wy  Wz  Wr -Wx ]
-    [ Wz -Wy  Wx  Wr ]
-
-so each output quaternion is the sum over inputs of (weight quaternion)
-Hamilton-multiplied by (input quaternion). Split activations apply a real
-nonlinearity to every component independently.
+matrix whose 4x4 grid of blocks is the transpose of quat.QuatMatrix4 with
+the component matrices Wr, Wx, Wy, Wz in place of r, x, y, z (transposed
+because activations are row vectors), so each output quaternion is the sum
+over inputs of (weight quaternion) Hamilton-multiplied by (input
+quaternion). Split activations apply a real nonlinearity to every component
+independently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qnn import autograd
-from qnn.autograd import Tensor, add_bias, concat, div, matmul, mul, narrow, neg, reshape, sqrt
+from qnn import autograd, quat
+from qnn.autograd import Tensor, add_bias, concat, div, matmul, mul, narrow, op_result, reshape, sqrt
 from qnn.errors import ConfigError, DimensionError
 
 ACTIVATIONS = {
@@ -68,6 +64,38 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator, dtype=np
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
+# For each component of a quaternion weight, the blocks (i, j) of the layer
+# matrix that hold it, with their signs, by ascending column block j: block
+# (i, j) is block (j, i) of quat.to_matrix of the component's basis
+# quaternion, transposed because activations are row vectors.
+_PLACES = [[(i, j, m[j, i] > 0) for j, i in np.argwhere(m).tolist()]
+           for m in (quat.to_matrix(q).m for q in (quat.ONE, quat.I, quat.J, quat.K))]
+
+
+def quat_weight(w_r: Tensor, w_x: Tensor, w_y: Tensor, w_z: Tensor) -> Tensor:
+    """The (4*in_q, 4*out_q) structured real matrix of four (in_q, out_q)
+    component matrices, as one graph node. Every block is a copy or a
+    negation of one component: nothing is multiplied, so an inf or NaN stays
+    in the blocks of its own component."""
+    comps = (w_r, w_x, w_y, w_z)
+    in_q, out_q = w_r.shape
+    out = np.empty((4, in_q, 4, out_q), dtype=w_r.dtype)
+    for comp, places in zip(comps, _PLACES):
+        for i, j, positive in places:
+            out[i, :, j] = comp.data if positive else -comp.data
+
+    def backward(g):
+        g = g.reshape(4, in_q, 4, out_q)
+        # summed left to right by ascending column block j, as a graph of neg
+        # and concat nodes sums them; another order can change the last bit,
+        # and with it same-seed results
+        signed = [[g[i, :, j] if positive else -g[i, :, j] for i, j, positive in places]
+                  for places in _PLACES]
+        return tuple(a + b + c + d for a, b, c, d in signed)
+
+    return op_result(out.reshape(4 * in_q, 4 * out_q), comps, "quat_weight", backward)
+
+
 def _apply_linear(x: Tensor, weight: Tensor, bias: Tensor | None, label: str) -> Tensor:
     d_in, d_out = weight.shape
     if x.shape[-1] != d_in:
@@ -105,20 +133,12 @@ class QuatLinear:
     def weight_matrix(self) -> Tensor:
         """Composite (4*in_q, 4*out_q) real matrix; graph-connected to the
         four component matrices, build once per forward pass and reuse."""
-        r, x, y, z = self.w_r, self.w_x, self.w_y, self.w_z
-        cols = [
-            concat([r, neg(x), neg(y), neg(z)], axis=0),
-            concat([x, r, neg(z), y], axis=0),
-            concat([y, z, r, neg(x)], axis=0),
-            concat([z, neg(y), x, r], axis=0),
-        ]
-        return concat(cols, axis=1)
+        return quat_weight(self.w_r, self.w_x, self.w_y, self.w_z)
 
-    def forward(self, x: Tensor, weight: Tensor | None = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] % 4 != 0:
             raise DimensionError(f"quaternion input width must be a multiple of 4, got {x.shape[-1]}")
-        w = weight if weight is not None else self.weight_matrix()
-        return _apply_linear(x, w, self.bias, "QuatLinear")
+        return _apply_linear(x, self.weight_matrix(), self.bias, "QuatLinear")
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)
@@ -148,9 +168,8 @@ class RealLinear:
     def weight_matrix(self) -> Tensor:
         return self.weight
 
-    def forward(self, x: Tensor, weight: Tensor | None = None) -> Tensor:
-        w = weight if weight is not None else self.weight
-        return _apply_linear(x, w, self.bias, "RealLinear")
+    def forward(self, x: Tensor) -> Tensor:
+        return _apply_linear(x, self.weight, self.bias, "RealLinear")
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)

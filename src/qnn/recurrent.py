@@ -27,7 +27,7 @@ all four gates, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded
 into the projections and R once per call.
 
 Bidirectional layers run a second cell over the reversed sequence and merge
-by componentwise sum (concatenation available but non-default).
+by componentwise sum.
 """
 
 from __future__ import annotations
@@ -77,8 +77,6 @@ class QLSTMCell(_LSTMCell):
     """One direction of a quaternion LSTM layer (widths in quaternions)."""
 
     def __init__(self, in_q: int, hidden_q: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_q = in_q
-        self.hidden_q = hidden_q
         self.input_size = 4 * in_q
         self.hidden_size = 4 * hidden_q
         super().__init__(QuatLinear, in_q, hidden_q, rng, dtype)
@@ -210,24 +208,18 @@ def run_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
 
 
 class BiRecurrentLayer:
-    """Forward and backward cells over the same sequence, merged per step."""
+    """Forward and backward cells over the same sequence, summed per step."""
 
-    def __init__(self, forward_cell, backward_cell, merge: str = "sum"):
-        if merge not in ("sum", "concat"):
-            raise ConfigError(f"merge must be 'sum' or 'concat', got '{merge}'")
+    def __init__(self, forward_cell, backward_cell):
         if forward_cell.hidden_size != backward_cell.hidden_size:
             raise ConfigError("direction cells must share the hidden width")
         self.fwd = forward_cell
         self.bwd = backward_cell
-        self.merge = merge
-        self.output_size = forward_cell.hidden_size * (2 if merge == "concat" else 1)
+        self.output_size = forward_cell.hidden_size
 
     def forward(self, seq: Tensor, mask: np.ndarray) -> Tensor:
         out_f = run_direction(self.fwd, seq, mask)
-        out_b = reverse_time(run_direction(self.bwd, reverse_time(seq), mask[::-1]))
-        if self.merge == "sum":
-            return out_f + out_b
-        return concat([out_f, out_b], axis=2)
+        return out_f + reverse_time(run_direction(self.bwd, reverse_time(seq), mask[::-1]))
 
     def named_parameters(self, prefix: str = ""):
         return self.fwd.named_parameters(prefix + "fwd.") + self.bwd.named_parameters(prefix + "bwd.")
@@ -259,7 +251,6 @@ class NaiveQuatFrontEnd:
     """
 
     def __init__(self, input_dim: int, dtype=np.float32):
-        self.input_dim = input_dim
         self.pad = (-input_dim) % 4
         self.output_dim = input_dim + self.pad
         self.dtype = dtype
@@ -403,7 +394,7 @@ def build_model(config: ModelConfig) -> AcousticModel:
         else:
             fwd = RealLSTMCell(width, config.hidden_real_width, rng, dtype=dtype)
             bwd = RealLSTMCell(width, config.hidden_real_width, rng, dtype=dtype)
-        layer = BiRecurrentLayer(fwd, bwd, merge="sum")
+        layer = BiRecurrentLayer(fwd, bwd)
         stack.append(layer)
         width = layer.output_size
 

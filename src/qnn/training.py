@@ -14,7 +14,6 @@ seed produce byte-identical metrics files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import time
 from dataclasses import dataclass
@@ -25,8 +24,8 @@ from qnn import autograd
 from qnn.autograd import Tensor, op_result
 from qnn.checkpoint import save_checkpoint
 from qnn.config import ModelConfig
-from qnn.data import make_batches
-from qnn.errors import ConfigError, ContractError, DataError, TrainingAbort
+from qnn.data import atomic_write, make_batches
+from qnn.errors import ContractError, DataError, TrainingAbort
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -149,33 +148,12 @@ def _batch_metrics(model, batch):
     return loss * batch.valid_frames, errors, batch.valid_frames
 
 
-def eval_threads() -> int:
-    """Worker threads for evaluate(): QNN_THREADS, a positive integer, default 1."""
-    text = os.environ.get("QNN_THREADS", "").strip() or "1"
-    if not text.isdecimal() or int(text) < 1:
-        raise ConfigError(f"QNN_THREADS must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def evaluate(model, utterances, batch_size: int = 8):
-    """(mean loss, frame error rate %) over valid frames, batch-size invariant.
-
-    QNN_THREADS > 1 shards batches across threads (parameters frozen);
-    results are reduced in batch order, so the thread count never changes
-    the outcome.
-    """
+    """(mean loss, frame error rate %) over valid frames, batch-size invariant."""
     batches = make_batches(utterances, batch_size)
     if not batches:
         return 0.0, 0.0
-    threads = eval_threads()
-    if threads > 1 and len(batches) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: _batch_metrics(model, b), batches))
-    else:
-        results = [_batch_metrics(model, b) for b in batches]
-    loss_sum = sum(r[0] for r in results)
-    errors = sum(r[1] for r in results)
-    frames = sum(r[2] for r in results)
+    loss_sum, errors, frames = map(sum, zip(*(_batch_metrics(model, b) for b in batches)))
     return loss_sum / frames, 100.0 * errors / frames
 
 
@@ -190,66 +168,65 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
     aborts immediately, before the optimizer step.
     """
     config.validate()
-    eval_threads()  # a bad QNN_THREADS fails here, not after the first epoch
     digest = config.digest()
     params = model.named_parameters()
     optimizer = Adam(params, lr=config.lr0)
     schedule = LRSchedule(rule=config.lr_rule)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
 
-    metrics_fh = None
+    reports = []
+    best_val = float("inf")
+
+    def write_metrics():
+        # the whole file is rewritten atomically, so a crash never leaves a partial line
+        with atomic_write(os.path.join(out_dir, "metrics.txt"), text=True) as fh:
+            fh.writelines(r.record(digest, config.seed) + "\n" for r in reports)
+
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(os.path.join(out_dir, "initial.qnn"), params, digest)
-        metrics_fh = open(os.path.join(out_dir, "metrics.txt"), "w", encoding="utf-8")
+        write_metrics()
 
-    reports = []
-    best_val = float("inf")
-    try:
-        for epoch in range(1, config.epochs + 1):
-            started = time.monotonic()
-            lr_used = optimizer.lr
-            batches = make_batches(train_utts, config.batch_size, shuffle_rng, sort_by_length=True)
-            loss_sum = 0.0
-            frames = 0
-            for index, batch in enumerate(batches):
-                optimizer.zero_grad()
-                logits = model.forward(batch, training=True)
-                loss = cross_entropy_framewise(logits, batch.labels, batch.mask)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise TrainingAbort(
-                        f"non-finite training loss {value} at epoch {epoch}, batch {index} "
-                        f"(utterances {', '.join(batch.ids)})"
-                    )
-                autograd.backward(loss)
-                bad = next((name for name, p in params
-                            if p.grad is not None and not np.isfinite(p.grad).all()), None)
-                if bad is not None:
-                    raise TrainingAbort(
-                        f"non-finite gradient for parameter '{bad}' at epoch {epoch}, batch {index} "
-                        f"(utterances {', '.join(batch.ids)})"
-                    )
-                optimizer.step()
-                loss_sum += value * batch.valid_frames
-                frames += batch.valid_frames
+    for epoch in range(1, config.epochs + 1):
+        started = time.monotonic()
+        lr_used = optimizer.lr
+        batches = make_batches(train_utts, config.batch_size, shuffle_rng, sort_by_length=True)
+        loss_sum = 0.0
+        frames = 0
+        for index, batch in enumerate(batches):
+            optimizer.zero_grad()
+            logits = model.forward(batch, training=True)
+            loss = cross_entropy_framewise(logits, batch.labels, batch.mask)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingAbort(
+                    f"non-finite training loss {value} at epoch {epoch}, batch {index} "
+                    f"(utterances {', '.join(batch.ids)})"
+                )
+            autograd.backward(loss)
+            bad = next((name for name, p in params
+                        if p.grad is not None and not np.isfinite(p.grad).all()), None)
+            if bad is not None:
+                raise TrainingAbort(
+                    f"non-finite gradient for parameter '{bad}' at epoch {epoch}, batch {index} "
+                    f"(utterances {', '.join(batch.ids)})"
+                )
+            optimizer.step()
+            loss_sum += value * batch.valid_frames
+            frames += batch.valid_frames
 
-            val_loss, val_fer = evaluate(model, valid_utts, config.batch_size)
-            optimizer.lr = schedule.update(val_loss, optimizer.lr)
-            report = EpochReport(epoch, loss_sum / frames, val_loss, val_fer, lr_used,
-                                 time.monotonic() - started)
-            reports.append(report)
-            if metrics_fh is not None:
-                metrics_fh.write(report.record(digest, config.seed) + "\n")
-                metrics_fh.flush()
-            if log is not None:
-                log(f"{report.record(digest, config.seed)} seconds={report.seconds:.1f}")
-            if out_dir is not None:
-                save_checkpoint(os.path.join(out_dir, "last.qnn"), params, digest)
-                if val_loss < best_val:
-                    best_val = val_loss
-                    save_checkpoint(os.path.join(out_dir, "best.qnn"), params, digest)
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
+        val_loss, val_fer = evaluate(model, valid_utts, config.batch_size)
+        optimizer.lr = schedule.update(val_loss, optimizer.lr)
+        report = EpochReport(epoch, loss_sum / frames, val_loss, val_fer, lr_used,
+                             time.monotonic() - started)
+        reports.append(report)
+        if out_dir is not None:
+            write_metrics()
+        if log is not None:
+            log(f"{report.record(digest, config.seed)} seconds={report.seconds:.1f}")
+        if out_dir is not None:
+            save_checkpoint(os.path.join(out_dir, "last.qnn"), params, digest)
+            if val_loss < best_val:
+                best_val = val_loss
+                save_checkpoint(os.path.join(out_dir, "best.qnn"), params, digest)
     return reports

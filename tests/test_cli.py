@@ -1,11 +1,16 @@
 """Command-line behavior: records, exit codes, determinism, round trips."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from qnn.checkpoint import load_checkpoint
 from qnn.cli import main
 from qnn.config import ModelConfig
 from qnn.data import read_features
+from qnn.errors import DataError, FormatError
 
 
 def record_lines(capsys, key):
@@ -71,23 +76,6 @@ def test_train_then_eval_round_trip(tmp_path, capsys):
     fields = parse_record(record_lines(capsys, "eval")[0])
     assert float(fields["loss"]) == float(summary["final_val_loss"])
     assert float(fields["fer"]) == float(summary["final_val_fer"])
-
-
-def test_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch):
-    main(synth_args(tmp_path / "data"))
-    train_args = ["train", "--train", str(tmp_path / "data/train.qfea"),
-                  "--valid", str(tmp_path / "data/valid.qfea"), *TRAIN_FLAGS]
-    assert main([*train_args, "--out", str(tmp_path / "run"), "--epochs", "0"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("QNN_THREADS", "abc")
-    for args in (
-        ["eval", str(tmp_path / "run" / "initial.qnn"), "--test", str(tmp_path / "data/test.qfea")],
-        [*train_args, "--out", str(tmp_path / "again")],
-    ):
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert "QNN_THREADS" in err and "Traceback" not in err
-    assert not (tmp_path / "again").exists()
 
 
 def test_train_twice_metrics_byte_identical(tmp_path, capsys):
@@ -221,3 +209,85 @@ def test_selfcheck_injected_sign_flip_fails(capsys):
     assert main(["selfcheck", "--inject-sign-flip"]) == 1
     out = capsys.readouterr().out
     assert "basis case j x k" in out
+
+
+def u32_at(data, offset):
+    return struct.unpack_from("<I", data, offset)[0]
+
+
+def qfea_u32_offsets(data):
+    """Byte offsets of every u32 field of a QFEA file."""
+    offsets = [4, 8]
+    pos = 12
+    for _ in range(u32_at(data, 8)):
+        id_len = u32_at(data, pos)
+        t_len, dim = u32_at(data, pos + 4 + id_len), u32_at(data, pos + 8 + id_len)
+        offsets += [pos, pos + 4 + id_len, pos + 8 + id_len]
+        pos += 12 + id_len + 4 * t_len * dim + 4 * t_len
+    return offsets
+
+
+def checkpoint_u32_offsets(data):
+    """Byte offsets of every u32 field of a QNN1 checkpoint."""
+    digest_len = u32_at(data, 4)
+    offsets = [4, 8 + digest_len]
+    pos = 12 + digest_len
+    for _ in range(u32_at(data, 8 + digest_len)):
+        name_len = u32_at(data, pos)
+        itemsize = 4 if data[pos + 4 + name_len] == 0 else 8
+        rank_at = pos + 5 + name_len
+        dim_at = [rank_at + 4 + 4 * d for d in range(u32_at(data, rank_at))]
+        offsets += [pos, rank_at] + dim_at
+        pos = rank_at + 4 + 4 * len(dim_at) + itemsize * math.prod(u32_at(data, a) for a in dim_at)
+    assert pos == len(data)
+    return offsets
+
+
+def mutations(data, u32_offsets, rng, count):
+    """Seeded corruptions: large values written over u32 fields, and single
+    bytes XOR-ed anywhere in the file."""
+    for offset in rng.choice(u32_offsets, size=count):
+        value = int(rng.choice([0xFFFFFFF0, 0x7FFFFFFF, 0x80000000, int(rng.integers(2**16, 2**32))]))
+        yield data[:offset] + struct.pack("<I", value) + data[offset + 4:]
+    for offset in rng.integers(0, len(data), size=count):
+        flipped = data[offset] ^ int(rng.integers(1, 256))
+        yield data[:offset] + bytes([flipped]) + data[offset + 1:]
+
+
+def test_corrupt_binary_inputs_exit_3_without_traceback(tmp_path, capsys):
+    main(synth_args(tmp_path / "data", train_utts=2, valid_utts=2, test_utts=2, segments=1,
+                    seg_min=2, seg_max=3, dim=4))
+    run = tmp_path / "run"
+    assert main(["train", "--train", str(tmp_path / "data/train.qfea"),
+                 "--valid", str(tmp_path / "data/valid.qfea"), "--out", str(run),
+                 "--front-end", "identity", "--hidden", "4", "--depth", "1", "--classes", "4",
+                 "--epochs", "0"]) == 0
+    test_path = tmp_path / "data/test.qfea"
+    ckpt_path = run / "initial.qnn"
+    assert main(["eval", str(ckpt_path), "--test", str(test_path)]) == 0
+    capsys.readouterr()
+    qfea, ckpt = test_path.read_bytes(), ckpt_path.read_bytes()
+    rng = np.random.default_rng(2024)
+    cases = [(test_path, read_features, m) for m in mutations(qfea, qfea_u32_offsets(qfea), rng, 30)]
+    cases += [(ckpt_path, load_checkpoint, m)
+              for m in mutations(ckpt, checkpoint_u32_offsets(ckpt), rng, 30)]
+    refused = 0
+    for path, reader, mutated in cases:
+        path.write_bytes(mutated)
+        try:
+            reader(str(path))
+            loads = True
+        except (FormatError, DataError):
+            loads = False
+        code = main(["eval", str(ckpt_path), "--test", str(test_path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if loads:
+            # a file that parses may still not fit the config: a checkpoint
+            # for another digest or parameter set is a refused check (1)
+            assert code in (0, 1, 3), err
+        else:
+            refused += 1
+            assert code == 3, err
+        path.write_bytes(qfea if path == test_path else ckpt)
+    assert refused > len(cases) // 4

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qnn import quat
-from qnn.autograd import Tensor, backward
+from qnn.autograd import Tape, Tensor, backward, concat, mul, neg, sum_all
+from qnn.config import ModelConfig
+from qnn.data import SynthSpec, generate_synthetic, make_batches
 from qnn.errors import ConfigError, DimensionError
 from qnn.gradcheck import gradient_check
 from qnn.layers import (
@@ -13,9 +15,12 @@ from qnn.layers import (
     RealToQuatEncoder,
     chi4_init,
     quat_normalize,
+    quat_weight,
     quaternion_dropout,
     split_activation,
 )
+from qnn.recurrent import build_model
+from qnn.training import cross_entropy_framewise, train
 
 
 def unpack_quaternions(v: np.ndarray):
@@ -123,6 +128,85 @@ def test_quat_linear_gradients():
         layer.named_parameters() + [("x", x)],
     )
     assert max(errs.values()) < 1e-6
+
+
+def neg_concat_weight_matrix(layer: QuatLinear) -> Tensor:
+    """The structured matrix with its sign table written out, built from neg
+    and concat nodes: the construction quat_weight replaces, kept as its
+    reference."""
+    r, x, y, z = layer.w_r, layer.w_x, layer.w_y, layer.w_z
+    cols = [
+        concat([r, neg(x), neg(y), neg(z)], axis=0),
+        concat([x, r, neg(z), y], axis=0),
+        concat([y, z, r, neg(x)], axis=0),
+        concat([z, neg(y), x, r], axis=0),
+    ]
+    return concat(cols, axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_q,out_q", [(64, 32), (32, 32), (3, 2)])
+def test_quat_weight_bit_equal_to_neg_concat_reference(dtype, in_q, out_q):
+    rng = np.random.default_rng(22)
+    layer = QuatLinear(in_q, out_q, rng, dtype=dtype, bias=False)
+    cotangent = Tensor(rng.standard_normal((4 * in_q, 4 * out_q)).astype(dtype))
+    results = []
+    for build in (QuatLinear.weight_matrix, neg_concat_weight_matrix):
+        params = [p for _, p in layer.named_parameters()]
+        for p in params:
+            p.zero_grad()
+        w = build(layer)
+        backward(sum_all(mul(w, cotangent)))
+        results.append([w.data] + [p.grad for p in params])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_quat_weight_keeps_non_finite_entries_in_their_blocks():
+    # copies and negations only: an inf in one component reaches exactly its
+    # four blocks, and no inf * 0 turns the other twelve into NaN
+    rng = np.random.default_rng(23)
+    comps = [Tensor(c) for c in chi4_init(2, 3, rng, dtype=np.float64)]
+    comps[1].data[1, 2] = np.inf
+    w = quat_weight(*comps).data
+    assert not np.isnan(w).any()
+    assert sorted(w[~np.isfinite(w)].tolist()) == [-np.inf, -np.inf, np.inf, np.inf]
+
+
+def weight_build_config(precision):
+    return ModelConfig(front_end="r2h-norm", r2h_size=16, stack_kind="qlstm", depth=2,
+                       hidden_real_width=16, classes=4, dropout=0.0, epochs=3,
+                       input_dim=8, batch_size=4, seed=5, precision=precision)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_training_with_quat_weight_equals_neg_concat_reference(precision, monkeypatch):
+    cfg = weight_build_config(precision)
+    train_utts, valid_utts, _ = generate_synthetic(
+        SynthSpec(train_utts=12, valid_utts=6, test_utts=1, dim=8, seed=13))
+    runs = []
+    for build in (QuatLinear.weight_matrix, neg_concat_weight_matrix):
+        monkeypatch.setattr(QuatLinear, "weight_matrix", build)
+        model = build_model(cfg)
+        reports = train(model, train_utts, valid_utts, cfg)
+        runs.append(([r.record("d", 0) for r in reports],
+                     [p.data.tobytes() for _, p in model.named_parameters()]))
+    assert runs[0] == runs[1]
+
+
+def test_training_step_tape_has_one_node_per_weight_map():
+    cfg = weight_build_config("f32")
+    train_utts, _, _ = generate_synthetic(SynthSpec(train_utts=4, valid_utts=1, test_utts=1,
+                                                    dim=8, seed=13))
+    batch = make_batches(train_utts, 4)[0]
+    model = build_model(cfg)
+    loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
+    ops = [t.node.op for t in Tape.from_root(loss).records if t.node is not None]
+    cells = 2 * cfg.depth
+    assert "neg" not in ops
+    # four gates, each with an input map W and a recurrent map R
+    assert ops.count("quat_weight") == 8 * cells
 
 
 def test_split_activation_values():

@@ -275,18 +275,6 @@ def test_bidirectional_zero_weights_zero_output():
     assert np.array_equal(out.data, np.zeros((4, 2, 12)))
 
 
-def test_bidirectional_concat_merge_and_bad_merge():
-    rng = np.random.default_rng(12)
-    fwd = QLSTMCell(2, 2, rng, dtype=np.float64)
-    bwd = QLSTMCell(2, 2, rng, dtype=np.float64)
-    layer = BiRecurrentLayer(fwd, bwd, merge="concat")
-    assert layer.output_size == 16
-    out = layer.forward(Tensor(rng.standard_normal((3, 2, 8))), np.ones((3, 2), dtype=bool))
-    assert out.shape == (3, 2, 16)
-    with pytest.raises(ConfigError):
-        BiRecurrentLayer(fwd, bwd, merge="average")
-
-
 def test_bidirectional_gradients():
     rng = np.random.default_rng(13)
     layer = BiRecurrentLayer(

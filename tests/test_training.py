@@ -3,16 +3,17 @@
 import math
 import os
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from qnn import autograd
+from qnn import autograd, training
 from qnn.autograd import Tensor
 from qnn.checkpoint import load_checkpoint, load_into_model, save_checkpoint
 from qnn.config import ModelConfig
 from qnn.data import SynthSpec, generate_synthetic, make_batches
-from qnn.errors import ConfigError, ContractError, DataError, FormatError, TrainingAbort
+from qnn.errors import ContractError, DataError, FormatError, TrainingAbort
 from qnn.gradcheck import gradient_check
 from qnn.recurrent import build_model
 from qnn.training import (
@@ -223,15 +224,6 @@ def test_evaluate_batch_size_invariant():
     assert abs(loss_1 - loss_16) < 1e-12
 
 
-def test_evaluate_thread_sharding_matches_serial(monkeypatch):
-    _, valid, _ = synth_utts()
-    model = StubModel(4, perfect=False)
-    serial = evaluate(model, valid, batch_size=2)
-    monkeypatch.setenv("QNN_THREADS", "4")
-    threaded = evaluate(model, valid, batch_size=2)
-    assert serial == threaded
-
-
 # --- train loop ----------------------------------------------------------
 
 
@@ -298,6 +290,36 @@ def test_train_metrics_byte_identical_across_runs(tmp_path):
     assert a == b and len(a) > 0
 
 
+def test_failed_metrics_write_keeps_previous_epoch(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    train_utts, valid_utts, _ = synth_utts()
+    complete = tmp_path / "complete"
+    train(build_model(cfg), train_utts, valid_utts, cfg, out_dir=str(complete))
+    real_atomic_write = training.atomic_write
+    calls = []
+
+    @contextmanager
+    def fails_mid_write(path, text=False):
+        with real_atomic_write(path, text=text) as fh:
+            fh.write("epoch=2 train_lo")
+            raise OSError("disk full")
+        yield  # never reached
+
+    def flaky_atomic_write(path, text=False):
+        calls.append(os.path.basename(path))
+        # the empty file, then epoch 1, then the failing epoch-2 rewrite
+        return (fails_mid_write if len(calls) == 3 else real_atomic_write)(path, text=text)
+
+    monkeypatch.setattr(training, "atomic_write", flaky_atomic_write)
+    run = tmp_path / "run"
+    with pytest.raises(OSError, match="disk full"):
+        train(build_model(cfg), train_utts, valid_utts, cfg, out_dir=str(run))
+    assert calls == ["metrics.txt"] * 3
+    first_line = (complete / "metrics.txt").read_text().splitlines(keepends=True)[0]
+    assert (run / "metrics.txt").read_text() == first_line
+    assert sorted(p.name for p in run.iterdir()) == ["best.qnn", "initial.qnn", "last.qnn", "metrics.txt"]
+
+
 def test_train_aborts_on_nan_with_location():
     cfg = tiny_config(epochs=1)
     train_utts, valid_utts, _ = synth_utts()
@@ -325,29 +347,6 @@ def test_train_aborts_on_non_finite_gradient_before_step(tmp_path, monkeypatch):
     for (n, p), old in zip(model.named_parameters(), before):
         assert np.array_equal(p.data, old), n
     assert not (tmp_path / "last.qnn").exists()
-
-
-def test_threaded_evaluation_keeps_training_recorded(monkeypatch):
-    # no_grad in evaluate()'s worker threads must not switch recording off
-    # for the training thread; threaded runs equal the serial run exactly
-    cfg = tiny_config(epochs=3)
-    train_utts, valid_utts, _ = synth_utts(valid_utts=16)
-    serial_model = build_model(cfg)
-    serial = train(serial_model, train_utts, valid_utts, cfg)
-    monkeypatch.setenv("QNN_THREADS", "2")
-    threaded_model = build_model(cfg)
-    threaded = train(threaded_model, train_utts, valid_utts, cfg)
-    assert [r.record("d", 0) for r in threaded] == [r.record("d", 0) for r in serial]
-    for (name, a), (_, b) in zip(threaded_model.named_parameters(), serial_model.named_parameters()):
-        assert np.array_equal(a.data, b.data), name
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_thread_count_is_config_error(monkeypatch, value):
-    _, valid, _ = synth_utts()
-    monkeypatch.setenv("QNN_THREADS", value)
-    with pytest.raises(ConfigError, match="QNN_THREADS"):
-        evaluate(StubModel(4, perfect=True), valid)
 
 
 # --- checkpoints ---------------------------------------------------------
