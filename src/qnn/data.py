@@ -160,7 +160,7 @@ def _read_qfea(fh) -> list:
 def _read_csv(path: str) -> list:
     order = []
     rows = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -212,8 +212,11 @@ def read_features(path: str) -> list:
         if head == QFEA_MAGIC:
             fh.seek(0)
             return _read_qfea(fh)
-    if head[:3] in (b"id,", b"\xef\xbb\xbfi"):
-        return _read_csv(path)
+    if head.startswith((b"id,", b"\xef\xbb\xbfi")):  # plain or UTF-8-BOM CSV header
+        try:
+            return _read_csv(path)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: CSV is not UTF-8 text ({exc.reason})") from None
     raise FormatError(f"{path}: bad magic {head!r} at byte offset 0 (expected {QFEA_MAGIC!r} or a CSV header)")
 
 

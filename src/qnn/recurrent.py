@@ -18,13 +18,14 @@ Sequences are time-major (T, B, D) with a boolean validity mask; states
 carry across padded frames unchanged and padded outputs are zeroed, so
 appending padding to a batch never changes valid-frame results.
 
-Each direction is one graph node (Appleyard et al., arXiv:1604.01946): the
-input projections of all frames are one matmul, a numpy loop runs the
-recurrence caching gates and states, and the backward is full BPTT over that
-cache whose (T, B, 4H) gate gradients give R's gradient in one more matmul.
+Each direction is one graph node (Appleyard et al., arXiv:1604.01946) that
+owns its input projection: one matmul projects all frames straight into the
+(T, B, 4H) gate buffer, a numpy loop runs the recurrence caching gates and
+states, and the backward is full BPTT over that cache whose gate gradients
+give the input, W, bias and R gradients in three more matmuls and a sum.
 The loop works in place on its caches and applies one tanh per frame over
 all four gates, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded
-into the projections and R once per call.
+into W, the bias and R once per call.
 
 Bidirectional layers run a second cell over the reversed sequence and merge
 by componentwise sum.
@@ -34,10 +35,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from qnn.autograd import Tensor, add_bias, concat, matmul, op_result, reshape, reverse_time
+from qnn.autograd import Tensor, concat, op_result, reverse_time
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch, naive_quat_compose
-from qnn.errors import ConfigError, DimensionError
+from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn.layers import QuatLinear, RealLinear, RealToQuatEncoder, quaternion_dropout
 
 GATES = ("f", "i", "c", "o")
@@ -133,25 +134,31 @@ def cell_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
     return Tensor(h_t), Tensor(c_t)
 
 
-def lstm_direction(proj: Tensor, wh: Tensor, mask: np.ndarray) -> Tensor:
-    """Fused LSTM recurrence over hoisted input projections.
+def lstm_direction(seq: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, mask: np.ndarray) -> Tensor:
+    """Fused LSTM direction: input projections and recurrence in one node.
 
-    proj is (T, B, 4*hidden), x_t @ wx + bias for every frame; wh is the
-    (hidden, 4*hidden) recurrent map. The graph sees one node: the forward
-    caches gates and states, the backward runs full BPTT over that cache.
+    seq is (T, B, input), wx the (input, 4*hidden) input map, bias its
+    (4*hidden,) bias and wh the (hidden, 4*hidden) recurrent map. The
+    forward projects every frame in one matmul into the gate buffer and
+    caches gates and states; the backward runs full BPTT over that cache.
     """
-    t_len, batch, width = proj.shape
+    if not seq.dtype == wx.dtype == bias.dtype == wh.dtype:
+        raise ContractError(f"lstm_direction: dtype mismatch {seq.dtype} vs {wx.dtype}/{bias.dtype}/{wh.dtype}")
+    t_len, batch, _ = seq.shape
+    width = wh.shape[1]
     hidden = width // 4
-    dtype = proj.data.dtype
+    dtype = seq.dtype
     affine = gate_affine(hidden, dtype)
+    x2d = seq.data.reshape(t_len * batch, -1)
     # the pre-activations scaled by gate_affine; power-of-two scaling is exact
-    gates = proj.data * affine[0]
+    gates = np.matmul(x2d, wx.data * affine[0]).reshape(t_len, batch, width)
+    gates += bias.data * affine[0]
     wh_scaled = wh.data * affine[0]
     recurrent = np.empty((batch, width), dtype=dtype)
     tanh_c = np.empty((t_len, batch, hidden), dtype=dtype)
     h_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)  # h_states[t] is h_{t-1}
     c_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)
-    keeps = [None if m.all() else m[:, None].astype(dtype) for m in mask]
+    keeps = [None if full else m[:, None].astype(dtype) for m, full in zip(mask, mask.all(axis=1))]
     for t, keep in enumerate(keeps):
         np.matmul(h_states[t], wh_scaled, out=recurrent)
         gates[t] += recurrent
@@ -183,10 +190,11 @@ def lstm_direction(proj: Tensor, wh: Tensor, mask: np.ndarray) -> Tensor:
             d_pre[t] = np.concatenate((d_c, d_c, d_c, d_h), axis=1) * local[t]
             d_c = d_c * f[t] + d_c_skip
             d_h = d_pre[t] @ wh.data.T + d_h_skip
-        d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre.reshape(-1, width)
-        return d_pre, d_wh
+        d_pre = d_pre.reshape(-1, width)
+        d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre
+        return (d_pre @ wx.data.T).reshape(seq.shape), x2d.T @ d_pre, d_pre.sum(axis=0), d_wh
 
-    return op_result(out, (proj, wh), "lstm_direction", backward)
+    return op_result(out, (seq, wx, bias, wh), "lstm_direction", backward)
 
 
 def run_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
@@ -201,10 +209,7 @@ def run_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
     if mask.shape != (t_len, batch):
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {(t_len, batch)}")
     wx, wh, bias = cell.prepared()
-
-    # input-side projections for every frame in one matmul
-    proj = add_bias(matmul(reshape(seq, (t_len * batch, width)), wx), bias)
-    return lstm_direction(reshape(proj, (t_len, batch, 4 * cell.hidden_size)), wh, mask)
+    return lstm_direction(seq, wx, bias, wh, mask)
 
 
 class BiRecurrentLayer:
@@ -215,7 +220,6 @@ class BiRecurrentLayer:
             raise ConfigError("direction cells must share the hidden width")
         self.fwd = forward_cell
         self.bwd = backward_cell
-        self.output_size = forward_cell.hidden_size
 
     def forward(self, seq: Tensor, mask: np.ndarray) -> Tensor:
         out_f = run_direction(self.fwd, seq, mask)
@@ -272,17 +276,6 @@ class AcousticModel:
 
     def __init__(self, front_end, stack, output: RealLinear, dropout: float,
                  dropout_rng: np.random.Generator, quaternion_dropout_masks: bool):
-        width = front_end.output_dim
-        for idx, layer in enumerate(stack):
-            if layer.fwd.input_size != width:
-                raise ConfigError(
-                    f"stack layer {idx} expects input width {layer.fwd.input_size}, got {width}"
-                )
-            width = layer.output_size
-        if output.n_in != width:
-            raise ConfigError(f"output layer expects width {output.n_in}, stack provides {width}")
-        if not 0.0 <= dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
         self.front_end = front_end
         self.stack = list(stack)
         self.output = output
@@ -333,29 +326,29 @@ def param_breakdown(model: AcousticModel) -> dict:
     return _breakdown(front, stack, output, model.stack_weight_scalars())
 
 
-def _check_stack_input(config: ModelConfig, width: int) -> None:
+def layer_plan(config: ModelConfig) -> list[int]:
+    """Real widths along the model, read by both build_model and
+    symbolic_param_counts: the front-end output, then each stack layer's."""
+    config.validate()
+    dim = config.input_dim
+    width = {"identity": dim, "naive-quat": 4 * ((dim + 3) // 4)}.get(config.front_end, config.r2h_size)
     if config.stack_kind == "qlstm" and width % 4 != 0:
         raise ConfigError(f"qlstm stack needs an input width divisible by 4, front end provides {width}")
+    return [width] + [config.hidden_real_width] * config.depth
 
 
 def symbolic_param_counts(config: ModelConfig) -> dict:
     """Parameter counts computed from the architecture formulas alone,
     without allocating any buffers. Matches param_breakdown(build_model(c))
     exactly; used by the params command so large configs stay cheap."""
-    config.validate()
-    dim = config.input_dim
-    width = {"identity": dim, "naive-quat": 4 * ((dim + 3) // 4)}.get(config.front_end, config.r2h_size)
-    front = dim * width + width if config.front_end in ("r2h-norm", "r2h") else 0
-    _check_stack_input(config, width)
-    hidden = config.hidden_real_width
+    widths = layer_plan(config)
+    front = config.input_dim * widths[0] + widths[0] if config.front_end in ("r2h-norm", "r2h") else 0
     shrink = 4 if config.stack_kind == "qlstm" else 1  # real scalars per weight entry
-    stack_weights = 0
-    for _ in range(config.depth):
-        # two directions, four gates, each an input map W and a recurrent map R
-        stack_weights += 2 * 4 * (width * hidden + hidden * hidden) // shrink
-        width = hidden
-    stack = stack_weights + config.depth * 2 * 4 * hidden
-    return _breakdown(front, stack, width * config.classes + config.classes, stack_weights)
+    # per layer: two directions, four gates, each an input map W, a recurrent map R and a bias
+    layers = list(zip(widths, widths[1:]))
+    stack_weights = sum(2 * 4 * (n_in * n_out + n_out * n_out) // shrink for n_in, n_out in layers)
+    stack = stack_weights + sum(2 * 4 * n_out for _, n_out in layers)
+    return _breakdown(front, stack, widths[-1] * config.classes + config.classes, stack_weights)
 
 
 def build_model(config: ModelConfig) -> AcousticModel:
@@ -364,7 +357,7 @@ def build_model(config: ModelConfig) -> AcousticModel:
     Initialisation and dropout use generators spawned deterministically
     from config.seed, so identical configs give identical models.
     """
-    config.validate()
+    widths = layer_plan(config)
     dtype = np.float32 if config.precision == "f32" else np.float64
     ss_init, ss_drop = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_init)
@@ -377,7 +370,7 @@ def build_model(config: ModelConfig) -> AcousticModel:
     else:
         front = RealToQuatEncoder(
             config.input_dim,
-            config.r2h_size,
+            widths[0],
             config.r2h_activation,
             normalized=(config.front_end == "r2h-norm"),
             rng=rng,
@@ -385,20 +378,16 @@ def build_model(config: ModelConfig) -> AcousticModel:
         )
 
     stack = []
-    width = front.output_dim
-    _check_stack_input(config, width)
-    for _ in range(config.depth):
+    for n_in, n_out in zip(widths, widths[1:]):
         if config.stack_kind == "qlstm":
-            fwd = QLSTMCell(width // 4, config.hidden_real_width // 4, rng, dtype=dtype)
-            bwd = QLSTMCell(width // 4, config.hidden_real_width // 4, rng, dtype=dtype)
+            fwd = QLSTMCell(n_in // 4, n_out // 4, rng, dtype=dtype)
+            bwd = QLSTMCell(n_in // 4, n_out // 4, rng, dtype=dtype)
         else:
-            fwd = RealLSTMCell(width, config.hidden_real_width, rng, dtype=dtype)
-            bwd = RealLSTMCell(width, config.hidden_real_width, rng, dtype=dtype)
-        layer = BiRecurrentLayer(fwd, bwd)
-        stack.append(layer)
-        width = layer.output_size
+            fwd = RealLSTMCell(n_in, n_out, rng, dtype=dtype)
+            bwd = RealLSTMCell(n_in, n_out, rng, dtype=dtype)
+        stack.append(BiRecurrentLayer(fwd, bwd))
 
-    output = RealLinear(width, config.classes, rng, dtype=dtype)
+    output = RealLinear(widths[-1], config.classes, rng, dtype=dtype)
     return AcousticModel(
         front,
         stack,

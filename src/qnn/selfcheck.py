@@ -133,10 +133,11 @@ def gradient_suite(seed: int = 0) -> SuiteResult:
         check(label, lambda e=enc, f=feats: e.forward(f).sum(), enc.named_parameters())
 
     cell = QLSTMCell(2, 2, rng, dtype=np.float64)
-    seq = rng.standard_normal((4, 3, 8))
-    mask = np.ones((4, 3), dtype=bool)
-    check("qlstm_rollout", lambda: run_direction(cell, Tensor(seq), mask).sum(),
-          cell.named_parameters())
+    seq = Tensor(rng.standard_normal((5, 3, 8)), requires_grad=True)
+    mask = np.ones((5, 3), dtype=bool)
+    mask[1:3, 1] = mask[3:, 2] = False  # an interior gap and a short sequence: the padding path
+    check("qlstm_rollout", lambda: run_direction(cell, seq, mask).sum(),
+          [("input", seq)] + cell.named_parameters())
 
     config = ModelConfig(
         front_end="r2h-norm", r2h_size=8, stack_kind="qlstm", depth=2,

@@ -254,6 +254,22 @@ def mutations(data, u32_offsets, rng, count):
         yield data[:offset] + bytes([flipped]) + data[offset + 1:]
 
 
+def test_non_utf8_csv_exits_3_without_traceback(tmp_path, capsys):
+    main(synth_args(tmp_path / "data", train_utts=2, valid_utts=2, test_utts=2, segments=1,
+                    seg_min=2, seg_max=3, dim=4))
+    run = tmp_path / "run"
+    assert main(["train", "--train", str(tmp_path / "data/train.qfea"),
+                 "--valid", str(tmp_path / "data/valid.qfea"), "--out", str(run),
+                 "--front-end", "identity", "--hidden", "4", "--depth", "1", "--classes", "4",
+                 "--epochs", "0"]) == 0
+    csv_path = tmp_path / "test.csv"
+    csv_path.write_bytes(b"id,frame,label,f0,f1,f2,f3\n\xff\xfe,0,0,1,2,3,4\n")
+    capsys.readouterr()
+    assert main(["eval", str(run / "initial.qnn"), "--test", str(csv_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "UTF-8" in err
+
+
 def test_corrupt_binary_inputs_exit_3_without_traceback(tmp_path, capsys):
     main(synth_args(tmp_path / "data", train_utts=2, valid_utts=2, test_utts=2, segments=1,
                     seg_min=2, seg_max=3, dim=4))

@@ -121,6 +121,15 @@ def test_csv_non_contiguous_frames(tmp_path):
         read_features(path)
 
 
+@pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "utf8_bom"])
+def test_csv_header_with_and_without_bom(tmp_path, prefix):
+    path = tmp_path / "feats.csv"
+    path.write_bytes(prefix + b"id,frame,label,f0,f1\nutt,0,1,0.5,-2.0\n")
+    utts = read_features(path)
+    assert [u.id for u in utts] == ["utt"]
+    assert np.array_equal(utts[0].features, np.array([[0.5, -2.0]], dtype=np.float32))
+
+
 # --- naive quaternion composition ---------------------------------------
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qnn import autograd
-from qnn.autograd import Tensor, add_bias, concat, matmul, mul, narrow, reshape, sigmoid, tanh
+from qnn.autograd import Tape, Tensor, add_bias, concat, matmul, mul, narrow, op_result, reshape, sigmoid, tanh
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
-from qnn.errors import ConfigError, DimensionError
+from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn.gradcheck import gradient_check
 from qnn.recurrent import (
     BiRecurrentLayer,
@@ -18,9 +18,13 @@ from qnn.recurrent import (
     build_model,
     cell_step,
     count_params,
+    gate_affine,
+    layer_plan,
+    lstm_gates,
     param_breakdown,
     run_direction,
 )
+from qnn.training import cross_entropy_framewise
 
 
 def zero_cell(cell):
@@ -239,6 +243,101 @@ def test_ragged_rollout_gradients_match_finite_differences(kind):
     assert max(errors.values()) < 1e-6, errors
 
 
+def parent_lstm_direction(proj, wh, mask):
+    """The fused node before it owned the input projection: proj is the
+    (T, B, 4*hidden) output of the matmul -> add_bias -> reshape nodes."""
+    t_len, batch, width = proj.shape
+    hidden = width // 4
+    dtype = proj.data.dtype
+    affine = gate_affine(hidden, dtype)
+    gates = proj.data * affine[0]
+    wh_scaled = wh.data * affine[0]
+    recurrent = np.empty((batch, width), dtype=dtype)
+    tanh_c = np.empty((t_len, batch, hidden), dtype=dtype)
+    h_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)
+    c_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)
+    keeps = [None if m.all() else m[:, None].astype(dtype) for m in mask]
+    for t, keep in enumerate(keeps):
+        np.matmul(h_states[t], wh_scaled, out=recurrent)
+        gates[t] += recurrent
+        lstm_gates(gates[t], c_states[t], affine, c_states[t + 1], tanh_c[t], h_states[t + 1])
+        if keep is not None:
+            drop = ~mask[t][:, None]
+            np.copyto(h_states[t + 1], h_states[t], where=drop)
+            np.copyto(c_states[t + 1], c_states[t], where=drop)
+    out = h_states[1:] * mask[:, :, None]
+
+    def backward(grad):
+        f, i, g, o = np.split(gates, 4, axis=2)
+        local = np.concatenate([c_states[:-1] * f * (1 - f), g * i * (1 - i), i * (1 - g * g),
+                                tanh_c * o * (1 - o)], axis=2)
+        through = o * (1 - tanh_c * tanh_c)
+        d_pre = np.empty_like(gates)
+        d_h = d_c = np.zeros((batch, hidden), dtype=dtype)
+        for t in reversed(range(t_len)):
+            keep = keeps[t]
+            if keep is None:
+                d_h = d_h + grad[t]
+                d_h_skip = d_c_skip = 0
+            else:
+                d_h = d_h + grad[t] * keep
+                d_h, d_h_skip = d_h * keep, d_h * (1 - keep)
+                d_c, d_c_skip = d_c * keep, d_c * (1 - keep)
+            d_c = d_c + d_h * through[t]
+            d_pre[t] = np.concatenate((d_c, d_c, d_c, d_h), axis=1) * local[t]
+            d_c = d_c * f[t] + d_c_skip
+            d_h = d_pre[t] @ wh.data.T + d_h_skip
+        d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre.reshape(-1, width)
+        return d_pre, d_wh
+
+    return op_result(out, (proj, wh), "lstm_direction", backward)
+
+
+def parent_direction(cell, seq, mask):
+    t_len, batch, width = seq.shape
+    wx, wh, bias = cell.prepared()
+    proj = add_bias(matmul(reshape(seq, (t_len * batch, width)), wx), bias)
+    return parent_lstm_direction(reshape(proj, (t_len, batch, 4 * cell.hidden_size)), wh, mask)
+
+
+@pytest.mark.parametrize("case", sorted(RAGGED_MASKS))
+@pytest.mark.parametrize("kind", ["qlstm", "lstm"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_projection_bit_equal_to_parent_path(case, kind, dtype):
+    rng = np.random.default_rng(24)
+    mask = RAGGED_MASKS[case]
+    cell = make_cell(kind, dtype, rng)
+    seq = (2.0 * rng.standard_normal(mask.shape + (cell.input_size,))).astype(dtype)
+    cotangent = rng.standard_normal(mask.shape + (cell.hidden_size,)).astype(dtype)
+    out, grads = direction_grads(cell, seq, mask, run_direction, cotangent)
+    ref_out, ref_grads = direction_grads(cell, seq, mask, parent_direction, cotangent)
+    assert np.array_equal(out, ref_out)
+    names = ["input"] + [name for name, _ in cell.named_parameters()]
+    for name, got, want in zip(names, grads, ref_grads):
+        assert got.dtype == dtype and np.array_equal(got, want), name
+
+
+def test_training_step_tape_has_one_node_per_direction():
+    cfg = toy_config(dropout=0.2, precision="f32")
+    rng = np.random.default_rng(25)
+    batch = make_batch(rng.standard_normal((6, 3, 8)), [6, 4, 2])
+    model = build_model(cfg)
+    loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
+    directions = [t.node for t in Tape.from_root(loss).records
+                  if t.node is not None and t.node.op == "lstm_direction"]
+    assert len(directions) == 2 * cfg.depth
+    for node in directions:
+        feeders = [inp.node.op for inp in node.inputs if inp.node is not None]
+        assert "matmul" not in feeders and "add_bias" not in feeders, feeders
+
+
+def test_direction_dtype_mismatch_is_contract_error():
+    cell = QLSTMCell(2, 2, np.random.default_rng(26), dtype=np.float32)
+    seq = Tensor(np.zeros((3, 2, 8), dtype=np.float64))
+    with pytest.raises(ContractError):
+        run_direction(cell, seq, np.ones((3, 2), dtype=bool))
+
+
 # --- bidirectional layer -------------------------------------------------
 
 
@@ -401,6 +500,16 @@ def test_full_toy_model_gradient_check():
 
     errors = gradient_check(build_loss, model.named_parameters())
     assert max(errors.values()) < 1e-5, errors
+
+
+@pytest.mark.parametrize("front_end,stack_kind", [("r2h-norm", "qlstm"), ("naive-quat", "qlstm"),
+                                                   ("identity", "lstm")])
+def test_layer_plan_is_the_built_width_chain(front_end, stack_kind):
+    cfg = toy_config(front_end=front_end, stack_kind=stack_kind, input_dim=6, r2h_size=12, depth=3)
+    model = build_model(cfg)
+    built = [model.front_end.output_dim] + [layer.fwd.hidden_size for layer in model.stack]
+    assert layer_plan(cfg) == built == [layer.fwd.input_size for layer in model.stack] + [model.output.n_in]
+    assert all(layer.bwd.input_size == layer.fwd.input_size for layer in model.stack)
 
 
 def test_model_construction_errors():
