@@ -90,29 +90,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self):
         return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def tensor(data, dtype=None, requires_grad: bool = False) -> Tensor:
@@ -162,18 +141,6 @@ def add(a, b) -> Tensor:
     return op_result(out, (a, b), "add", backward)
 
 
-def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_operand(a, b)
-    b = _as_operand(b, a)
-    _check_elementwise(a, b, "sub")
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return op_result(out, (a, b), "sub", backward)
-
-
 def mul(a, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _as_operand(a, b)
     b = _as_operand(b, a)
@@ -184,20 +151,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return op_result(out, (a, b), "mul", backward)
-
-
-def div(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_operand(a, b)
-    b = _as_operand(b, a)
-    _check_elementwise(a, b, "div")
-    out = a.data / b.data
-
-    def backward(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-        return ga, gb
-
-    return op_result(out, (a, b), "div", backward)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -285,21 +238,6 @@ def hardtanh(a: Tensor) -> Tensor:
     return op_result(out, (a,), "hardtanh", backward)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root; the derivative at exactly 0 is taken as 0
-
-    (the true one-sided derivative is +inf, which would poison gradients with
-    NaN; zero is the conventional safe subgradient for norm chains).
-    """
-    out = np.sqrt(a.data)
-
-    def backward(g):
-        safe = np.where(out > 0, out, 1.0)
-        return (np.where(out > 0, 0.5 * g / safe, 0.0),)
-
-    return op_result(out, (a,), "sqrt", backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(), dtype=a.data.dtype)
 
@@ -307,16 +245,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(a.data.shape, g, dtype=a.data.dtype),)
 
     return op_result(out, (a,), "sum", backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = np.asarray(a.data.mean(), dtype=a.data.dtype)
-
-    def backward(g):
-        return (np.full(a.data.shape, g / n, dtype=a.data.dtype),)
-
-    return op_result(out, (a,), "mean", backward)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -336,26 +264,6 @@ def concat(tensors, axis: int) -> Tensor:
         return tuple(grads)
 
     return op_result(out, tuple(tensors), "concat", backward)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    extent = a.data.shape[axis]
-    if start < 0 or length < 0 or start + length > extent:
-        raise DimensionError(
-            f"narrow: range [{start}, {start + length}) out of bounds for axis {axis} with extent {extent}"
-        )
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = a.data[idx]
-
-    def backward(g):
-        full = np.zeros(a.data.shape, dtype=a.data.dtype)
-        full[idx] = g
-        return (full,)
-
-    return op_result(out, (a,), "narrow", backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from qnn.errors import ConfigError
@@ -65,8 +66,10 @@ class ModelConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
+        if not 0 < self.lr0 < math.inf:
+            raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # divisibility by 4 whenever a quaternion component is in play
         if self.front_end in ("r2h-norm", "r2h") and self.r2h_size % 4 != 0:
             raise ConfigError(f"r2h_size must be divisible by 4, got {self.r2h_size}")
@@ -105,7 +108,11 @@ def parse_config_file(path: str) -> dict:
     """Read `key = value` lines (UTF-8, # comments, blank lines ignored)."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: config file is not UTF-8 text ({exc.reason})") from None
+        for lineno, line in enumerate(lines, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue

@@ -35,6 +35,7 @@ from qnn.errors import ConfigError, DataError, FormatError
 
 QFEA_MAGIC = b"QFEA"
 QFEA_VERSION = 1
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass
@@ -185,6 +186,8 @@ def _read_csv(path: str) -> list:
                 values = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if not _INT32.min <= label <= _INT32.max:
+                raise FormatError(f"{path}:{lineno}: label {label} does not fit in int32")
             if ident not in rows:
                 rows[ident] = {}
                 order.append(ident)

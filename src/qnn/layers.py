@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from qnn import autograd, quat
-from qnn.autograd import Tensor, add_bias, concat, div, matmul, mul, narrow, op_result, reshape, sqrt
+from qnn.autograd import Tensor, add_bias, matmul, mul, op_result, reshape
 from qnn.errors import ConfigError, DimensionError
 
 ACTIVATIONS = {
@@ -189,21 +189,44 @@ def quat_normalize(x: Tensor, eps: float = NORM_EPS) -> Tensor:
 
     Divides each quaternion by (its norm + eps); quaternions with norm well
     above eps come out with |norm - 1| below 1e-6, the zero quaternion stays
-    zero.
+    zero. One graph node: the backward is the closed form of
+    q / (|q| + eps), with the derivative of the norm at 0 taken as 0 (the
+    true one-sided one is +inf and would turn gradients into NaN).
     """
     if eps <= 0:
         raise ConfigError("normalization eps must be > 0")
     width = x.shape[-1]
     if width % 4 != 0:
         raise DimensionError(f"quaternion tensor width must be a multiple of 4, got {width}")
-    h = width // 4
-    axis = x.data.ndim - 1
-    blocks = [narrow(x, axis, c * h, h) for c in range(4)]
-    sq = mul(blocks[0], blocks[0])
-    for b in blocks[1:]:
-        sq = sq + mul(b, b)
-    denom = sqrt(sq) + eps
-    return concat([div(b, denom) for b in blocks], axis=axis)
+    # (..., 4, h): component c of quaternion k sits at [..., c, k]
+    quats = x.data.reshape(x.shape[:-1] + (4, width // 4))
+    eps = x.dtype.type(eps)
+    squares = quats * quats
+    sq = squares[..., 0, :] + squares[..., 1, :]
+    sq += squares[..., 2, :]
+    sq += squares[..., 3, :]
+    del squares
+    norm = np.sqrt(sq, out=sq)
+    out = quats / (norm + eps)[..., None, :]
+
+    def backward(g):
+        # every sum runs in the order the graph of narrow, mul, add, sqrt,
+        # div and concat nodes accumulated it, so the bits stay the same
+        denom = (norm + eps)[..., None, :]
+        g = g.reshape(quats.shape)
+        terms = -g * quats / (denom * denom)
+        d_denom = terms[..., 0, :] + terms[..., 1, :]
+        d_denom += terms[..., 2, :]
+        d_denom += terms[..., 3, :]
+        del terms
+        d_sq = np.divide(0.5 * d_denom, norm, out=np.zeros_like(norm), where=norm > 0)
+        through_norm = d_sq[..., None, :] * quats
+        grad = g / denom
+        grad += through_norm
+        grad += through_norm
+        return (grad.reshape(x.shape),)
+
+    return op_result(out.reshape(x.shape), (x,), "quat_normalize", backward)
 
 
 def quaternion_dropout(

@@ -14,6 +14,8 @@ seed produce byte-identical metrics files.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -139,6 +141,32 @@ class EpochReport:
         )
 
 
+_M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def keep_freed_pages() -> None:
+    """Keep the memory one training step frees mapped for the next, on glibc.
+
+    Every step frees its graph and allocates one of the same shapes. glibc
+    by default serves arrays above an adaptive threshold with fresh mmaps
+    and trims the heap top on free, so each step would fault its buffers in
+    again page by page. A fixed 32 MiB mmap threshold and a 1 GiB trim
+    threshold keep those pages in the heap for reuse; the resident size
+    then stays at its high-water mark until the process exits. Where the C
+    library has no mallopt (macOS, musl) nothing changes. Runs once per
+    process.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def _batch_metrics(model, batch):
     with autograd.no_grad():
         logits = model.forward(batch, training=False)
@@ -168,6 +196,7 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
     aborts immediately, before the optimizer step.
     """
     config.validate()
+    keep_freed_pages()
     digest = config.digest()
     params = model.named_parameters()
     optimizer = Adam(params, lr=config.lr0)
@@ -212,6 +241,7 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
                     f"(utterances {', '.join(batch.ids)})"
                 )
             optimizer.step()
+            del logits, loss  # the next forward never overlaps this step's graph
             loss_sum += value * batch.valid_frames
             frames += batch.valid_frames
 

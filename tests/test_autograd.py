@@ -16,13 +16,11 @@ from qnn.autograd import (
     hardtanh,
     matmul,
     mul,
-    narrow,
+    neg,
     relu,
     reshape,
     reverse_time,
     sigmoid,
-    sqrt,
-    sub,
     tanh,
     tensor,
 )
@@ -108,20 +106,9 @@ def test_binary_fd():
     rng = np.random.default_rng(4)
     a = leaf(rng, (3, 4))
     b = leaf(rng, (3, 4))
-    b.data += 2.5  # keep the divisor away from zero
-    for op in (add, sub, mul, autograd.div):
+    for op in (add, mul):
         errs = gradient_check(lambda: op(a, b).sum(), [("a", a), ("b", b)])
         assert max(errs.values()) < 1e-6, op.__name__
-
-
-def test_sqrt_fd_and_zero_guard():
-    rng = np.random.default_rng(5)
-    x = Tensor(rng.uniform(0.5, 3.0, size=(4, 4)), requires_grad=True)
-    errs = gradient_check(lambda: sqrt(x).sum(), [("x", x)])
-    assert errs["x"] < 1e-6
-    z = Tensor(np.zeros(3), requires_grad=True)
-    backward(sqrt(z).sum())
-    assert np.array_equal(z.grad, np.zeros(3))
 
 
 def test_scalar_broadcast():
@@ -166,23 +153,19 @@ def test_hamilton_as_matmul_fd():
     # composite 4x4 built from the quaternion components with the
     # [[r,-x,-y,-z],[x,r,-z,y],[y,z,r,-x],[z,-y,x,r]] sign pattern
     rng = np.random.default_rng(8)
-    w = leaf(rng, (1, 4))
-    x = leaf(rng, (4, 1))
+    r, xx, y, z = (leaf(rng, (1, 1)) for _ in range(4))
+    v = leaf(rng, (4, 1))
 
     def build():
-        r = narrow(w, 1, 0, 1)
-        xx = narrow(w, 1, 1, 1)
-        y = narrow(w, 1, 2, 1)
-        z = narrow(w, 1, 3, 1)
         rows = [
-            concat([r, -xx, -y, -z], axis=1),
-            concat([xx, r, -z, y], axis=1),
-            concat([y, z, r, -xx], axis=1),
-            concat([z, -y, xx, r], axis=1),
+            concat([r, neg(xx), neg(y), neg(z)], axis=1),
+            concat([xx, r, neg(z), y], axis=1),
+            concat([y, z, r, neg(xx)], axis=1),
+            concat([z, neg(y), xx, r], axis=1),
         ]
-        return matmul(concat(rows, axis=0), x).sum()
+        return matmul(concat(rows, axis=0), v).sum()
 
-    errs = gradient_check(build, [("w", w), ("x", x)])
+    errs = gradient_check(build, [("r", r), ("x", xx), ("y", y), ("z", z), ("v", v)])
     assert max(errs.values()) < 1e-6
 
 
@@ -190,14 +173,6 @@ def test_reverse_time_involution():
     rng = np.random.default_rng(9)
     s = Tensor(rng.normal(size=(5, 2, 3)))
     assert np.array_equal(reverse_time(reverse_time(s)).data, s.data)
-
-
-def test_quarter_slices_roundtrip():
-    rng = np.random.default_rng(10)
-    v = Tensor(rng.normal(size=(3, 8)))
-    quarters = [narrow(v, 1, 2 * i, 2) for i in range(4)]
-    back = concat(quarters, axis=1)
-    assert np.array_equal(back.data, v.data)
 
 
 def test_concat_backward_routes_blocks():
@@ -208,12 +183,6 @@ def test_concat_backward_routes_blocks():
         lambda: tanh(concat([a, b], axis=1)).sum(), [("a", a), ("b", b)]
     )
     assert max(errs.values()) < 1e-6
-
-
-def test_narrow_out_of_range():
-    v = Tensor(np.zeros((2, 4)))
-    with pytest.raises(DimensionError):
-        narrow(v, 1, 3, 2)
 
 
 def test_reshape_fd():
@@ -306,9 +275,9 @@ def test_universal_gradient_sweep():
         def build():
             h = tanh(matmul(add(x, y), w))
             s = sigmoid(mul(x, y))
-            t = relu(sub(x, y))
-            u = hardtanh(autograd.div(x, y))
-            return h.sum() + s.sum() + t.sum() + u.mean()
+            t = relu(add(x, neg(y)))
+            u = hardtanh(mul(x, y))
+            return h.sum() + s.sum() + t.sum() + u.sum()
 
         errs = gradient_check(build, [("x", x), ("y", y), ("w", w)])
         worst = max(worst, max(errs.values()))

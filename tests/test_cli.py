@@ -132,6 +132,31 @@ def test_invalid_config_is_usage_error(tmp_path, capsys):
     assert "dropout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--lr", "nan"], ["--lr", "inf"]],
+                         ids=["negative_seed", "nan_lr", "inf_lr"])
+def test_hostile_config_values_exit_2_without_traceback(tmp_path, capsys, flags):
+    main(synth_args(tmp_path / "data"))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = main(["train", "--train", str(tmp_path / "data/train.qfea"),
+                 "--valid", str(tmp_path / "data/valid.qfea"), "--out", str(out),
+                 *TRAIN_FLAGS, *flags])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err and flags[0].lstrip("-") in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_file_exits_2_without_traceback(tmp_path, capsys):
+    config = tmp_path / "cfg.txt"
+    config.write_bytes(b"depth = 1\nseed = \xff\n")
+    code = main(["train", "--config", str(config), "--train", "x", "--valid", "y",
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "UTF-8" in err
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code = main(["train", "--train", str(tmp_path / "nope.qfea"),
                  "--valid", str(tmp_path / "nope.qfea"), "--out", str(tmp_path / "run")])

@@ -41,6 +41,14 @@ def test_validation_rejects_bad_values():
             ModelConfig(**{**{}, **overrides}).validate()
 
 
+@pytest.mark.parametrize("overrides", [dict(lr0=float("nan")), dict(lr0=float("inf")),
+                                       dict(lr0=float("-inf")), dict(seed=-1)],
+                         ids=["nan_lr", "inf_lr", "minus_inf_lr", "negative_seed"])
+def test_validation_rejects_non_finite_lr_and_negative_seed(overrides):
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        ModelConfig(**overrides).validate()
+
+
 def test_divisibility_not_required_for_real_path():
     cfg = ModelConfig(front_end="identity", stack_kind="lstm", r2h_size=30,
                       hidden_real_width=30, input_dim=7)
@@ -78,6 +86,13 @@ def test_config_file_errors(tmp_path):
     bad_line.write_text("depth: 4\n")
     with pytest.raises(ConfigError, match="c.txt:1"):
         parse_config_file(str(bad_line))
+
+
+def test_config_file_not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"depth = 1\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="latin1.txt: config file is not UTF-8"):
+        parse_config_file(str(path))
 
 
 def test_precedence_defaults_file_flags():

@@ -121,6 +121,14 @@ def test_csv_non_contiguous_frames(tmp_path):
         read_features(path)
 
 
+@pytest.mark.parametrize("label", ["99999999999", "-2147483649"])
+def test_csv_label_beyond_int32_is_format_error(tmp_path, label):
+    path = tmp_path / "big.csv"
+    path.write_text(f"id,frame,label,f0\na,0,1,0.5\na,1,{label},1.0\n")
+    with pytest.raises(FormatError, match=rf"big.csv:3: label {label} does not fit in int32"):
+        read_features(path)
+
+
 @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "utf8_bom"])
 def test_csv_header_with_and_without_bom(tmp_path, prefix):
     path = tmp_path / "feats.csv"

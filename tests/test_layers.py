@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from qnn import quat
-from qnn.autograd import Tape, Tensor, backward, concat, mul, neg, sum_all
+from qnn.autograd import Tape, Tensor, add, backward, concat, mul, neg, op_result, sum_all
 from qnn.config import ModelConfig
 from qnn.data import SynthSpec, generate_synthetic, make_batches
 from qnn.errors import ConfigError, DimensionError
 from qnn.gradcheck import gradient_check
 from qnn.layers import (
+    NORM_EPS,
     QuatLinear,
     RealLinear,
     RealToQuatEncoder,
@@ -272,9 +273,102 @@ def test_quat_normalize_zero_guard():
 
 def test_quat_normalize_gradients():
     rng = np.random.default_rng(13)
-    v = Tensor(rng.normal(size=(3, 8)) + 0.5, requires_grad=True)
-    errs = gradient_check(lambda: quat_normalize(v).sum(), [("v", v)])
+    v = Tensor(rng.normal(size=(2, 3, 12)) + 0.5, requires_grad=True)
+    cotangent = Tensor(rng.normal(size=(2, 3, 12)))
+    errs = gradient_check(lambda: sum_all(mul(quat_normalize(v), cotangent)), [("v", v)])
     assert errs["v"] < 1e-6
+
+
+# The per-quaternion normalization as the graph of narrow, mul, add, sqrt,
+# div and concat nodes that quat_normalize replaces, kept as its reference.
+
+
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    idx = [slice(None)] * a.data.ndim
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+
+    def backward(g):
+        full = np.zeros(a.data.shape, dtype=a.data.dtype)
+        full[idx] = g
+        return (full,)
+
+    return op_result(a.data[idx], (a,), "narrow", backward)
+
+
+def graph_sqrt(a: Tensor) -> Tensor:
+    out = np.sqrt(a.data)
+
+    def backward(g):
+        safe = np.where(out > 0, out, 1.0)
+        return (np.where(out > 0, 0.5 * g / safe, 0.0),)
+
+    return op_result(out, (a,), "sqrt", backward)
+
+
+def graph_div(a: Tensor, b: Tensor) -> Tensor:
+    def backward(g):
+        return g / b.data, -g * a.data / (b.data * b.data)
+
+    return op_result(a.data / b.data, (a, b), "div", backward)
+
+
+def graph_quat_normalize(x: Tensor, eps: float = NORM_EPS) -> Tensor:
+    h = x.shape[-1] // 4
+    axis = x.data.ndim - 1
+    blocks = [narrow(x, axis, c * h, h) for c in range(4)]
+    sq = mul(blocks[0], blocks[0])
+    for b in blocks[1:]:
+        sq = sq + mul(b, b)
+    denom = add(graph_sqrt(sq), eps)
+    return concat([graph_div(b, denom) for b in blocks], axis=axis)
+
+
+def pre_activations(rng, shape, dtype):
+    """Pre-activation rows where whole quaternions and single components are
+    exactly zero, plus components large enough to saturate tanh/hardtanh."""
+    x = rng.standard_normal(shape) * rng.choice([0.01, 1.0, 30.0], size=shape)
+    h = shape[-1] // 4
+    flat = x.reshape(-1, 4, h)
+    flat[::3, :, 0] = 0.0                      # zero quaternions
+    flat[1::4, :, 1] = -np.abs(flat[1::4, :, 1])  # all-negative: zero after relu
+    flat[::5, 2, 2] = 0.0                      # a single zero component
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "hardtanh"])
+@pytest.mark.parametrize("shape", [(7, 3, 64), (40, 16)])
+def test_quat_normalize_bit_equal_to_graph_reference(dtype, activation, shape):
+    rng = np.random.default_rng(24)
+    pre = pre_activations(rng, shape, dtype)
+    cotangent = Tensor(rng.standard_normal(shape).astype(dtype))
+    cotangent.data.reshape(-1, shape[-1])[::7] = 0.0  # dropped-out rows pass back zeros
+    results = []
+    for normalize in (quat_normalize, graph_quat_normalize):
+        x = Tensor(pre.copy(), requires_grad=True)
+        out = normalize(split_activation(activation, x))
+        backward(sum_all(mul(out, cotangent)))
+        results.append((out.data, x.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+def test_quat_normalize_is_one_node():
+    x = Tensor(np.ones((3, 8)), requires_grad=True)
+    out = quat_normalize(x)
+    ops = [t.node.op for t in Tape.from_root(sum_all(out)).records if t.node is not None]
+    assert ops == ["quat_normalize", "sum"]
+
+
+def test_quat_normalize_zero_quaternion_gradient_is_finite():
+    # the derivative of the norm at 0 is taken as 0: a zero quaternion passes
+    # back g / eps and no NaN
+    x = Tensor(np.zeros((2, 8)), requires_grad=True)
+    g = np.arange(16.0).reshape(2, 8)
+    backward(sum_all(mul(quat_normalize(x), Tensor(g))))
+    assert np.array_equal(x.grad, g / (0.0 + NORM_EPS))
 
 
 def test_dropout_identity_cases():

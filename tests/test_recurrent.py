@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qnn import autograd
-from qnn.autograd import Tape, Tensor, add_bias, concat, matmul, mul, narrow, op_result, reshape, sigmoid, tanh
+from qnn.autograd import Tape, Tensor, add_bias, concat, matmul, mul, op_result, reshape, sigmoid, tanh
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
 from qnn.errors import ConfigError, ContractError, DimensionError
@@ -113,7 +113,7 @@ def test_rollout_gradients_match_finite_differences():
 
     def build_loss():
         out = run_direction(cell, Tensor(seq), mask)
-        return autograd.narrow(out, 0, 3, 1).sum()
+        return narrow(out, 0, 3, 1).sum()
 
     errors = gradient_check(build_loss, cell.named_parameters())
     assert max(errors.values()) < 1e-5, errors
@@ -151,6 +151,20 @@ def test_state_freezes_on_padded_frames():
     short = run_direction(cell, Tensor(seq[:3, 1:2]), np.ones((3, 1), dtype=bool))
     assert np.allclose(out.data[:3, 1], short.data[:, 0], atol=1e-12)
     assert np.array_equal(out.data[3:, 1], np.zeros((2, 4)))
+
+
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Graph slice [start, start+length) along one axis, for the reference unroll."""
+    idx = [slice(None)] * a.data.ndim
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+
+    def backward(g):
+        full = np.zeros(a.data.shape, dtype=a.data.dtype)
+        full[idx] = g
+        return (full,)
+
+    return op_result(a.data[idx], (a,), "narrow", backward)
 
 
 def reference_direction(cell, seq, mask):

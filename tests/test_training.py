@@ -1,8 +1,11 @@
 """Loss, optimizer, learning-rate schedule, and the training loop."""
 
+import ctypes
+import gc
 import math
 import os
 import re
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -143,7 +146,7 @@ def test_adam_converges_on_quadratic_bowl():
     opt = Adam([("w", w)], lr=0.05)
     for _ in range(200):
         opt.zero_grad()
-        loss = (w * w).sum()
+        loss = autograd.mul(w, w).sum()
         autograd.backward(loss)
         opt.step()
     assert np.linalg.norm(w.data) < 1e-3
@@ -318,6 +321,53 @@ def test_failed_metrics_write_keeps_previous_epoch(tmp_path, monkeypatch):
     first_line = (complete / "metrics.txt").read_text().splitlines(keepends=True)[0]
     assert (run / "metrics.txt").read_text() == first_line
     assert sorted(p.name for p in run.iterdir()) == ["best.qnn", "initial.qnn", "last.qnn", "metrics.txt"]
+
+
+def test_train_frees_each_steps_graph_before_the_next_forward(monkeypatch):
+    cfg = tiny_config(dropout=0.2)
+    train_utts, valid_utts, _ = synth_utts()
+    model = build_model(cfg)
+    real_forward = model.forward
+    logits_refs, alive_at_entry = [], []
+
+    def watched_forward(batch, training=False):
+        if not training:
+            return real_forward(batch, training=training)
+        alive_at_entry.append(any(ref() is not None for ref in logits_refs))
+        logits = real_forward(batch, training=training)
+        logits_refs.append(weakref.ref(logits.data))
+        return logits
+
+    monkeypatch.setattr(model, "forward", watched_forward)
+    gc.disable()  # freed by reference counting, not by a collection that happens to run
+    try:
+        train(model, train_utts, valid_utts, cfg)
+    finally:
+        gc.enable()
+    assert len(alive_at_entry) > 2 * cfg.epochs
+    assert not any(alive_at_entry)
+
+
+def test_train_records_unchanged_without_mallopt(monkeypatch):
+    cfg = tiny_config()
+    train_utts, valid_utts, _ = synth_utts()
+    lookups = []
+
+    def no_c_library(name):
+        lookups.append(name)
+        raise OSError("no C library")
+
+    runs = []
+    for cdll in (ctypes.CDLL, no_c_library):
+        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+        training.keep_freed_pages.cache_clear()
+        model = build_model(cfg)
+        reports = train(model, train_utts, valid_utts, cfg)
+        runs.append(([r.record("d", 0) for r in reports],
+                     [p.data.tobytes() for _, p in model.named_parameters()]))
+    training.keep_freed_pages.cache_clear()
+    assert lookups == [None]
+    assert runs[0] == runs[1]
 
 
 def test_train_aborts_on_nan_with_location():
