@@ -147,8 +147,9 @@ def mul(a, b) -> Tensor:
     _check_elementwise(a, b, "mul")
     out = a.data * b.data
 
-    def backward(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+    def backward(g):  # an operand that needs no gradient (a dropout mask) gets none
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return op_result(out, (a, b), "mul", backward)
 
@@ -245,25 +246,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(a.data.shape, g, dtype=a.data.dtype),)
 
     return op_result(out, (a,), "sum", backward)
-
-
-def concat(tensors, axis: int) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("concat of zero tensors")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        grads = []
-        for i in range(len(sizes)):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(idx)])
-        return tuple(grads)
-
-    return op_result(out, tuple(tensors), "concat", backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

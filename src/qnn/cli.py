@@ -3,7 +3,8 @@
 Subcommands: train, eval, selfcheck, synth, params. All output goes to
 stdout as self-describing key=value records; errors go to stderr. Exit
 codes: 0 success, 1 check/validation failure, 2 usage error, 3 I/O or
-format error. Config precedence is defaults < --config file < flags.
+format error. Config precedence is defaults < --config file < flags. train and
+eval refuse (exit 2) a model whose parameters plus Adam state exceed memory.
 """
 
 from __future__ import annotations
@@ -87,6 +88,19 @@ def _check_dataset(name: str, utterances, config: ModelConfig) -> None:
         )
 
 
+def _check_size_budget(config: ModelConfig) -> None:
+    """Refuse a model whose parameters plus Adam's two moment buffers exceed
+    physical memory, before anything is allocated."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # unknown on this platform: no budget
+        return
+    need = 3 * (4 if config.precision == "f32" else 8) * symbolic_param_counts(config)["total"]
+    if 0 < physical < need:
+        raise ConfigError(f"parameters plus Adam state need {need} bytes, "
+                          f"more than the {physical} bytes of physical memory")
+
+
 def cmd_train(args) -> int:
     config, provided = _resolve(args)
     train_utts = read_features(args.train)
@@ -100,6 +114,7 @@ def cmd_train(args) -> int:
             int(u.labels.max()) for u in train_utts + valid_utts
         )
     config.validate()
+    _check_size_budget(config)
     _check_dataset("train", train_utts, config)
     _check_dataset("valid", valid_utts, config)
 
@@ -126,6 +141,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"no config file at {config_path}; pass --config")
     args.config = config_path
     config, _ = _resolve(args)
+    _check_size_budget(config)
     model = build_model(config)
     load_into_model(args.checkpoint, model, config.digest())
     utterances = read_features(args.test)

@@ -7,11 +7,16 @@ matrix whose 4x4 grid of blocks is the transpose of quat.QuatMatrix4 with
 the component matrices Wr, Wx, Wy, Wz in place of r, x, y, z (transposed
 because activations are row vectors), so each output quaternion is the sum
 over inputs of (weight quaternion) Hamilton-multiplied by (input
-quaternion). Split activations apply a real nonlinearity to every component
-independently.
+quaternion). block_matrix builds that matrix from a table of block places
+derived from quat.to_matrix; a real matrix is its 1x1 case, so quaternion
+and real LSTM gates share one builder. Split activations apply a real
+nonlinearity to every component independently.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -60,6 +65,8 @@ def chi4_init(fan_in: int, fan_out: int, rng: np.random.Generator, dtype=np.floa
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator, dtype=np.float32):
+    if fan_in <= 0 or fan_out <= 0:
+        raise ConfigError(f"fans must be positive, got ({fan_in}, {fan_out})")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
@@ -68,43 +75,56 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator, dtype=np
 # matrix that hold it, with their signs, by ascending column block j: block
 # (i, j) is block (j, i) of quat.to_matrix of the component's basis
 # quaternion, transposed because activations are row vectors.
-_PLACES = [[(i, j, m[j, i] > 0) for j, i in np.argwhere(m).tolist()]
-           for m in (quat.to_matrix(q).m for q in (quat.ONE, quat.I, quat.J, quat.K))]
+QUAT_PLACES = [[(i, j, m[j, i] > 0) for j, i in np.argwhere(m).tolist()]
+               for m in (quat.to_matrix(q).m for q in (quat.ONE, quat.I, quat.J, quat.K))]
+REAL_PLACES = [[(0, 0, True)]]
+
+
+def block_matrix(maps, places) -> np.ndarray:
+    """The real matrices of several maps side by side, as one plain array.
+
+    Each map is a sequence of (fan_in, fan_out) component arrays; component
+    c fills the blocks (i, j, positive) of places[c] on an n x n grid,
+    n = len(places). Every block is a copy or a negation of one component:
+    nothing is multiplied, so an inf or NaN stays in its component's blocks.
+    """
+    n = len(places)
+    fan_in, fan_out = maps[0][0].shape
+    out = np.empty((n, fan_in, len(maps), n, fan_out), dtype=maps[0][0].dtype)
+    for k, comps in enumerate(maps):
+        for comp, blocks in zip(comps, places):
+            for i, j, positive in blocks:
+                out[i, :, k, j] = comp if positive else -comp
+    return out.reshape(n * fan_in, len(maps) * n * fan_out)
+
+
+def block_grads(g, places, count: int) -> list:
+    """Component gradients of block_matrix for `count` maps, map by map, from
+    the gradient g of its output. Each sums its signed blocks left to right
+    by ascending column block: another order, or sum()'s 0 + start (-0.0
+    becomes +0.0), can change the last bit, and with it same-seed results."""
+    n = len(places)
+    g = g.reshape(n, g.shape[0] // n, count, n, -1)
+    return [functools.reduce(operator.add, [g[i, :, k, j] if positive else -g[i, :, k, j]
+                                            for i, j, positive in blocks])
+            for k in range(count) for blocks in places]
 
 
 def quat_weight(w_r: Tensor, w_x: Tensor, w_y: Tensor, w_z: Tensor) -> Tensor:
     """The (4*in_q, 4*out_q) structured real matrix of four (in_q, out_q)
-    component matrices, as one graph node. Every block is a copy or a
-    negation of one component: nothing is multiplied, so an inf or NaN stays
-    in the blocks of its own component."""
+    component matrices, as one graph node."""
     comps = (w_r, w_x, w_y, w_z)
-    in_q, out_q = w_r.shape
-    out = np.empty((4, in_q, 4, out_q), dtype=w_r.dtype)
-    for comp, places in zip(comps, _PLACES):
-        for i, j, positive in places:
-            out[i, :, j] = comp.data if positive else -comp.data
-
-    def backward(g):
-        g = g.reshape(4, in_q, 4, out_q)
-        # summed left to right by ascending column block j, as a graph of neg
-        # and concat nodes sums them; another order can change the last bit,
-        # and with it same-seed results
-        signed = [[g[i, :, j] if positive else -g[i, :, j] for i, j, positive in places]
-                  for places in _PLACES]
-        return tuple(a + b + c + d for a, b, c, d in signed)
-
-    return op_result(out.reshape(4 * in_q, 4 * out_q), comps, "quat_weight", backward)
+    return op_result(block_matrix([[c.data for c in comps]], QUAT_PLACES), comps, "quat_weight",
+                     lambda g: block_grads(g, QUAT_PLACES, 1))
 
 
-def _apply_linear(x: Tensor, weight: Tensor, bias: Tensor | None, label: str) -> Tensor:
+def _apply_linear(x: Tensor, weight: Tensor, bias: Tensor, label: str) -> Tensor:
     d_in, d_out = weight.shape
     if x.shape[-1] != d_in:
         raise DimensionError(f"{label}: trailing dim {x.shape[-1]} does not match input width {d_in}")
     lead = x.shape[:-1]
     flat = x if x.data.ndim == 2 else reshape(x, (-1, d_in))
-    out = matmul(flat, weight)
-    if bias is not None:
-        out = add_bias(out, bias)
+    out = add_bias(matmul(flat, weight), bias)
     if x.data.ndim != 2:
         out = reshape(out, lead + (d_out,))
     return out
@@ -113,60 +133,39 @@ def _apply_linear(x: Tensor, weight: Tensor, bias: Tensor | None, label: str) ->
 class QuatLinear:
     """Dense layer whose weights are quaternions (stored as four real matrices).
 
-    Real parameter count is 4*in_q*out_q weights plus, optionally, a bias of
-    4*out_q reals: exactly a quarter of the weights of a real dense layer
-    with the same real input/output widths.
+    Real parameter count is 4*in_q*out_q weights plus a bias of 4*out_q
+    reals: exactly a quarter of the weights of a real dense layer with the
+    same real input/output widths.
     """
 
-    def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32, bias: bool = True):
-        if in_q <= 0 or out_q <= 0:
-            raise ConfigError(f"quaternion counts must be positive, got ({in_q}, {out_q})")
+    def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32):
         self.in_q = in_q
         self.out_q = out_q
-        w_r, w_x, w_y, w_z = chi4_init(in_q, out_q, rng, dtype=dtype)
-        self.w_r = Tensor(w_r, requires_grad=True)
-        self.w_x = Tensor(w_x, requires_grad=True)
-        self.w_y = Tensor(w_y, requires_grad=True)
-        self.w_z = Tensor(w_z, requires_grad=True)
-        self.bias = Tensor(np.zeros(4 * out_q, dtype=dtype), requires_grad=True) if bias else None
-
-    def weight_matrix(self) -> Tensor:
-        """Composite (4*in_q, 4*out_q) real matrix; graph-connected to the
-        four component matrices, build once per forward pass and reuse."""
-        return quat_weight(self.w_r, self.w_x, self.w_y, self.w_z)
+        self.w_r, self.w_x, self.w_y, self.w_z = (Tensor(c, requires_grad=True)
+                                                  for c in chi4_init(in_q, out_q, rng, dtype=dtype))
+        self.bias = Tensor(np.zeros(4 * out_q, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] % 4 != 0:
             raise DimensionError(f"quaternion input width must be a multiple of 4, got {x.shape[-1]}")
-        return _apply_linear(x, self.weight_matrix(), self.bias, "QuatLinear")
+        return _apply_linear(x, quat_weight(self.w_r, self.w_x, self.w_y, self.w_z), self.bias, "QuatLinear")
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)
 
     def named_parameters(self, prefix: str = ""):
-        out = [(prefix + "w_r", self.w_r), (prefix + "w_x", self.w_x),
-               (prefix + "w_y", self.w_y), (prefix + "w_z", self.w_z)]
-        if self.bias is not None:
-            out.append((prefix + "bias", self.bias))
-        return out
-
-    def weight_scalar_count(self) -> int:
-        return 4 * self.in_q * self.out_q
+        return [(prefix + "w_r", self.w_r), (prefix + "w_x", self.w_x),
+                (prefix + "w_y", self.w_y), (prefix + "w_z", self.w_z), (prefix + "bias", self.bias)]
 
 
 class RealLinear:
-    """Plain affine map, used for the baseline LSTM and the output layer."""
+    """Plain affine map, used for the R2H front end and the output layer."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, dtype=np.float32, bias: bool = True):
-        if n_in <= 0 or n_out <= 0:
-            raise ConfigError(f"widths must be positive, got ({n_in}, {n_out})")
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, dtype=np.float32):
         self.n_in = n_in
         self.n_out = n_out
         self.weight = Tensor(glorot_uniform(n_in, n_out, rng, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True) if bias else None
-
-    def weight_matrix(self) -> Tensor:
-        return self.weight
+        self.bias = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return _apply_linear(x, self.weight, self.bias, "RealLinear")
@@ -175,13 +174,7 @@ class RealLinear:
         return self.forward(x)
 
     def named_parameters(self, prefix: str = ""):
-        out = [(prefix + "weight", self.weight)]
-        if self.bias is not None:
-            out.append((prefix + "bias", self.bias))
-        return out
-
-    def weight_scalar_count(self) -> int:
-        return self.n_in * self.n_out
+        return [(prefix + "weight", self.weight), (prefix + "bias", self.bias)]
 
 
 def quat_normalize(x: Tensor, eps: float = NORM_EPS) -> Tensor:

@@ -18,11 +18,12 @@ Sequences are time-major (T, B, D) with a boolean validity mask; states
 carry across padded frames unchanged and padded outputs are zeroed, so
 appending padding to a batch never changes valid-frame results.
 
-Each direction is one graph node (Appleyard et al., arXiv:1604.01946) that
-owns its input projection: one matmul projects all frames straight into the
-(T, B, 4H) gate buffer, a numpy loop runs the recurrence caching gates and
-states, and the backward is full BPTT over that cache whose gate gradients
-give the input, W, bias and R gradients in three more matmuls and a sum.
+Each direction is one graph node (Appleyard et al., arXiv:1604.01946) fed
+by the sequence and its cell's parameters, which the cell lays out as plain
+W, R and bias arrays with layers.block_matrix. One matmul projects all
+frames into the (T, B, 4H) gate buffer, a numpy loop runs the recurrence
+caching gates and states, and the backward is full BPTT over that cache;
+the cell splits the W, bias and R gradients back per component.
 The loop works in place on its caches and applies one tanh per frame over
 all four gates, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded
 into W, the bias and R once per call.
@@ -35,61 +36,67 @@ from __future__ import annotations
 
 import numpy as np
 
-from qnn.autograd import Tensor, concat, op_result, reverse_time
+from qnn.autograd import Tensor, op_result, reverse_time
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch, naive_quat_compose
 from qnn.errors import ConfigError, ContractError, DimensionError
-from qnn.layers import QuatLinear, RealLinear, RealToQuatEncoder, quaternion_dropout
+from qnn import layers
+from qnn.layers import RealLinear, RealToQuatEncoder, quaternion_dropout
 
 GATES = ("f", "i", "c", "o")
 
 
 class _LSTMCell:
-    """Gate maps shared by both cell kinds: per-gate input maps W and
-    recurrent maps R without internal bias, and one zero-initialised bias
-    vector of the real hidden width per gate."""
+    """Both cell kinds: per gate an input map W and a recurrent map R, each
+    its named component matrices drawn by init and laid out by places
+    (layers.block_matrix), and one zero-initialised bias per gate."""
 
-    def __init__(self, linear, n_in: int, n_hidden: int, rng: np.random.Generator, dtype):
-        self.w = {g: linear(n_in, n_hidden, rng, dtype=dtype, bias=False) for g in GATES}
-        self.r = {g: linear(n_hidden, n_hidden, rng, dtype=dtype, bias=False) for g in GATES}
+    def __init__(self, names, places, init, n_in: int, n_hidden: int, rng: np.random.Generator, dtype):
+        def gate_maps(fan_in):
+            return {g: {name: Tensor(c, requires_grad=True)
+                        for name, c in zip(names, init(fan_in, n_hidden, rng, dtype=dtype))} for g in GATES}
+        self.places = places
+        self.w = gate_maps(n_in)
+        self.r = gate_maps(n_hidden)
         self.b = {g: Tensor(np.zeros(self.hidden_size, dtype=dtype), requires_grad=True) for g in GATES}
 
     def prepared(self):
-        wx = concat([self.w[g].weight_matrix() for g in GATES], axis=1)
-        wh = concat([self.r[g].weight_matrix() for g in GATES], axis=1)
-        bias = concat([self.b[g] for g in GATES], axis=0)
-        return wx, wh, bias
+        """Plain arrays: the (input, 4H) input map, the (H, 4H) recurrent map
+        and the (4H,) bias, gates side by side as [f | i | c | o]."""
+        wx = layers.block_matrix([[p.data for p in self.w[g].values()] for g in GATES], self.places)
+        wh = layers.block_matrix([[p.data for p in self.r[g].values()] for g in GATES], self.places)
+        return wx, wh, np.concatenate([self.b[g].data for g in GATES])
+
+    def split_grads(self, d_wx, d_wh, d_bias) -> list:
+        """prepared()'s gradients split per parameter, in named_parameters() order."""
+        return (layers.block_grads(d_wx, self.places, len(GATES))
+                + layers.block_grads(d_wh, self.places, len(GATES)) + np.split(d_bias, len(GATES)))
 
     def named_parameters(self, prefix: str = ""):
-        out = []
-        for g in GATES:
-            out.extend(self.w[g].named_parameters(f"{prefix}w_{g}."))
-        for g in GATES:
-            out.extend(self.r[g].named_parameters(f"{prefix}r_{g}."))
-        for g in GATES:
-            out.append((f"{prefix}b_{g}", self.b[g]))
-        return out
+        out = [(f"{prefix}w_{g}.{name}", p) for g in GATES for name, p in self.w[g].items()]
+        out += [(f"{prefix}r_{g}.{name}", p) for g in GATES for name, p in self.r[g].items()]
+        return out + [(f"{prefix}b_{g}", self.b[g]) for g in GATES]
 
     def weight_scalar_count(self) -> int:
-        return sum(self.w[g].weight_scalar_count() + self.r[g].weight_scalar_count() for g in GATES)
+        return sum(p.size for maps in (self.w, self.r) for g in GATES for p in maps[g].values())
 
 
 class QLSTMCell(_LSTMCell):
     """One direction of a quaternion LSTM layer (widths in quaternions)."""
 
     def __init__(self, in_q: int, hidden_q: int, rng: np.random.Generator, dtype=np.float32):
-        self.input_size = 4 * in_q
-        self.hidden_size = 4 * hidden_q
-        super().__init__(QuatLinear, in_q, hidden_q, rng, dtype)
+        self.input_size, self.hidden_size = 4 * in_q, 4 * hidden_q
+        super().__init__(("w_r", "w_x", "w_y", "w_z"), layers.QUAT_PLACES, layers.chi4_init,
+                         in_q, hidden_q, rng, dtype)
 
 
 class RealLSTMCell(_LSTMCell):
     """One direction of the real-valued baseline LSTM layer."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator, dtype=np.float32):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        super().__init__(RealLinear, input_size, hidden_size, rng, dtype)
+        self.input_size, self.hidden_size = input_size, hidden_size
+        super().__init__(("weight",), layers.REAL_PLACES, lambda *a, **k: (layers.glorot_uniform(*a, **k),),
+                         input_size, hidden_size, rng, dtype)
 
 
 def gate_affine(hidden: int, dtype):
@@ -128,22 +135,23 @@ def cell_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
         )
     wx, wh, bias = cell.prepared()
     affine = gate_affine(cell.hidden_size, wh.dtype)
-    gates = ((x_t.data @ wx.data + bias.data) + h_prev.data @ wh.data) * affine[0]
+    gates = ((x_t.data @ wx + bias) + h_prev.data @ wh) * affine[0]
     h_t, c_t = np.empty_like(c_prev.data), np.empty_like(c_prev.data)
     lstm_gates(gates, c_prev.data, affine, c_t, np.empty_like(c_t), h_t)
     return Tensor(h_t), Tensor(c_t)
 
 
-def lstm_direction(seq: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, mask: np.ndarray) -> Tensor:
-    """Fused LSTM direction: input projections and recurrence in one node.
+def lstm_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
+    """Fused LSTM direction: one node fed by seq and the cell's parameters.
 
-    seq is (T, B, input), wx the (input, 4*hidden) input map, bias its
-    (4*hidden,) bias and wh the (hidden, 4*hidden) recurrent map. The
-    forward projects every frame in one matmul into the gate buffer and
-    caches gates and states; the backward runs full BPTT over that cache.
+    seq is (T, B, input). The forward projects every frame in one matmul by
+    the cell's prepared() input map into the gate buffer and caches gates
+    and states; the backward runs full BPTT over that cache and hands the
+    map and bias gradients to the cell's split_grads().
     """
-    if not seq.dtype == wx.dtype == bias.dtype == wh.dtype:
-        raise ContractError(f"lstm_direction: dtype mismatch {seq.dtype} vs {wx.dtype}/{bias.dtype}/{wh.dtype}")
+    wx, wh, bias = cell.prepared()
+    if seq.dtype != wx.dtype:
+        raise ContractError(f"lstm_direction: dtype mismatch {seq.dtype} vs cell {wx.dtype}")
     t_len, batch, _ = seq.shape
     width = wh.shape[1]
     hidden = width // 4
@@ -151,9 +159,9 @@ def lstm_direction(seq: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, mask: np.n
     affine = gate_affine(hidden, dtype)
     x2d = seq.data.reshape(t_len * batch, -1)
     # the pre-activations scaled by gate_affine; power-of-two scaling is exact
-    gates = np.matmul(x2d, wx.data * affine[0]).reshape(t_len, batch, width)
-    gates += bias.data * affine[0]
-    wh_scaled = wh.data * affine[0]
+    gates = np.matmul(x2d, wx * affine[0]).reshape(t_len, batch, width)
+    gates += bias * affine[0]
+    wh_scaled = wh * affine[0]
     recurrent = np.empty((batch, width), dtype=dtype)
     tanh_c = np.empty((t_len, batch, hidden), dtype=dtype)
     h_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)  # h_states[t] is h_{t-1}
@@ -189,12 +197,12 @@ def lstm_direction(seq: Tensor, wx: Tensor, bias: Tensor, wh: Tensor, mask: np.n
             d_c = d_c + d_h * through[t]
             d_pre[t] = np.concatenate((d_c, d_c, d_c, d_h), axis=1) * local[t]
             d_c = d_c * f[t] + d_c_skip
-            d_h = d_pre[t] @ wh.data.T + d_h_skip
+            d_h = d_pre[t] @ wh.T + d_h_skip
         d_pre = d_pre.reshape(-1, width)
         d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre
-        return (d_pre @ wx.data.T).reshape(seq.shape), x2d.T @ d_pre, d_pre.sum(axis=0), d_wh
+        return [(d_pre @ wx.T).reshape(seq.shape)] + cell.split_grads(x2d.T @ d_pre, d_wh, d_pre.sum(axis=0))
 
-    return op_result(out, (seq, wx, bias, wh), "lstm_direction", backward)
+    return op_result(out, [seq] + [p for _, p in cell.named_parameters()], "lstm_direction", backward)
 
 
 def run_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
@@ -208,8 +216,7 @@ def run_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
         raise DimensionError(f"sequence width {width} does not match cell input {cell.input_size}")
     if mask.shape != (t_len, batch):
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {(t_len, batch)}")
-    wx, wh, bias = cell.prepared()
-    return lstm_direction(seq, wx, bias, wh, mask)
+    return lstm_direction(cell, seq, mask)
 
 
 class BiRecurrentLayer:

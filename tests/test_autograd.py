@@ -12,11 +12,11 @@ from qnn.autograd import (
     add,
     add_bias,
     backward,
-    concat,
     hardtanh,
     matmul,
     mul,
     neg,
+    op_result,
     relu,
     reshape,
     reverse_time,
@@ -30,6 +30,17 @@ from qnn.gradcheck import fd_grad, gradient_check, rel_err
 
 def leaf(rng, shape, scale=1.0):
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+
+
+def concat(tensors, axis: int) -> Tensor:
+    """Graph concatenation for the reference graphs below (the library has none)."""
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+
+    def backward(g):
+        return tuple(np.take(g, range(lo, hi), axis=axis) for lo, hi in zip(offsets, offsets[1:]))
+
+    return op_result(out, tuple(tensors), "concat", backward)
 
 
 def test_matmul_identity():
@@ -109,6 +120,17 @@ def test_binary_fd():
     for op in (add, mul):
         errs = gradient_check(lambda: op(a, b).sum(), [("a", a), ("b", b)])
         assert max(errs.values()) < 1e-6, op.__name__
+
+
+def test_mul_skips_gradient_of_constant_operand():
+    rng = np.random.default_rng(5)
+    x = leaf(rng, (3, 4))
+    mask = Tensor(rng.uniform(size=(3, 4)))
+    g = rng.normal(size=(3, 4))
+    d_x, d_mask = mul(x, mask).node.backward(g)
+    assert d_mask is None and np.array_equal(d_x, g * mask.data)
+    d_mask, d_x = mul(mask, x).node.backward(g)
+    assert d_mask is None and np.array_equal(d_x, g * mask.data)
 
 
 def test_scalar_broadcast():

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,31 @@ def test_hostile_config_values_exit_2_without_traceback(tmp_path, capsys, flags)
     assert code == 2, err
     assert "Traceback" not in err and flags[0].lstrip("-") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("flags", [["--hidden", "4000000000"], ["--r2h-size", "4000000000"],
+                                   ["--classes", "4000000000"]], ids=["hidden", "r2h_size", "classes"])
+def test_model_beyond_physical_memory_exits_2_without_allocating(tmp_path, capsys, command, flags):
+    main(synth_args(tmp_path / "data"))
+    (tmp_path / "config.txt").write_text(ModelConfig(input_dim=8).to_file_text())
+    capsys.readouterr()
+    out = tmp_path / "run"
+    data = ["--train", str(tmp_path / "data/train.qfea"), "--valid", str(tmp_path / "data/valid.qfea"),
+            "--out", str(out), *TRAIN_FLAGS]
+    if command == "eval":
+        data = [str(tmp_path / "last.qnn"), "--test", str(tmp_path / "data/test.qfea"),
+                "--config", str(tmp_path / "config.txt")]
+    tracemalloc.start()
+    try:
+        code = main([command, *data, *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err and "physical memory" in err
+    assert peak < 2**26 and not out.exists()
 
 
 def test_non_utf8_config_file_exits_2_without_traceback(tmp_path, capsys):

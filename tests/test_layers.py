@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qnn import quat
-from qnn.autograd import Tape, Tensor, add, backward, concat, mul, neg, op_result, sum_all
+from qnn.autograd import Tape, Tensor, add, backward, mul, neg, op_result, sum_all
 from qnn.config import ModelConfig
 from qnn.data import SynthSpec, generate_synthetic, make_batches
 from qnn.errors import ConfigError, DimensionError
@@ -20,7 +20,8 @@ from qnn.layers import (
     quaternion_dropout,
     split_activation,
 )
-from qnn.recurrent import build_model
+from qnn import recurrent
+from qnn.recurrent import GATES, build_model, lstm_direction
 from qnn.training import cross_entropy_framewise, train
 
 
@@ -106,9 +107,10 @@ def test_parameter_count_quarter_of_real():
     rng = np.random.default_rng(4)
     qlayer = QuatLinear(256, 256, rng)  # 1024 real in/out
     rlayer = RealLinear(1024, 1024, rng)
-    assert qlayer.weight_scalar_count() == 262_144
-    assert rlayer.weight_scalar_count() == 1_048_576
-    assert rlayer.weight_scalar_count() == 4 * qlayer.weight_scalar_count()
+    q_weights, r_weights = (sum(p.size for name, p in layer.named_parameters() if name != "bias")
+                            for layer in (qlayer, rlayer))
+    assert q_weights == 262_144
+    assert r_weights == 1_048_576 == 4 * q_weights
     n_params = sum(p.size for _, p in qlayer.named_parameters())
     assert n_params == 4 * 256 * 256 + 4 * 256
 
@@ -131,11 +133,21 @@ def test_quat_linear_gradients():
     assert max(errs.values()) < 1e-6
 
 
-def neg_concat_weight_matrix(layer: QuatLinear) -> Tensor:
+def concat(tensors, axis: int) -> Tensor:
+    """Graph concatenation for the reference graphs (the library has none)."""
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+
+    def backward(g):
+        return tuple(np.take(g, range(lo, hi), axis=axis) for lo, hi in zip(offsets, offsets[1:]))
+
+    return op_result(out, tuple(tensors), "concat", backward)
+
+
+def neg_concat_quat_weight(r: Tensor, x: Tensor, y: Tensor, z: Tensor) -> Tensor:
     """The structured matrix with its sign table written out, built from neg
     and concat nodes: the construction quat_weight replaces, kept as its
     reference."""
-    r, x, y, z = layer.w_r, layer.w_x, layer.w_y, layer.w_z
     cols = [
         concat([r, neg(x), neg(y), neg(z)], axis=0),
         concat([x, r, neg(z), y], axis=0),
@@ -149,16 +161,16 @@ def neg_concat_weight_matrix(layer: QuatLinear) -> Tensor:
 @pytest.mark.parametrize("in_q,out_q", [(64, 32), (32, 32), (3, 2)])
 def test_quat_weight_bit_equal_to_neg_concat_reference(dtype, in_q, out_q):
     rng = np.random.default_rng(22)
-    layer = QuatLinear(in_q, out_q, rng, dtype=dtype, bias=False)
+    layer = QuatLinear(in_q, out_q, rng, dtype=dtype)
+    comps = [layer.w_r, layer.w_x, layer.w_y, layer.w_z]
     cotangent = Tensor(rng.standard_normal((4 * in_q, 4 * out_q)).astype(dtype))
     results = []
-    for build in (QuatLinear.weight_matrix, neg_concat_weight_matrix):
-        params = [p for _, p in layer.named_parameters()]
-        for p in params:
+    for build in (quat_weight, neg_concat_quat_weight):
+        for p in comps:
             p.zero_grad()
-        w = build(layer)
+        w = build(*comps)
         backward(sum_all(mul(w, cotangent)))
-        results.append([w.data] + [p.grad for p in params])
+        results.append([w.data] + [p.grad for p in comps])
     for got, want in zip(*results):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -181,14 +193,36 @@ def weight_build_config(precision):
                        input_dim=8, batch_size=4, seed=5, precision=precision)
 
 
+class NegConcatWeights:
+    """A quaternion cell seen through the parent path: its (wx, wh, bias)
+    are graph nodes built per gate from neg and concat nodes, so
+    lstm_direction takes them as its parameters and routes their gradients
+    back through that graph instead of the cell's split_grads()."""
+
+    def __init__(self, cell):
+        self.wx = concat([neg_concat_quat_weight(*cell.w[g].values()) for g in GATES], axis=1)
+        self.wh = concat([neg_concat_quat_weight(*cell.r[g].values()) for g in GATES], axis=1)
+        self.bias = concat([cell.b[g] for g in GATES], axis=0)
+
+    def named_parameters(self):
+        return [("wx", self.wx), ("wh", self.wh), ("bias", self.bias)]
+
+    def prepared(self):
+        return self.wx.data, self.wh.data, self.bias.data
+
+    def split_grads(self, d_wx, d_wh, d_bias):
+        return [d_wx, d_wh, d_bias]
+
+
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_training_with_quat_weight_equals_neg_concat_reference(precision, monkeypatch):
     cfg = weight_build_config(precision)
     train_utts, valid_utts, _ = generate_synthetic(
         SynthSpec(train_utts=12, valid_utts=6, test_utts=1, dim=8, seed=13))
     runs = []
-    for build in (QuatLinear.weight_matrix, neg_concat_weight_matrix):
-        monkeypatch.setattr(QuatLinear, "weight_matrix", build)
+    for direction in (recurrent.run_direction, lambda cell, seq, mask: lstm_direction(
+            NegConcatWeights(cell), seq, mask)):
+        monkeypatch.setattr(recurrent, "run_direction", direction)
         model = build_model(cfg)
         reports = train(model, train_utts, valid_utts, cfg)
         runs.append(([r.record("d", 0) for r in reports],
@@ -196,18 +230,21 @@ def test_training_with_quat_weight_equals_neg_concat_reference(precision, monkey
     assert runs[0] == runs[1]
 
 
-def test_training_step_tape_has_one_node_per_weight_map():
+def test_training_step_feeds_cell_parameters_to_direction_nodes():
     cfg = weight_build_config("f32")
     train_utts, _, _ = generate_synthetic(SynthSpec(train_utts=4, valid_utts=1, test_utts=1,
                                                     dim=8, seed=13))
     batch = make_batches(train_utts, 4)[0]
     model = build_model(cfg)
     loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
-    ops = [t.node.op for t in Tape.from_root(loss).records if t.node is not None]
-    cells = 2 * cfg.depth
-    assert "neg" not in ops
-    # four gates, each with an input map W and a recurrent map R
-    assert ops.count("quat_weight") == 8 * cells
+    nodes = [t.node for t in Tape.from_root(loss).records if t.node is not None]
+    ops = [node.op for node in nodes]
+    assert "quat_weight" not in ops and "concat" not in ops and "neg" not in ops
+    directions = [node for node in nodes if node.op == "lstm_direction"]
+    cells = [cell for layer in model.stack for cell in (layer.fwd, layer.bwd)]
+    assert len(directions) == len(cells)
+    fed = {tuple(map(id, node.inputs[1:])) for node in directions}
+    assert fed == {tuple(id(p) for _, p in cell.named_parameters()) for cell in cells}
 
 
 def test_split_activation_values():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qnn import autograd
-from qnn.autograd import Tape, Tensor, add_bias, concat, matmul, mul, op_result, reshape, sigmoid, tanh
+from qnn.autograd import Tape, Tensor, add_bias, matmul, mul, op_result, reshape, sigmoid, tanh
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
 from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn.gradcheck import gradient_check
+from qnn.layers import quat_weight
 from qnn.recurrent import (
+    GATES,
     BiRecurrentLayer,
     IdentityFrontEnd,
     NaiveQuatFrontEnd,
@@ -167,11 +169,34 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return op_result(a.data[idx], (a,), "narrow", backward)
 
 
+def concat(tensors, axis: int) -> Tensor:
+    """Graph concatenation for the reference graphs (the library has none)."""
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+
+    def backward(g):
+        return tuple(np.take(g, range(lo, hi), axis=axis) for lo, hi in zip(offsets, offsets[1:]))
+
+    return op_result(out, tuple(tensors), "concat", backward)
+
+
+def graph_weights(cell):
+    """The cell's (wx, wh, bias) as graph nodes, built the way the model
+    built them before the direction node took the cell's parameters: per
+    gate a quat_weight node (or the real leaf), then concat."""
+    def gate_map(comps):
+        return quat_weight(*comps.values()) if len(comps) == 4 else comps["weight"]
+
+    return (concat([gate_map(cell.w[g]) for g in GATES], axis=1),
+            concat([gate_map(cell.r[g]) for g in GATES], axis=1),
+            concat([cell.b[g] for g in GATES], axis=0))
+
+
 def reference_direction(cell, seq, mask):
     """Per-frame autograd unroll of run_direction, built from graph primitives."""
     t_len, batch, width = seq.shape
     hid = cell.hidden_size
-    wx, wh, bias = cell.prepared()
+    wx, wh, bias = graph_weights(cell)
     proj = reshape(add_bias(matmul(reshape(seq, (t_len * batch, width)), wx), bias), (t_len, batch, 4 * hid))
     h = c = Tensor(np.zeros((batch, hid), dtype=seq.dtype))
     outs = []
@@ -309,7 +334,7 @@ def parent_lstm_direction(proj, wh, mask):
 
 def parent_direction(cell, seq, mask):
     t_len, batch, width = seq.shape
-    wx, wh, bias = cell.prepared()
+    wx, wh, bias = graph_weights(cell)
     proj = add_bias(matmul(reshape(seq, (t_len * batch, width)), wx), bias)
     return parent_lstm_direction(reshape(proj, (t_len, batch, 4 * cell.hidden_size)), wh, mask)
 
