@@ -94,13 +94,6 @@ class Tensor:
         return sum_all(self)
 
 
-def tensor(data, dtype=None, requires_grad: bool = False) -> Tensor:
-    arr = np.array(data, dtype=dtype, copy=True)
-    if dtype is None and arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    return Tensor(arr, requires_grad=requires_grad)
-
-
 def op_result(data: np.ndarray, inputs, op: str, backward) -> Tensor:
     """Wrap an op's output, attaching a Node when gradients are being tracked."""
     if _grad_mode.enabled and any(t.requires_grad for t in inputs):
@@ -170,8 +163,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractError(f"matmul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
     out = a.data @ b.data
 
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
+    def backward(g):  # an operand that needs no gradient (the raw features) gets none
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return op_result(out, (a, b), "matmul", backward)
 

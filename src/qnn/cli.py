@@ -37,11 +37,7 @@ from qnn.recurrent import build_model, count_params, symbolic_param_counts
 from qnn.selfcheck import run_selfcheck, sign_flipped_hamilton
 from qnn.training import evaluate, train
 
-_CONFIG_FLAGS = (
-    "front_end", "r2h_size", "r2h_activation", "stack_kind", "depth",
-    "hidden_real_width", "classes", "dropout", "epochs", "lr0", "lr_rule",
-    "seed", "precision", "input_dim", "batch_size",
-)
+_CONFIG_FLAGS = tuple(f.name for f in dataclasses.fields(ModelConfig))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -12,8 +12,10 @@ import numpy as np
 from qnn import autograd
 from qnn.autograd import Tensor
 
+FD_STEP = 1e-4  # central-difference step h
 
-def fd_grad(loss_fn, param: Tensor, h: float = 1e-4) -> np.ndarray:
+
+def fd_grad(loss_fn, param: Tensor) -> np.ndarray:
     """Central-difference gradient of loss_fn() w.r.t. every entry of param.
 
     loss_fn must be a pure function of the current parameter buffers.
@@ -23,12 +25,12 @@ def fd_grad(loss_fn, param: Tensor, h: float = 1e-4) -> np.ndarray:
     got = out.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = loss_fn()
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = loss_fn()
         flat[i] = orig
-        got[i] = (fp - fm) / (2.0 * h)
+        got[i] = (fp - fm) / (2.0 * FD_STEP)
     return out
 
 
@@ -38,7 +40,7 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0) / scale)
 
 
-def gradient_check(build_loss, params, h: float = 1e-4) -> dict[str, float]:
+def gradient_check(build_loss, params) -> dict[str, float]:
     """Compare analytic and finite-difference gradients for named parameters.
 
     build_loss: () -> scalar Tensor, re-run for every perturbation.
@@ -63,6 +65,6 @@ def gradient_check(build_loss, params, h: float = 1e-4) -> dict[str, float]:
 
     errors = {}
     for name, p in params:
-        numeric = fd_grad(loss_value, p, h=h)
+        numeric = fd_grad(loss_value, p)
         errors[name] = rel_err(analytic[name], numeric)
     return errors

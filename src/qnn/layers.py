@@ -2,14 +2,16 @@
 
 A vector of H quaternions lives in a real vector of length 4H using the
 quarter-block convention: entries [0, H) are the r parts, then the x, y and
-z parts. A quaternion-weighted dense layer multiplies by a structured real
-matrix whose 4x4 grid of blocks is the transpose of quat.QuatMatrix4 with
-the component matrices Wr, Wx, Wy, Wz in place of r, x, y, z (transposed
-because activations are row vectors), so each output quaternion is the sum
-over inputs of (weight quaternion) Hamilton-multiplied by (input
-quaternion). block_matrix builds that matrix from a table of block places
-derived from quat.to_matrix; a real matrix is its 1x1 case, so quaternion
-and real LSTM gates share one builder. Split activations apply a real
+z parts. A quaternion map (an LSTM gate's input or recurrent weights)
+multiplies by a structured real matrix whose 4x4 grid of blocks is the
+transpose of quat.QuatMatrix4 with the component matrices Wr, Wx, Wy, Wz in
+place of r, x, y, z (transposed because activations are row vectors), so
+each output quaternion is the sum over inputs of (weight quaternion)
+Hamilton-multiplied by (input quaternion). block_matrix lays out that
+matrix, for several maps side by side, from a table of block places derived
+from quat.to_matrix; a real matrix is its 1x1 case, so quaternion and real
+LSTM gates share one builder. The only dense layer, RealLinear, is real: the
+R2H front end and the output layer. Split activations apply a real
 nonlinearity to every component independently.
 """
 
@@ -110,54 +112,6 @@ def block_grads(g, places, count: int) -> list:
             for k in range(count) for blocks in places]
 
 
-def quat_weight(w_r: Tensor, w_x: Tensor, w_y: Tensor, w_z: Tensor) -> Tensor:
-    """The (4*in_q, 4*out_q) structured real matrix of four (in_q, out_q)
-    component matrices, as one graph node."""
-    comps = (w_r, w_x, w_y, w_z)
-    return op_result(block_matrix([[c.data for c in comps]], QUAT_PLACES), comps, "quat_weight",
-                     lambda g: block_grads(g, QUAT_PLACES, 1))
-
-
-def _apply_linear(x: Tensor, weight: Tensor, bias: Tensor, label: str) -> Tensor:
-    d_in, d_out = weight.shape
-    if x.shape[-1] != d_in:
-        raise DimensionError(f"{label}: trailing dim {x.shape[-1]} does not match input width {d_in}")
-    lead = x.shape[:-1]
-    flat = x if x.data.ndim == 2 else reshape(x, (-1, d_in))
-    out = add_bias(matmul(flat, weight), bias)
-    if x.data.ndim != 2:
-        out = reshape(out, lead + (d_out,))
-    return out
-
-
-class QuatLinear:
-    """Dense layer whose weights are quaternions (stored as four real matrices).
-
-    Real parameter count is 4*in_q*out_q weights plus a bias of 4*out_q
-    reals: exactly a quarter of the weights of a real dense layer with the
-    same real input/output widths.
-    """
-
-    def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_q = in_q
-        self.out_q = out_q
-        self.w_r, self.w_x, self.w_y, self.w_z = (Tensor(c, requires_grad=True)
-                                                  for c in chi4_init(in_q, out_q, rng, dtype=dtype))
-        self.bias = Tensor(np.zeros(4 * out_q, dtype=dtype), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] % 4 != 0:
-            raise DimensionError(f"quaternion input width must be a multiple of 4, got {x.shape[-1]}")
-        return _apply_linear(x, quat_weight(self.w_r, self.w_x, self.w_y, self.w_z), self.bias, "QuatLinear")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
-
-    def named_parameters(self, prefix: str = ""):
-        return [(prefix + "w_r", self.w_r), (prefix + "w_x", self.w_x),
-                (prefix + "w_y", self.w_y), (prefix + "w_z", self.w_z), (prefix + "bias", self.bias)]
-
-
 class RealLinear:
     """Plain affine map, used for the R2H front end and the output layer."""
 
@@ -168,7 +122,11 @@ class RealLinear:
         self.bias = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return _apply_linear(x, self.weight, self.bias, "RealLinear")
+        if x.shape[-1] != self.n_in:
+            raise DimensionError(f"RealLinear: trailing dim {x.shape[-1]} does not match input {self.n_in}")
+        flat = x if x.data.ndim == 2 else reshape(x, (-1, self.n_in))
+        out = add_bias(matmul(flat, self.weight), self.bias)
+        return out if x.data.ndim == 2 else reshape(out, x.shape[:-1] + (self.n_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)
@@ -177,23 +135,21 @@ class RealLinear:
         return [(prefix + "weight", self.weight), (prefix + "bias", self.bias)]
 
 
-def quat_normalize(x: Tensor, eps: float = NORM_EPS) -> Tensor:
+def quat_normalize(x: Tensor) -> Tensor:
     """Scale every quaternion in a quarter-block tensor to (near) unit norm.
 
-    Divides each quaternion by (its norm + eps); quaternions with norm well
-    above eps come out with |norm - 1| below 1e-6, the zero quaternion stays
+    Divides each quaternion by (its norm + NORM_EPS); quaternions with norm
+    well above NORM_EPS come out with |norm - 1| below 1e-6, the zero quaternion stays
     zero. One graph node: the backward is the closed form of
     q / (|q| + eps), with the derivative of the norm at 0 taken as 0 (the
     true one-sided one is +inf and would turn gradients into NaN).
     """
-    if eps <= 0:
-        raise ConfigError("normalization eps must be > 0")
     width = x.shape[-1]
     if width % 4 != 0:
         raise DimensionError(f"quaternion tensor width must be a multiple of 4, got {width}")
     # (..., 4, h): component c of quaternion k sits at [..., c, k]
     quats = x.data.reshape(x.shape[:-1] + (4, width // 4))
-    eps = x.dtype.type(eps)
+    eps = x.dtype.type(NORM_EPS)
     squares = quats * quats
     sq = squares[..., 0, :] + squares[..., 1, :]
     sq += squares[..., 2, :]
@@ -272,7 +228,6 @@ class RealToQuatEncoder:
         normalized: bool,
         rng: np.random.Generator,
         dtype=np.float32,
-        eps: float = NORM_EPS,
     ):
         if width % 4 != 0:
             raise ConfigError(f"encoder width must be a multiple of 4, got {width}")
@@ -281,7 +236,6 @@ class RealToQuatEncoder:
         self.dense = RealLinear(input_dim, width, rng, dtype=dtype)
         self.activation = activation
         self.normalized = normalized
-        self.eps = eps
         self.output_dim = width
 
     def forward(self, x) -> Tensor:
@@ -289,7 +243,7 @@ class RealToQuatEncoder:
             x = Tensor(x.astype(self.dense.weight.dtype, copy=False))
         out = split_activation(self.activation, self.dense(x))
         if self.normalized:
-            out = quat_normalize(out, eps=self.eps)
+            out = quat_normalize(out)
         return out
 
     def __call__(self, x: Tensor) -> Tensor:

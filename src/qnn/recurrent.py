@@ -77,9 +77,6 @@ class _LSTMCell:
         out += [(f"{prefix}r_{g}.{name}", p) for g in GATES for name, p in self.r[g].items()]
         return out + [(f"{prefix}b_{g}", self.b[g]) for g in GATES]
 
-    def weight_scalar_count(self) -> int:
-        return sum(p.size for maps in (self.w, self.r) for g in GATES for p in maps[g].values())
-
 
 class QLSTMCell(_LSTMCell):
     """One direction of a quaternion LSTM layer (widths in quaternions)."""
@@ -123,22 +120,6 @@ def lstm_gates(gates: np.ndarray, c_prev: np.ndarray, affine, c_out, tanh_out, h
     c_out += i * g
     np.tanh(c_out, out=tanh_out)
     np.multiply(o, tanh_out, out=h_out)
-
-
-def cell_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One recurrence step on a (B, input) frame; returns (h_t, c_t), values only."""
-    if x_t.shape[-1] != cell.input_size:
-        raise DimensionError(f"frame width {x_t.shape[-1]} does not match cell input {cell.input_size}")
-    if h_prev.shape != c_prev.shape or h_prev.shape[-1] != cell.hidden_size:
-        raise DimensionError(
-            f"state widths {h_prev.shape}/{c_prev.shape} do not match cell hidden {cell.hidden_size}"
-        )
-    wx, wh, bias = cell.prepared()
-    affine = gate_affine(cell.hidden_size, wh.dtype)
-    gates = ((x_t.data @ wx + bias) + h_prev.data @ wh) * affine[0]
-    h_t, c_t = np.empty_like(c_prev.data), np.empty_like(c_prev.data)
-    lstm_gates(gates, c_prev.data, affine, c_t, np.empty_like(c_t), h_t)
-    return Tensor(h_t), Tensor(c_t)
 
 
 def lstm_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
@@ -235,9 +216,6 @@ class BiRecurrentLayer:
     def named_parameters(self, prefix: str = ""):
         return self.fwd.named_parameters(prefix + "fwd.") + self.bwd.named_parameters(prefix + "bwd.")
 
-    def weight_scalar_count(self) -> int:
-        return self.fwd.weight_scalar_count() + self.bwd.weight_scalar_count()
-
 
 class IdentityFrontEnd:
     """Pass features through unchanged (real baseline input)."""
@@ -312,9 +290,6 @@ class AcousticModel:
         out.extend(self.output.named_parameters("output."))
         return out
 
-    def stack_weight_scalars(self) -> int:
-        return sum(layer.weight_scalar_count() for layer in self.stack)
-
 
 def count_params(model: AcousticModel) -> int:
     return sum(p.size for _, p in model.named_parameters())
@@ -328,34 +303,42 @@ def _breakdown(front: int, stack: int, output: int, stack_weights: int) -> dict:
 def param_breakdown(model: AcousticModel) -> dict:
     """Per-module totals plus the bias-free stack count used for ratios."""
     front = sum(p.size for _, p in model.front_end.named_parameters(""))
-    stack = sum(p.size for n, p in model.named_parameters() if n.startswith("stack."))
+    stack = [p for n, p in model.named_parameters() if n.startswith("stack.")]
     output = sum(p.size for _, p in model.output.named_parameters(""))
-    return _breakdown(front, stack, output, model.stack_weight_scalars())
+    return _breakdown(front, sum(p.size for p in stack), output,
+                      sum(p.size for p in stack if p.data.ndim == 2))
 
 
-def layer_plan(config: ModelConfig) -> list[int]:
+def layer_plan(config: ModelConfig) -> tuple[int, int]:
     """Real widths along the model, read by both build_model and
-    symbolic_param_counts: the front-end output, then each stack layer's."""
+    symbolic_param_counts: the front-end output and every stack layer's
+    output. The first stack layer maps the one to the other, the remaining
+    depth - 1 layers map the stack width to itself."""
     config.validate()
     dim = config.input_dim
     width = {"identity": dim, "naive-quat": 4 * ((dim + 3) // 4)}.get(config.front_end, config.r2h_size)
     if config.stack_kind == "qlstm" and width % 4 != 0:
         raise ConfigError(f"qlstm stack needs an input width divisible by 4, front end provides {width}")
-    return [width] + [config.hidden_real_width] * config.depth
+    return width, config.hidden_real_width
 
 
 def symbolic_param_counts(config: ModelConfig) -> dict:
-    """Parameter counts computed from the architecture formulas alone,
-    without allocating any buffers. Matches param_breakdown(build_model(c))
-    exactly; used by the params command so large configs stay cheap."""
-    widths = layer_plan(config)
-    front = config.input_dim * widths[0] + widths[0] if config.front_end in ("r2h-norm", "r2h") else 0
+    """Parameter counts computed from the architecture formulas alone, in
+    closed form over the depth, without allocating any buffers. Matches
+    param_breakdown(build_model(c)) exactly; used by the params command and
+    the memory budget so large configs stay cheap."""
+    front_width, hidden = layer_plan(config)
+    depth = config.depth
+    front = config.input_dim * front_width + front_width if config.front_end in ("r2h-norm", "r2h") else 0
     shrink = 4 if config.stack_kind == "qlstm" else 1  # real scalars per weight entry
-    # per layer: two directions, four gates, each an input map W, a recurrent map R and a bias
-    layers = list(zip(widths, widths[1:]))
-    stack_weights = sum(2 * 4 * (n_in * n_out + n_out * n_out) // shrink for n_in, n_out in layers)
-    stack = stack_weights + sum(2 * 4 * n_out for _, n_out in layers)
-    return _breakdown(front, stack, widths[-1] * config.classes + config.classes, stack_weights)
+
+    def layer_weights(n_in):  # two directions, four gates, each an input map W and a recurrent map R
+        return 2 * 4 * (n_in * hidden + hidden * hidden) // shrink
+
+    stack_weights = layer_weights(front_width) + (depth - 1) * layer_weights(hidden) if depth else 0
+    stack = stack_weights + depth * 2 * 4 * hidden  # plus one bias per gate
+    out_in = hidden if depth else front_width
+    return _breakdown(front, stack, out_in * config.classes + config.classes, stack_weights)
 
 
 def build_model(config: ModelConfig) -> AcousticModel:
@@ -364,7 +347,7 @@ def build_model(config: ModelConfig) -> AcousticModel:
     Initialisation and dropout use generators spawned deterministically
     from config.seed, so identical configs give identical models.
     """
-    widths = layer_plan(config)
+    front_width, hidden = layer_plan(config)
     dtype = np.float32 if config.precision == "f32" else np.float64
     ss_init, ss_drop = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_init)
@@ -377,7 +360,7 @@ def build_model(config: ModelConfig) -> AcousticModel:
     else:
         front = RealToQuatEncoder(
             config.input_dim,
-            widths[0],
+            front_width,
             config.r2h_activation,
             normalized=(config.front_end == "r2h-norm"),
             rng=rng,
@@ -385,16 +368,18 @@ def build_model(config: ModelConfig) -> AcousticModel:
         )
 
     stack = []
-    for n_in, n_out in zip(widths, widths[1:]):
+    n_in = front_width
+    for _ in range(config.depth):
         if config.stack_kind == "qlstm":
-            fwd = QLSTMCell(n_in // 4, n_out // 4, rng, dtype=dtype)
-            bwd = QLSTMCell(n_in // 4, n_out // 4, rng, dtype=dtype)
+            fwd = QLSTMCell(n_in // 4, hidden // 4, rng, dtype=dtype)
+            bwd = QLSTMCell(n_in // 4, hidden // 4, rng, dtype=dtype)
         else:
-            fwd = RealLSTMCell(n_in, n_out, rng, dtype=dtype)
-            bwd = RealLSTMCell(n_in, n_out, rng, dtype=dtype)
+            fwd = RealLSTMCell(n_in, hidden, rng, dtype=dtype)
+            bwd = RealLSTMCell(n_in, hidden, rng, dtype=dtype)
         stack.append(BiRecurrentLayer(fwd, bwd))
+        n_in = hidden
 
-    output = RealLinear(widths[-1], config.classes, rng, dtype=dtype)
+    output = RealLinear(n_in, config.classes, rng, dtype=dtype)
     return AcousticModel(
         front,
         stack,

@@ -17,7 +17,7 @@ from qnn.autograd import Tensor
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
 from qnn.gradcheck import gradient_check
-from qnn.layers import ACTIVATIONS, QuatLinear, RealToQuatEncoder, split_activation
+from qnn.layers import ACTIVATIONS, RealToQuatEncoder, split_activation
 from qnn.quat import Quaternion
 from qnn.recurrent import QLSTMCell, build_model, run_direction
 from qnn.training import cross_entropy_framewise
@@ -117,10 +117,6 @@ def gradient_suite(seed: int = 0) -> SuiteResult:
             result.count(err < GRAD_TOL, f"{label}.{name}: rel err {err:.3e}")
 
     rng = np.random.default_rng(seed)
-
-    layer = QuatLinear(3, 2, rng, dtype=np.float64)
-    x = Tensor(rng.standard_normal((5, 12)))
-    check("quat_linear", lambda: layer.forward(x).sum(), layer.named_parameters())
 
     for kind in ACTIVATIONS:
         inp = Tensor(_kink_free(rng, (4, 8)), requires_grad=True)

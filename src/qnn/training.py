@@ -71,16 +71,17 @@ def cross_entropy_framewise(logits: Tensor, labels: np.ndarray, mask: np.ndarray
     return op_result(np.asarray(value, dtype=logits.dtype), (logits,), "cross_entropy", backward)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam with (beta1, beta2, eps) = (0.9, 0.999, 1e-8)."""
 
-    def __init__(self, named_params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, lr: float = 1e-3):
         self.params = list(named_params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -91,35 +92,37 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params:
             if p.grad is None:
                 raise ContractError(f"missing gradient for parameter '{name}'")
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+LR_THRESHOLD = 0.001
+LR_FACTOR = 0.5
 
 
 @dataclass
 class LRSchedule:
     rule: str = "stall"
-    threshold: float = 0.001
-    factor: float = 0.5
     prev_val_loss: float | None = None
 
     def update(self, val_loss: float, lr: float) -> float:
         if self.rule == "literal":
-            new_lr = lr * self.factor if val_loss < self.threshold else lr
+            new_lr = lr * LR_FACTOR if val_loss < LR_THRESHOLD else lr
         else:
             if self.prev_val_loss is None:
                 new_lr = lr
             else:
                 improvement = (self.prev_val_loss - val_loss) / max(self.prev_val_loss, 1e-12)
-                new_lr = lr * self.factor if improvement < self.threshold else lr
+                new_lr = lr * LR_FACTOR if improvement < LR_THRESHOLD else lr
         self.prev_val_loss = val_loss
         return new_lr
 

@@ -16,31 +16,19 @@ from qnn.autograd import (
     matmul,
     mul,
     neg,
-    op_result,
     relu,
     reshape,
     reverse_time,
     sigmoid,
     tanh,
-    tensor,
 )
 from qnn.errors import ContractError, DimensionError
 from qnn.gradcheck import fd_grad, gradient_check, rel_err
+from reference_graphs import concat
 
 
 def leaf(rng, shape, scale=1.0):
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
-
-
-def concat(tensors, axis: int) -> Tensor:
-    """Graph concatenation for the reference graphs below (the library has none)."""
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-
-    def backward(g):
-        return tuple(np.take(g, range(lo, hi), axis=axis) for lo, hi in zip(offsets, offsets[1:]))
-
-    return op_result(out, tuple(tensors), "concat", backward)
 
 
 def test_matmul_identity():
@@ -58,6 +46,19 @@ def test_matmul_grad_is_column_sums():
     # d sum(A B) / dA broadcasts the column sums of B across rows
     expected = np.tile(b.data.sum(axis=1), (4, 1))
     assert np.allclose(a.grad, expected, atol=1e-12)
+
+
+def test_matmul_skips_gradient_of_constant_operand():
+    rng = np.random.default_rng(3)
+    features = Tensor(rng.normal(size=(5, 4)))  # raw input: needs no gradient
+    w = leaf(rng, (4, 3))
+    g = rng.normal(size=(5, 3))
+    d_features, d_w = matmul(features, w).node.backward(g)
+    assert d_features is None and np.array_equal(d_w, features.data.T @ g)
+    const = Tensor(rng.normal(size=(3, 2)))
+    g = rng.normal(size=(4, 2))
+    d_w, d_const = matmul(w, const).node.backward(g)
+    assert d_const is None and np.array_equal(d_w, g @ const.data.T)
 
 
 def test_matmul_fd():
@@ -314,10 +315,3 @@ def test_fd_helper_on_quadratic():
 
     g = fd_grad(f, x)
     assert rel_err(2.0 * x.data, g) < 1e-8
-
-
-def test_tensor_factory_defaults_to_float64():
-    t = tensor([[1, 2], [3, 4]])
-    assert t.dtype == np.float64
-    t32 = tensor([1.0], dtype=np.float32)
-    assert t32.dtype == np.float32

@@ -173,6 +173,41 @@ def test_model_beyond_physical_memory_exits_2_without_allocating(tmp_path, capsy
     assert peak < 2**26 and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["params", "train", "eval"])
+def test_huge_depth_is_counted_without_a_per_layer_list(tmp_path, capsys, command):
+    depth = 10**12
+    flags = ["--depth", str(depth), "--hidden", "4", "--r2h-size", "4"]
+    main(synth_args(tmp_path / "data"))
+    (tmp_path / "config.txt").write_text(ModelConfig(input_dim=8).to_file_text())
+    capsys.readouterr()
+    out = tmp_path / "run"
+    data = {"params": [],
+            "train": ["--train", str(tmp_path / "data/train.qfea"),
+                      "--valid", str(tmp_path / "data/valid.qfea"), "--out", str(out), *TRAIN_FLAGS],
+            "eval": [str(tmp_path / "last.qnn"), "--test", str(tmp_path / "data/test.qfea"),
+                     "--config", str(tmp_path / "config.txt")]}[command]
+    tracemalloc.start()
+    try:
+        code = main([command, *data, *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert peak < 2**26 and "Traceback" not in captured.err and not out.exists()
+    if command != "params":
+        assert code == 2 and "physical memory" in captured.err
+        return
+    assert code == 0, captured.err
+    fields = parse_record(captured.out.splitlines()[0])
+    # per layer: 2 directions x 4 gates x (W + R, 4x4 reals each, a quarter of
+    # them weights) plus 2 x 4 biases of 4; r2h 40 -> 4, output 4 -> 2
+    weights = depth * 2 * 4 * 2 * 16 // 4
+    stack = weights + depth * 2 * 4 * 4
+    assert fields["stack_weight_scalars"] == str(weights)
+    assert fields["stack"] == str(stack)
+    assert fields["total"] == str(40 * 4 + 4 + stack + 4 * 2 + 2)
+
+
 def test_non_utf8_config_file_exits_2_without_traceback(tmp_path, capsys):
     config = tmp_path / "cfg.txt"
     config.write_bytes(b"depth = 1\nseed = \xff\n")

@@ -4,25 +4,27 @@ import numpy as np
 import pytest
 
 from qnn import quat
-from qnn.autograd import Tape, Tensor, add, backward, mul, neg, op_result, sum_all
+from qnn.autograd import Tape, Tensor, add, backward, matmul, mul, op_result, sum_all
 from qnn.config import ModelConfig
 from qnn.data import SynthSpec, generate_synthetic, make_batches
 from qnn.errors import ConfigError, DimensionError
 from qnn.gradcheck import gradient_check
 from qnn.layers import (
     NORM_EPS,
-    QuatLinear,
+    QUAT_PLACES,
     RealLinear,
     RealToQuatEncoder,
+    block_grads,
+    block_matrix,
     chi4_init,
     quat_normalize,
-    quat_weight,
     quaternion_dropout,
     split_activation,
 )
 from qnn import recurrent
-from qnn.recurrent import GATES, build_model, lstm_direction
+from qnn.recurrent import GATES, QLSTMCell, RealLSTMCell, build_model, lstm_direction
 from qnn.training import cross_entropy_framewise, train
+from reference_graphs import concat, narrow, neg_concat_quat_weight
 
 
 def unpack_quaternions(v: np.ndarray):
@@ -32,51 +34,40 @@ def unpack_quaternions(v: np.ndarray):
             for j in range(h)]
 
 
-def reference_quat_linear(layer: QuatLinear, x_row: np.ndarray) -> np.ndarray:
+def reference_quat_map(comps, bias: np.ndarray, x_row: np.ndarray) -> np.ndarray:
     """Per-quaternion Hamilton sums computed with the scalar oracle."""
-    h_out = layer.out_q
+    in_q, h_out = comps[0].shape
     xs = unpack_quaternions(x_row)
     out = np.zeros(4 * h_out, dtype=np.float64)
-    bias = layer.bias.data if layer.bias is not None else np.zeros(4 * h_out)
     for o in range(h_out):
         acc = quat.Quaternion(0.0, 0.0, 0.0, 0.0)
-        for j in range(layer.in_q):
-            w = quat.Quaternion(
-                float(layer.w_r.data[j, o]),
-                float(layer.w_x.data[j, o]),
-                float(layer.w_y.data[j, o]),
-                float(layer.w_z.data[j, o]),
-            )
+        for j in range(in_q):
+            w = quat.Quaternion(*(float(c[j, o]) for c in comps))
             p = quat.hamilton(w, xs[j])
             acc = quat.Quaternion(acc.r + p.r, acc.x + p.x, acc.y + p.y, acc.z + p.z)
-        out[o] = acc.r + bias[o]
-        out[h_out + o] = acc.x + bias[h_out + o]
-        out[2 * h_out + o] = acc.y + bias[2 * h_out + o]
-        out[3 * h_out + o] = acc.z + bias[3 * h_out + o]
+        for k, part in enumerate((acc.r, acc.x, acc.y, acc.z)):
+            out[k * h_out + o] = part + bias[k * h_out + o]
     return out
+
+
+def quat_map(comps, x: np.ndarray) -> np.ndarray:
+    """x times the structured matrix of one quaternion map, as a gate applies it."""
+    return x @ block_matrix([comps], QUAT_PLACES)
 
 
 def test_identity_weight_passes_input_through():
     rng = np.random.default_rng(0)
-    layer = QuatLinear(1, 1, rng, dtype=np.float64)
-    layer.w_r.data[:] = 1.0
-    layer.w_x.data[:] = 0.0
-    layer.w_y.data[:] = 0.0
-    layer.w_z.data[:] = 0.0
-    layer.bias.data[:] = 0.0
-    x = Tensor(rng.normal(size=(3, 4)))
-    out = layer(x)
-    assert np.allclose(out.data, x.data, atol=1e-15)
+    comps = (np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+    x = rng.normal(size=(3, 4))
+    assert np.allclose(quat_map(comps, x), x, atol=1e-15)
 
 
 def test_single_quaternion_matches_hamilton():
     rng = np.random.default_rng(1)
-    layer = QuatLinear(1, 1, rng, dtype=np.float32)
-    qw = quat.Quaternion(float(layer.w_r.data[0, 0]), float(layer.w_x.data[0, 0]),
-                         float(layer.w_y.data[0, 0]), float(layer.w_z.data[0, 0]))
+    comps = chi4_init(1, 1, rng, dtype=np.float32)
+    qw = quat.Quaternion(*(float(c[0, 0]) for c in comps))
     qx = quat.Quaternion(0.3, -1.2, 0.7, 2.0)
-    x = Tensor(np.array([[qx.r, qx.x, qx.y, qx.z]], dtype=np.float32))
-    out = layer(x).data[0]
+    out = quat_map(comps, np.array([[qx.r, qx.x, qx.y, qx.z]], dtype=np.float32))[0]
     expected = quat.hamilton(qw, qx)
     assert np.abs(out - expected.as_array()).max() < 1e-6
 
@@ -84,94 +75,72 @@ def test_single_quaternion_matches_hamilton():
 @pytest.mark.parametrize("in_q,out_q", [(1, 1), (2, 3), (8, 8)])
 def test_structured_matmul_equals_hamilton_sums_f64(in_q, out_q):
     rng = np.random.default_rng(2)
-    layer = QuatLinear(in_q, out_q, rng, dtype=np.float64)
-    layer.bias.data[:] = rng.normal(size=4 * out_q)
+    comps = chi4_init(in_q, out_q, rng, dtype=np.float64)
+    bias = rng.normal(size=4 * out_q)
     x = rng.normal(size=(5, 4 * in_q))
-    got = layer(Tensor(x)).data
+    got = quat_map(comps, x) + bias
     for n in range(x.shape[0]):
-        expected = reference_quat_linear(layer, x[n])
+        expected = reference_quat_map(comps, bias, x[n])
         assert np.abs(got[n] - expected).max() < 1e-12
 
 
 def test_structured_matmul_equals_hamilton_sums_f32():
     rng = np.random.default_rng(3)
-    layer = QuatLinear(4, 4, rng, dtype=np.float32)
+    comps = chi4_init(4, 4, rng, dtype=np.float32)
     x = rng.normal(size=(3, 16)).astype(np.float32)
-    got = layer(Tensor(x)).data
+    got = quat_map(comps, x)
     for n in range(x.shape[0]):
-        expected = reference_quat_linear(layer, x[n].astype(np.float64))
+        expected = reference_quat_map(comps, np.zeros(16), x[n].astype(np.float64))
         assert np.abs(got[n] - expected).max() < 1e-5
 
 
 def test_parameter_count_quarter_of_real():
     rng = np.random.default_rng(4)
-    qlayer = QuatLinear(256, 256, rng)  # 1024 real in/out
-    rlayer = RealLinear(1024, 1024, rng)
-    q_weights, r_weights = (sum(p.size for name, p in layer.named_parameters() if name != "bias")
-                            for layer in (qlayer, rlayer))
-    assert q_weights == 262_144
-    assert r_weights == 1_048_576 == 4 * q_weights
-    n_params = sum(p.size for _, p in qlayer.named_parameters())
-    assert n_params == 4 * 256 * 256 + 4 * 256
+    qcell = QLSTMCell(64, 64, rng)  # 256 real in/out
+    rcell = RealLSTMCell(256, 256, rng)
+    q_weights, r_weights = (sum(p.size for _, p in cell.named_parameters() if p.data.ndim == 2)
+                            for cell in (qcell, rcell))
+    assert q_weights == 4 * 2 * 4 * 64 * 64  # gates x (W, R) x components x in_q x out_q
+    assert r_weights == 524_288 == 4 * q_weights
+    n_params = sum(p.size for _, p in qcell.named_parameters())
+    assert n_params == q_weights + 4 * 256
 
 
 def test_bad_input_width():
     rng = np.random.default_rng(5)
-    layer = QuatLinear(2, 2, rng)
     with pytest.raises(DimensionError):
-        layer(Tensor(np.zeros((1, 7), dtype=np.float32)))
+        RealLinear(8, 2, rng)(Tensor(np.zeros((1, 7), dtype=np.float32)))
+    with pytest.raises(DimensionError):  # not a whole number of quaternions
+        quat_normalize(Tensor(np.zeros((1, 7), dtype=np.float32)))
 
 
 def test_quat_linear_gradients():
+    # block_grads is the gradient of block_matrix, here for two maps side by
+    # side as a cell lays out its gates
     rng = np.random.default_rng(6)
-    layer = QuatLinear(3, 2, rng, dtype=np.float64)
+    comps = [Tensor(c, requires_grad=True) for _ in range(2) for c in chi4_init(3, 2, rng, dtype=np.float64)]
     x = Tensor(rng.normal(size=(4, 12)), requires_grad=True)
-    errs = gradient_check(
-        lambda: layer(x).sum(),
-        layer.named_parameters() + [("x", x)],
-    )
+    cotangent = Tensor(rng.normal(size=(4, 16)))
+
+    def build_loss():
+        w = op_result(block_matrix([[c.data for c in comps[:4]], [c.data for c in comps[4:]]], QUAT_PLACES),
+                      comps, "quat_maps", lambda g: block_grads(g, QUAT_PLACES, 2))
+        return sum_all(mul(matmul(x, w), cotangent))
+
+    errs = gradient_check(build_loss, [(f"w{k}", c) for k, c in enumerate(comps)] + [("x", x)])
     assert max(errs.values()) < 1e-6
-
-
-def concat(tensors, axis: int) -> Tensor:
-    """Graph concatenation for the reference graphs (the library has none)."""
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-
-    def backward(g):
-        return tuple(np.take(g, range(lo, hi), axis=axis) for lo, hi in zip(offsets, offsets[1:]))
-
-    return op_result(out, tuple(tensors), "concat", backward)
-
-
-def neg_concat_quat_weight(r: Tensor, x: Tensor, y: Tensor, z: Tensor) -> Tensor:
-    """The structured matrix with its sign table written out, built from neg
-    and concat nodes: the construction quat_weight replaces, kept as its
-    reference."""
-    cols = [
-        concat([r, neg(x), neg(y), neg(z)], axis=0),
-        concat([x, r, neg(z), y], axis=0),
-        concat([y, z, r, neg(x)], axis=0),
-        concat([z, neg(y), x, r], axis=0),
-    ]
-    return concat(cols, axis=1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("in_q,out_q", [(64, 32), (32, 32), (3, 2)])
 def test_quat_weight_bit_equal_to_neg_concat_reference(dtype, in_q, out_q):
     rng = np.random.default_rng(22)
-    layer = QuatLinear(in_q, out_q, rng, dtype=dtype)
-    comps = [layer.w_r, layer.w_x, layer.w_y, layer.w_z]
-    cotangent = Tensor(rng.standard_normal((4 * in_q, 4 * out_q)).astype(dtype))
-    results = []
-    for build in (quat_weight, neg_concat_quat_weight):
-        for p in comps:
-            p.zero_grad()
-        w = build(*comps)
-        backward(sum_all(mul(w, cotangent)))
-        results.append([w.data] + [p.grad for p in comps])
-    for got, want in zip(*results):
+    comps = [Tensor(c, requires_grad=True) for c in chi4_init(in_q, out_q, rng, dtype=dtype)]
+    cotangent = rng.standard_normal((4 * in_q, 4 * out_q)).astype(dtype)
+    w = neg_concat_quat_weight(*comps)
+    backward(sum_all(mul(w, Tensor(cotangent))))
+    plain = [block_matrix([[c.data for c in comps]], QUAT_PLACES)] + block_grads(cotangent, QUAT_PLACES, 1)
+    for got, want in zip(plain, [w.data] + [c.grad for c in comps]):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -180,9 +149,9 @@ def test_quat_weight_keeps_non_finite_entries_in_their_blocks():
     # copies and negations only: an inf in one component reaches exactly its
     # four blocks, and no inf * 0 turns the other twelve into NaN
     rng = np.random.default_rng(23)
-    comps = [Tensor(c) for c in chi4_init(2, 3, rng, dtype=np.float64)]
-    comps[1].data[1, 2] = np.inf
-    w = quat_weight(*comps).data
+    comps = chi4_init(2, 3, rng, dtype=np.float64)
+    comps[1][1, 2] = np.inf
+    w = block_matrix([comps], QUAT_PLACES)
     assert not np.isnan(w).any()
     assert sorted(w[~np.isfinite(w)].tolist()) == [-np.inf, -np.inf, np.inf, np.inf]
 
@@ -239,7 +208,7 @@ def test_training_step_feeds_cell_parameters_to_direction_nodes():
     loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
     nodes = [t.node for t in Tape.from_root(loss).records if t.node is not None]
     ops = [node.op for node in nodes]
-    assert "quat_weight" not in ops and "concat" not in ops and "neg" not in ops
+    assert "concat" not in ops and "neg" not in ops
     directions = [node for node in nodes if node.op == "lstm_direction"]
     cells = [cell for layer in model.stack for cell in (layer.fwd, layer.bwd)]
     assert len(directions) == len(cells)
@@ -270,8 +239,9 @@ def test_split_activation_unknown_kind():
 
 
 def test_chi4_biases_zero_and_determinism():
-    layer = QuatLinear(5, 7, np.random.default_rng(123))
-    assert np.array_equal(layer.bias.data, np.zeros(4 * 7, dtype=np.float32))
+    cell = QLSTMCell(5, 7, np.random.default_rng(123))
+    for g in GATES:
+        assert np.array_equal(cell.b[g].data, np.zeros(4 * 7, dtype=np.float32))
     a = chi4_init(6, 8, np.random.default_rng(99))
     b = chi4_init(6, 8, np.random.default_rng(99))
     for ca, cb in zip(a, b):
@@ -318,19 +288,6 @@ def test_quat_normalize_gradients():
 
 # The per-quaternion normalization as the graph of narrow, mul, add, sqrt,
 # div and concat nodes that quat_normalize replaces, kept as its reference.
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def backward(g):
-        full = np.zeros(a.data.shape, dtype=a.data.dtype)
-        full[idx] = g
-        return (full,)
-
-    return op_result(a.data[idx], (a,), "narrow", backward)
 
 
 def graph_sqrt(a: Tensor) -> Tensor:

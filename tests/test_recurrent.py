@@ -9,7 +9,6 @@ from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
 from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn.gradcheck import gradient_check
-from qnn.layers import quat_weight
 from qnn.recurrent import (
     GATES,
     BiRecurrentLayer,
@@ -18,7 +17,6 @@ from qnn.recurrent import (
     QLSTMCell,
     RealLSTMCell,
     build_model,
-    cell_step,
     count_params,
     gate_affine,
     layer_plan,
@@ -27,6 +25,7 @@ from qnn.recurrent import (
     run_direction,
 )
 from qnn.training import cross_entropy_framewise
+from reference_graphs import concat, narrow, neg_concat_quat_weight
 
 
 def zero_cell(cell):
@@ -48,44 +47,43 @@ def make_batch(features, lengths):
 # --- single step ---------------------------------------------------------
 
 
+def step(cell, x, h_prev, c_prev):
+    """One frame of run_direction's recurrence from a given state, on plain
+    arrays: the cell's prepared maps, then lstm_gates."""
+    wx, wh, bias = cell.prepared()
+    affine = gate_affine(cell.hidden_size, wh.dtype)
+    gates = (x @ wx + bias + h_prev @ wh) * affine[0]
+    h, c = np.empty_like(c_prev), np.empty_like(c_prev)
+    lstm_gates(gates, c_prev, affine, c, np.empty_like(c), h)
+    return h, c
+
+
 def test_step_all_zero_gives_zero_state():
     rng = np.random.default_rng(0)
     cell = zero_cell(QLSTMCell(2, 2, rng, dtype=np.float64))
-    x = Tensor(rng.standard_normal((3, 8)))
-    h0 = Tensor(np.zeros((3, 8)))
-    h1, c1 = cell_step(cell, x, h0, h0)
-    assert np.array_equal(c1.data, np.zeros((3, 8)))
-    assert np.array_equal(h1.data, np.zeros((3, 8)))
+    x = Tensor(rng.standard_normal((1, 3, 8)))
+    h1 = run_direction(cell, x, np.ones((1, 3), dtype=bool))
+    assert np.array_equal(h1.data, np.zeros((1, 3, 8)))
+    _, c1 = step(cell, x.data[0], np.zeros((3, 8)), np.zeros((3, 8)))
+    assert np.array_equal(c1, np.zeros((3, 8)))
 
 
 def test_step_zero_weights_halves_cell_state():
     rng = np.random.default_rng(1)
     cell = zero_cell(QLSTMCell(2, 2, rng, dtype=np.float64))
-    x = Tensor(rng.standard_normal((3, 8)))
+    x = rng.standard_normal((3, 8))
     v = rng.standard_normal((3, 8))
-    h1, c1 = cell_step(cell, x, Tensor(np.zeros((3, 8))), Tensor(v))
-    assert np.allclose(c1.data, 0.5 * v, atol=1e-15)
-    assert np.allclose(h1.data, 0.5 * np.tanh(0.5 * v), atol=1e-15)
-
-
-def test_step_shape_errors():
-    cell = QLSTMCell(2, 2, np.random.default_rng(2), dtype=np.float64)
-    good = Tensor(np.zeros((3, 8)))
-    with pytest.raises(DimensionError):
-        cell_step(cell, Tensor(np.zeros((3, 12))), good, good)
-    with pytest.raises(DimensionError):
-        cell_step(cell, good, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
+    h1, c1 = step(cell, x, np.zeros((3, 8)), v)
+    assert np.allclose(c1, 0.5 * v, atol=1e-15)
+    assert np.allclose(h1, 0.5 * np.tanh(0.5 * v), atol=1e-15)
 
 
 def test_gate_ranges_and_hidden_bound():
     rng = np.random.default_rng(3)
     cell = QLSTMCell(3, 2, rng, dtype=np.float64)
-    h = Tensor(np.zeros((4, 8)))
-    c = h
-    for _ in range(6):
-        x = Tensor(3.0 * rng.standard_normal((4, 12)))
-        h, c = cell_step(cell, x, h, c)
-        assert np.all(np.abs(h.data) < 1.0)
+    x = Tensor(3.0 * rng.standard_normal((6, 4, 12)))
+    h = run_direction(cell, x, np.ones((6, 4), dtype=bool))
+    assert np.all(np.abs(h.data) < 1.0)
 
 
 def test_cell_state_conservation_under_gate_forcing():
@@ -95,13 +93,12 @@ def test_cell_state_conservation_under_gate_forcing():
     cell = QLSTMCell(2, 2, rng, dtype=np.float64)
     cell.b["f"].data[:] = 50.0
     cell.b["i"].data[:] = -50.0
-    c = Tensor(1.0 + 0.5 * rng.standard_normal((3, 8)))
-    c0 = c.data.copy()
-    h = Tensor(np.zeros((3, 8)))
+    c = 1.0 + 0.5 * rng.standard_normal((3, 8))
+    c0 = c.copy()
+    h = np.zeros((3, 8))
     for _ in range(3):
-        x = Tensor(rng.standard_normal((3, 8)))
-        h, c = cell_step(cell, x, h, c)
-        assert np.array_equal(c.data, c0)
+        h, c = step(cell, rng.standard_normal((3, 8)), h, c)
+        assert np.array_equal(c, c0)
 
 
 # --- sequence rollout ----------------------------------------------------
@@ -155,37 +152,13 @@ def test_state_freezes_on_padded_frames():
     assert np.array_equal(out.data[3:, 1], np.zeros((2, 4)))
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Graph slice [start, start+length) along one axis, for the reference unroll."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def backward(g):
-        full = np.zeros(a.data.shape, dtype=a.data.dtype)
-        full[idx] = g
-        return (full,)
-
-    return op_result(a.data[idx], (a,), "narrow", backward)
-
-
-def concat(tensors, axis: int) -> Tensor:
-    """Graph concatenation for the reference graphs (the library has none)."""
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-
-    def backward(g):
-        return tuple(np.take(g, range(lo, hi), axis=axis) for lo, hi in zip(offsets, offsets[1:]))
-
-    return op_result(out, tuple(tensors), "concat", backward)
-
-
 def graph_weights(cell):
     """The cell's (wx, wh, bias) as graph nodes, built the way the model
     built them before the direction node took the cell's parameters: per
-    gate a quat_weight node (or the real leaf), then concat."""
+    gate the structured matrix from neg and concat nodes (or the real leaf),
+    then concat."""
     def gate_map(comps):
-        return quat_weight(*comps.values()) if len(comps) == 4 else comps["weight"]
+        return neg_concat_quat_weight(*comps.values()) if len(comps) == 4 else comps["weight"]
 
     return (concat([gate_map(cell.w[g]) for g in GATES], axis=1),
             concat([gate_map(cell.r[g]) for g in GATES], axis=1),
@@ -386,11 +359,10 @@ def test_bidirectional_single_frame_is_sum_of_directions():
         QLSTMCell(2, 2, rng, dtype=np.float64), QLSTMCell(2, 2, rng, dtype=np.float64)
     )
     x = rng.standard_normal((1, 3, 8))
-    out = layer.forward(Tensor(x), np.ones((1, 3), dtype=bool))
-    zero = Tensor(np.zeros((3, 8)))
-    hf, _ = cell_step(layer.fwd, Tensor(x[0]), zero, zero)
-    hb, _ = cell_step(layer.bwd, Tensor(x[0]), zero, zero)
-    assert np.allclose(out.data[0], hf.data + hb.data, atol=1e-15)
+    mask = np.ones((1, 3), dtype=bool)
+    out = layer.forward(Tensor(x), mask)
+    hf, hb = (run_direction(cell, Tensor(x), mask).data for cell in (layer.fwd, layer.bwd))
+    assert np.allclose(out.data, hf + hb, atol=1e-15)
 
 
 def test_bidirectional_palindrome_symmetry():
@@ -546,8 +518,10 @@ def test_full_toy_model_gradient_check():
 def test_layer_plan_is_the_built_width_chain(front_end, stack_kind):
     cfg = toy_config(front_end=front_end, stack_kind=stack_kind, input_dim=6, r2h_size=12, depth=3)
     model = build_model(cfg)
+    front_width, hidden = layer_plan(cfg)
     built = [model.front_end.output_dim] + [layer.fwd.hidden_size for layer in model.stack]
-    assert layer_plan(cfg) == built == [layer.fwd.input_size for layer in model.stack] + [model.output.n_in]
+    assert [front_width] + [hidden] * cfg.depth == built
+    assert built == [layer.fwd.input_size for layer in model.stack] + [model.output.n_in]
     assert all(layer.bwd.input_size == layer.fwd.input_size for layer in model.stack)
 
 
@@ -569,8 +543,8 @@ def test_stack_weight_ratio_exactly_four():
                    depth=4, stack_kind="qlstm", precision="f32")
     r = toy_config(front_end="r2h", r2h_size=width, hidden_real_width=width,
                    depth=4, stack_kind="lstm", precision="f32")
-    qs = build_model(q).stack_weight_scalars()
-    rs = build_model(r).stack_weight_scalars()
+    qs = param_breakdown(build_model(q))["stack_weight_scalars"]
+    rs = param_breakdown(build_model(r))["stack_weight_scalars"]
     assert rs == 4 * qs
     # symbolic: depth 4 x 2 directions x 4 gates x (W + R, each width x width)
     assert rs == 4 * 2 * 4 * 2 * width * width
@@ -587,7 +561,7 @@ def test_qlstm_cell_count():
     # in_q=256, hidden_q=256: each gate W holds 4*256*256 weight scalars
     cell = QLSTMCell(4, 8, np.random.default_rng(20))
     per_gate = 4 * 4 * 8 + 4 * 8 * 8
-    assert cell.weight_scalar_count() == 4 * per_gate
+    assert sum(p.size for _, p in cell.named_parameters() if p.data.ndim == 2) == 4 * per_gate
     total = sum(p.size for _, p in cell.named_parameters())
     assert total == 4 * per_gate + 4 * (4 * 8)
 
