@@ -4,8 +4,10 @@ A Tensor wraps a contiguous real ndarray. Every tracked operation attaches a
 Node recording its inputs and a backward rule; backward() linearises the
 graph reachable from a scalar loss into a Tape (topologically ordered record
 list) and replays it in reverse, accumulating gradients into the
-requires_grad leaves. Calling backward twice without zeroing doubles the
-leaf gradients: accumulation is explicit, never overwrite.
+requires_grad leaves. The sweep consumes the graph, freeing each op's saved
+buffers once its backward has run; a graph is differentiated once. Calling
+backward on two graphs over the same leaves without zeroing adds the leaf
+gradients: accumulation is explicit, never overwrite.
 
 Broadcasting is deliberately narrow: elementwise ops accept exact-shape
 operands or a scalar; bias addition over the trailing axis has its own op.
@@ -294,25 +296,38 @@ class Tape:
         return Tape(order)
 
 
+_CONSUMED = Node("consumed", (), None)  # marks an op output whose backward has already run
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf tensor."""
+    """Accumulate d(loss)/d(leaf) into every requires_grad leaf tensor.
+
+    The sweep consumes the graph: each op output drops its Node (inputs and
+    saved buffers) as soon as its backward has run, so intermediate arrays
+    are freed during the sweep even while the caller still holds the loss.
+    Running backward again over a consumed graph raises ContractError.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    tape = Tape.from_root(loss)
+    records = Tape.from_root(loss).records
+    if any(t.node is _CONSUMED for t in records):
+        raise ContractError("backward: the graph was already consumed by an earlier backward()")
     pending: dict[int, np.ndarray] = {
         id(loss): np.ones(loss.data.shape, dtype=loss.data.dtype)
     }
-    for t in reversed(tape.records):
+    while records:
+        t = records.pop()
         g = pending.pop(id(t), None)
-        if g is None:
-            continue
         if t.node is None:
-            if t.requires_grad:
+            if g is not None and t.requires_grad:
                 t.grad = g if t.grad is None else t.grad + g
             continue
-        for inp, gi in zip(t.node.inputs, t.node.backward(g)):
+        node, t.node = t.node, _CONSUMED
+        if g is None:
+            continue
+        for inp, gi in zip(node.inputs, node.backward(g)):
             if gi is None or not inp.requires_grad:
                 continue
             acc = pending.get(id(inp))

@@ -18,25 +18,26 @@ Sequences are time-major (T, B, D) with a boolean validity mask; states
 carry across padded frames unchanged and padded outputs are zeroed, so
 appending padding to a batch never changes valid-frame results.
 
-Each direction is one graph node (Appleyard et al., arXiv:1604.01946) fed
-by the sequence and its cell's parameters, which the cell lays out as plain
-W, R and bias arrays with layers.block_matrix. One matmul projects all
-frames into the (T, B, 4H) gate buffer, a numpy loop runs the recurrence
-caching gates and states, and the backward is full BPTT over that cache;
-the cell splits the W, bias and R gradients back per component.
+Each layer is one graph node (Appleyard et al., arXiv:1604.01946) fed by
+the sequence and its cells' parameters, which each cell lays out as plain
+W, R and bias arrays with layers.block_matrix. Per direction one matmul
+projects all frames into the (T, B, 4H) gate buffer, a numpy loop runs the
+recurrence caching gates and states, and the backward is full BPTT over
+that cache; the cell splits the W, bias and R gradients back per component.
 The loop works in place on its caches and applies one tanh per frame over
 all four gates, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded
 into W, the bias and R once per call.
 
-Bidirectional layers run a second cell over the reversed sequence and merge
-by componentwise sum.
+A bidirectional layer's second cell runs in reverse time over views of the
+same projection, mask and incoming gradient, and the node returns the
+componentwise sum of the two directions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qnn.autograd import Tensor, op_result, reverse_time
+from qnn.autograd import Tensor, op_result
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch, naive_quat_compose
 from qnn.errors import ConfigError, ContractError, DimensionError
@@ -122,26 +123,33 @@ def lstm_gates(gates: np.ndarray, c_prev: np.ndarray, affine, c_out, tanh_out, h
     np.multiply(o, tanh_out, out=h_out)
 
 
-def lstm_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
-    """Fused LSTM direction: one node fed by seq and the cell's parameters.
+def _direction(cell, x: np.ndarray, mask: np.ndarray, reverse: bool):
+    """One cell over the (T, B, input) array x on plain arrays, in reverse
+    time order if asked. Returns the (T, B, hidden) output in x's time order
+    and backward(grad) -> (d_x, the cell's split_grads()).
 
-    seq is (T, B, input). The forward projects every frame in one matmul by
-    the cell's prepared() input map into the gate buffer and caches gates
-    and states; the backward runs full BPTT over that cache and hands the
-    map and bias gradients to the cell's split_grads().
+    One matmul projects every frame by the cell's prepared() input map into
+    the gate buffer; the loop caches gates and states and the backward runs
+    full BPTT over that cache. A reverse pass walks negative-stride views of
+    the projection, the mask and the incoming gradient, and keeps its other
+    caches in its own (reversed) time order, so its GEMMs and its bias sum
+    reduce over time in the order a pass over a reversed copy of x would.
     """
     wx, wh, bias = cell.prepared()
-    if seq.dtype != wx.dtype:
-        raise ContractError(f"lstm_direction: dtype mismatch {seq.dtype} vs cell {wx.dtype}")
-    t_len, batch, _ = seq.shape
+    if x.dtype != wx.dtype:
+        raise ContractError(f"lstm_layer: dtype mismatch {x.dtype} vs cell {wx.dtype}")
+    t_len, batch, n_in = x.shape
+    if n_in != wx.shape[0]:
+        raise DimensionError(f"sequence width {n_in} does not match cell input {wx.shape[0]}")
     width = wh.shape[1]
     hidden = width // 4
-    dtype = seq.dtype
+    dtype = x.dtype
     affine = gate_affine(hidden, dtype)
-    x2d = seq.data.reshape(t_len * batch, -1)
     # the pre-activations scaled by gate_affine; power-of-two scaling is exact
-    gates = np.matmul(x2d, wx * affine[0]).reshape(t_len, batch, width)
+    gates = np.matmul(x.reshape(t_len * batch, n_in), wx * affine[0]).reshape(t_len, batch, width)
     gates += bias * affine[0]
+    if reverse:
+        gates, mask = gates[::-1], mask[::-1]
     wh_scaled = wh * affine[0]
     recurrent = np.empty((batch, width), dtype=dtype)
     tanh_c = np.empty((t_len, batch, hidden), dtype=dtype)
@@ -159,45 +167,82 @@ def lstm_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
     out = h_states[1:] * mask[:, :, None]  # padded frames emit zeros
 
     def backward(grad):
+        if reverse:
+            grad = grad[::-1]
         f, i, g, o = np.split(gates, 4, axis=2)
-        # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t
-        local = np.concatenate([c_states[:-1] * f * (1 - f), g * i * (1 - i), i * (1 - g * g),
-                                tanh_c * o * (1 - o)], axis=2)
+        # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t;
+        # d_pre[t] is written over local[t]
+        d_pre = np.empty((t_len, batch, width), dtype=dtype)
+        l_f, l_i, l_g, l_o = np.split(d_pre, 4, axis=2)
+        np.multiply(c_states[:-1], f, out=l_f)
+        l_f *= 1 - f
+        np.multiply(g, i, out=l_i)
+        l_i *= 1 - i
+        np.multiply(g, g, out=l_g)
+        np.subtract(1, l_g, out=l_g)
+        l_g *= i
+        np.multiply(tanh_c, o, out=l_o)
+        l_o *= 1 - o
         through = o * (1 - tanh_c * tanh_c)
-        d_pre = np.empty_like(gates)
         d_h = d_c = np.zeros((batch, hidden), dtype=dtype)  # rebound, never written in place
         for t in reversed(range(t_len)):
             keep = keeps[t]
             if keep is None:
                 d_h = d_h + grad[t]
-                d_h_skip = d_c_skip = 0
             else:  # state gradients pass unchanged through padded frames
                 d_h = d_h + grad[t] * keep
                 d_h, d_h_skip = d_h * keep, d_h * (1 - keep)
                 d_c, d_c_skip = d_c * keep, d_c * (1 - keep)
             d_c = d_c + d_h * through[t]
-            d_pre[t] = np.concatenate((d_c, d_c, d_c, d_h), axis=1) * local[t]
-            d_c = d_c * f[t] + d_c_skip
-            d_h = d_pre[t] @ wh.T + d_h_skip
+            d_pre[t] *= np.concatenate((d_c, d_c, d_c, d_h), axis=1)
+            d_c = d_c * f[t]
+            d_h = d_pre[t] @ wh.T
+            if keep is not None:
+                d_c += d_c_skip
+                d_h += d_h_skip
         d_pre = d_pre.reshape(-1, width)
+        # the one copy a reverse pass makes: x in its own time order, for d_wx
+        d_wx = (np.ascontiguousarray(x[::-1]) if reverse else x).reshape(-1, n_in).T @ d_pre
         d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre
-        return [(d_pre @ wx.T).reshape(seq.shape)] + cell.split_grads(x2d.T @ d_pre, d_wh, d_pre.sum(axis=0))
+        d_x = (d_pre @ wx.T).reshape(x.shape)
+        return d_x[::-1] if reverse else d_x, cell.split_grads(d_wx, d_wh, d_pre.sum(axis=0))
 
-    return op_result(out, [seq] + [p for _, p in cell.named_parameters()], "lstm_direction", backward)
+    return out[::-1] if reverse else out, backward
+
+
+def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
+    """Fused recurrent layer: one graph node fed by seq and every cell's
+    parameters (Appleyard et al., arXiv:1604.01946).
+
+    seq is (T, B, input) and mask (T, B) boolean. cells[0] runs forward in
+    time; a second cell runs over the same sequence in reverse time and its
+    output is added frame by frame. State carries through masked frames
+    unchanged and masked outputs are zero.
+    """
+    if mask.shape != seq.shape[:2]:
+        raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")
+    out, first = _direction(cells[0], seq.data, mask, reverse=False)
+    passes = [first]
+    if len(cells) == 2:
+        out_b, second = _direction(cells[1], seq.data, mask, reverse=True)
+        out = out + out_b
+        passes.append(second)
+
+    def backward(grad):
+        d_seq, grads = None, []
+        for run in passes:
+            d_x, cell_grads = run(grad)
+            d_seq = d_x if d_seq is None else d_seq + d_x
+            grads += cell_grads
+        return [d_seq] + grads
+
+    params = [p for cell in cells for _, p in cell.named_parameters()]
+    return op_result(out, [seq] + params, "lstm_layer", backward)
 
 
 def run_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:
-    """Unroll one cell over a time-major sequence.
-
-    mask is (T, B) boolean; state carries through masked frames unchanged
-    and masked outputs are zero. Returns (T, B, hidden).
-    """
-    t_len, batch, width = seq.shape
-    if width != cell.input_size:
-        raise DimensionError(f"sequence width {width} does not match cell input {cell.input_size}")
-    if mask.shape != (t_len, batch):
-        raise DimensionError(f"mask shape {mask.shape} does not match sequence {(t_len, batch)}")
-    return lstm_direction(cell, seq, mask)
+    """Unroll one cell forward over a time-major sequence: (T, B, hidden)."""
+    return lstm_layer(seq, mask, (cell,))
 
 
 class BiRecurrentLayer:
@@ -210,8 +255,7 @@ class BiRecurrentLayer:
         self.bwd = backward_cell
 
     def forward(self, seq: Tensor, mask: np.ndarray) -> Tensor:
-        out_f = run_direction(self.fwd, seq, mask)
-        return out_f + reverse_time(run_direction(self.bwd, reverse_time(seq), mask[::-1]))
+        return lstm_layer(seq, mask, (self.fwd, self.bwd))
 
     def named_parameters(self, prefix: str = ""):
         return self.fwd.named_parameters(prefix + "fwd.") + self.bwd.named_parameters(prefix + "bwd.")

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from qnn import quat
-from qnn.autograd import Tensor
+from qnn.autograd import Tensor, mul
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
 from qnn.gradcheck import gradient_check
 from qnn.layers import ACTIVATIONS, RealToQuatEncoder, split_activation
 from qnn.quat import Quaternion
-from qnn.recurrent import QLSTMCell, build_model, run_direction
+from qnn.recurrent import BiRecurrentLayer, QLSTMCell, build_model, run_direction
 from qnn.training import cross_entropy_framewise
 
 ABS_TOL_MATRIX = 1e-12
@@ -134,6 +134,10 @@ def gradient_suite(seed: int = 0) -> SuiteResult:
     mask[1:3, 1] = mask[3:, 2] = False  # an interior gap and a short sequence: the padding path
     check("qlstm_rollout", lambda: run_direction(cell, seq, mask).sum(),
           [("input", seq)] + cell.named_parameters())
+    layer = BiRecurrentLayer(QLSTMCell(2, 2, rng, dtype=np.float64), QLSTMCell(2, 2, rng, dtype=np.float64))
+    weights = Tensor(rng.standard_normal((5, 3, 8)))  # uneven per-frame weights, so time order shows
+    check("bilstm_layer", lambda: mul(layer.forward(seq, mask), weights).sum(),
+          [("input", seq)] + layer.named_parameters())
 
     config = ModelConfig(
         front_end="r2h-norm", r2h_size=8, stack_kind="qlstm", depth=2,

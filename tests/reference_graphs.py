@@ -1,16 +1,18 @@
 """Graph ops the library does not have, for building reference graphs.
 
 The bit-equality tests compare the fused nodes of the model (quat_normalize,
-lstm_direction) and the plain block layout of layers.block_matrix against
+lstm_layer) and the plain block layout of layers.block_matrix against
 the same arithmetic spelled out as a graph of small nodes. concat and narrow
 are those small nodes; neg_concat_quat_weight writes the structured
 quaternion matrix out with its sign table by hand, so a reference built from
-it shares no code with block_matrix.
+it shares no code with block_matrix. two_direction_graph is the
+bidirectional layer as it was built before it became one node.
 """
 
 import numpy as np
 
-from qnn.autograd import Tensor, neg, op_result
+from qnn.autograd import Tensor, neg, op_result, reverse_time
+from qnn.recurrent import run_direction
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -48,3 +50,11 @@ def neg_concat_quat_weight(r: Tensor, x: Tensor, y: Tensor, z: Tensor) -> Tensor
         concat([z, neg(y), x, r], axis=0),
     ]
     return concat(cols, axis=1)
+
+
+def two_direction_graph(layer, seq: Tensor, mask: np.ndarray) -> Tensor:
+    """A bidirectional layer as separate nodes: the forward cell over seq,
+    the backward cell over a time-reversed copy of seq, its output reversed
+    back, and the two added."""
+    backward_out = run_direction(layer.bwd, reverse_time(seq), mask[::-1])
+    return run_direction(layer.fwd, seq, mask) + reverse_time(backward_out)

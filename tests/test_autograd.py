@@ -166,6 +166,22 @@ def test_backward_accumulates():
     assert np.array_equal(w.grad, 2.0 * once)
 
 
+def test_backward_over_a_consumed_graph_raises():
+    rng = np.random.default_rng(8)
+    w = leaf(rng, (3, 3))
+    hidden = tanh(matmul(w, Tensor(rng.normal(size=(3, 3)))))
+    loss = hidden.sum()
+    backward(loss)
+    once = w.grad.copy()
+    with pytest.raises(ContractError):
+        backward(loss)
+    # a new loss over an op output whose backward already ran would treat
+    # that output as a leaf and never reach w
+    with pytest.raises(ContractError):
+        backward(mul(hidden, hidden).sum())
+    assert np.array_equal(w.grad, once)
+
+
 def test_backward_rejects_non_scalar():
     w = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):

@@ -1,5 +1,6 @@
 """Command-line behavior: records, exit codes, determinism, round trips."""
 
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -7,11 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qnn import cli
 from qnn.checkpoint import load_checkpoint
 from qnn.cli import main
-from qnn.config import ModelConfig
+from qnn.config import ModelConfig, parse_config_file, resolve_config
 from qnn.data import read_features
-from qnn.errors import DataError, FormatError
+from qnn.errors import ConfigError, DataError, FormatError
+from qnn.recurrent import build_model, symbolic_param_counts
 
 
 def record_lines(capsys, key):
@@ -393,3 +396,86 @@ def test_corrupt_binary_inputs_exit_3_without_traceback(tmp_path, capsys):
             assert code == 3, err
         path.write_bytes(qfea if path == test_path else ckpt)
     assert refused > len(cases) // 4
+
+
+FUZZ_VALUES = {
+    int: [-2**63, -1, 0, 1, 3, 2**62, 10**30],
+    float: [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.999999, 1.0, 1e308],
+    str: ["", "x\x00", "é", "lstm", "f64", "identity", "literal"],
+}
+
+
+def fuzz_base():
+    return ModelConfig(front_end="identity", stack_kind="qlstm", depth=1, hidden_real_width=4,
+                       classes=4, dropout=0.0, epochs=1, input_dim=4, batch_size=2, seed=3)
+
+
+def mutate_text(data, rng):
+    """One seeded corruption of a config file: a byte XOR-ed, inserted or
+    deleted, a slice repeated, or the tail cut off."""
+    at = int(rng.integers(0, len(data)))
+    byte = bytes([int(rng.integers(1, 256))])
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return data[:at] + bytes([data[at] ^ byte[0]]) + data[at + 1:]
+    if kind == 1:
+        return data[:at] + byte + data[at:]
+    if kind == 2:
+        return data[:at] + data[at + 1:]
+    if kind == 3:
+        return data[:at] + data[at:at + int(rng.integers(1, 12))] + data[at:]
+    return data[:at]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr0 = 1e308 overflows the weights
+def test_hostile_config_values_exit_0_to_3_without_traceback(tmp_path, capsys, monkeypatch):
+    """Extreme values of every ModelConfig field, and seeded byte mutations
+    of a config file, through params, train and eval. Sizes are either tiny
+    or far beyond the memory budget, and a cut-off file falls back to the
+    defaults, so no model built here is larger than the default one; a huge
+    epoch count is a valid, long run, so it goes through params and eval
+    only."""
+    main(synth_args(tmp_path / "data", train_utts=2, valid_utts=2, test_utts=2, segments=1,
+                    seg_min=2, seg_max=3, dim=4))
+    data = {split: str(tmp_path / f"data/{split}.qfea") for split in ("train", "valid", "test")}
+    config_path, run = tmp_path / "fuzz.txt", tmp_path / "run"
+    config_path.write_text(fuzz_base().to_file_text())
+    assert main(["train", "--config", str(config_path), "--train", data["train"],
+                 "--valid", data["valid"], "--out", str(run)]) == 0
+    ckpt = str(run / "last.qnn")
+
+    default_size = symbolic_param_counts(ModelConfig())["total"]
+
+    def small_build(config):  # no hostile value is tested by allocating it
+        assert symbolic_param_counts(config)["total"] <= default_size, config
+        return build_model(config)
+
+    monkeypatch.setattr(cli, "build_model", small_build)
+
+    def run_all(train_too):
+        commands = [["params", "--config", str(config_path)],
+                    ["eval", ckpt, "--config", str(config_path), "--test", data["test"]]]
+        if train_too:
+            commands.append(["train", "--config", str(config_path), "--train", data["train"],
+                             "--valid", data["valid"], "--out", str(tmp_path / "fuzz_run")])
+        for command in commands:
+            code = main(command)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, (config_path.read_bytes(), command, err)
+
+    for field in dataclasses.fields(ModelConfig):
+        kind = type(getattr(fuzz_base(), field.name))
+        for value in FUZZ_VALUES[kind]:
+            config = fuzz_base()
+            setattr(config, field.name, value)
+            config_path.write_text(config.to_file_text(), encoding="utf-8")
+            run_all(train_too=not (field.name == "epochs" and value > 3))
+    rng = np.random.default_rng(2025)
+    base = fuzz_base().to_file_text().encode()
+    for _ in range(40):
+        config_path.write_bytes(mutate_text(base, rng))
+        try:
+            epochs = resolve_config(parse_config_file(str(config_path))).epochs
+        except ConfigError:
+            epochs = 0  # refused before anything is built
+        run_all(train_too=epochs <= 3)

@@ -22,7 +22,7 @@ from qnn.layers import (
     split_activation,
 )
 from qnn import recurrent
-from qnn.recurrent import GATES, QLSTMCell, RealLSTMCell, build_model, lstm_direction
+from qnn.recurrent import GATES, QLSTMCell, RealLSTMCell, build_model, lstm_layer
 from qnn.training import cross_entropy_framewise, train
 from reference_graphs import concat, narrow, neg_concat_quat_weight
 
@@ -165,7 +165,7 @@ def weight_build_config(precision):
 class NegConcatWeights:
     """A quaternion cell seen through the parent path: its (wx, wh, bias)
     are graph nodes built per gate from neg and concat nodes, so
-    lstm_direction takes them as its parameters and routes their gradients
+    lstm_layer takes them as its parameters and routes their gradients
     back through that graph instead of the cell's split_grads()."""
 
     def __init__(self, cell):
@@ -188,18 +188,25 @@ def test_training_with_quat_weight_equals_neg_concat_reference(precision, monkey
     cfg = weight_build_config(precision)
     train_utts, valid_utts, _ = generate_synthetic(
         SynthSpec(train_utts=12, valid_utts=6, test_utts=1, dim=8, seed=13))
-    runs = []
-    for direction in (recurrent.run_direction, lambda cell, seq, mask: lstm_direction(
-            NegConcatWeights(cell), seq, mask)):
-        monkeypatch.setattr(recurrent, "run_direction", direction)
+
+    def run():
         model = build_model(cfg)
         reports = train(model, train_utts, valid_utts, cfg)
-        runs.append(([r.record("d", 0) for r in reports],
-                     [p.data.tobytes() for _, p in model.named_parameters()]))
-    assert runs[0] == runs[1]
+        return ([r.record("d", 0) for r in reports], [p.data.tobytes() for _, p in model.named_parameters()])
+
+    fused = run()
+    calls = []
+
+    def neg_concat_forward(layer, seq, mask):  # both cells' weights from neg/concat nodes
+        calls.append(layer)
+        return lstm_layer(seq, mask, (NegConcatWeights(layer.fwd), NegConcatWeights(layer.bwd)))
+
+    monkeypatch.setattr(recurrent.BiRecurrentLayer, "forward", neg_concat_forward)
+    assert run() == fused
+    assert calls
 
 
-def test_training_step_feeds_cell_parameters_to_direction_nodes():
+def test_training_step_feeds_cell_parameters_to_layer_nodes():
     cfg = weight_build_config("f32")
     train_utts, _, _ = generate_synthetic(SynthSpec(train_utts=4, valid_utts=1, test_utts=1,
                                                     dim=8, seed=13))
@@ -209,11 +216,11 @@ def test_training_step_feeds_cell_parameters_to_direction_nodes():
     nodes = [t.node for t in Tape.from_root(loss).records if t.node is not None]
     ops = [node.op for node in nodes]
     assert "concat" not in ops and "neg" not in ops
-    directions = [node for node in nodes if node.op == "lstm_direction"]
-    cells = [cell for layer in model.stack for cell in (layer.fwd, layer.bwd)]
-    assert len(directions) == len(cells)
-    fed = {tuple(map(id, node.inputs[1:])) for node in directions}
-    assert fed == {tuple(id(p) for _, p in cell.named_parameters()) for cell in cells}
+    assert "reverse_time" not in ops and "add" not in ops
+    layers = [node for node in nodes if node.op == "lstm_layer"]
+    assert len(layers) == len(model.stack)
+    fed = {tuple(map(id, node.inputs[1:])) for node in layers}
+    assert fed == {tuple(id(p) for _, p in layer.named_parameters()) for layer in model.stack}
 
 
 def test_split_activation_values():

@@ -1,5 +1,7 @@
 """Recurrent cell, bidirectional layer, and full-model behavior."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from qnn.recurrent import (
     run_direction,
 )
 from qnn.training import cross_entropy_framewise
-from reference_graphs import concat, narrow, neg_concat_quat_weight
+from reference_graphs import concat, narrow, neg_concat_quat_weight, two_direction_graph
 
 
 def zero_cell(cell):
@@ -329,16 +331,19 @@ def test_fused_projection_bit_equal_to_parent_path(case, kind, dtype):
         assert got.dtype == dtype and np.array_equal(got, want), name
 
 
-def test_training_step_tape_has_one_node_per_direction():
+def test_training_step_tape_has_one_node_per_layer():
     cfg = toy_config(dropout=0.2, precision="f32")
     rng = np.random.default_rng(25)
     batch = make_batch(rng.standard_normal((6, 3, 8)), [6, 4, 2])
     model = build_model(cfg)
     loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
-    directions = [t.node for t in Tape.from_root(loss).records
-                  if t.node is not None and t.node.op == "lstm_direction"]
-    assert len(directions) == 2 * cfg.depth
-    for node in directions:
+    nodes = [t.node for t in Tape.from_root(loss).records if t.node is not None]
+    ops = [node.op for node in nodes]
+    assert "reverse_time" not in ops and "add" not in ops, ops
+    layers = [node for node in nodes if node.op == "lstm_layer"]
+    assert len(layers) == cfg.depth
+    for node, layer in zip(layers, model.stack):
+        assert [id(p) for p in node.inputs[1:]] == [id(p) for _, p in layer.named_parameters()]
         feeders = [inp.node.op for inp in node.inputs if inp.node is not None]
         assert "matmul" not in feeders and "add_bias" not in feeders, feeders
 
@@ -363,6 +368,23 @@ def test_bidirectional_single_frame_is_sum_of_directions():
     out = layer.forward(Tensor(x), mask)
     hf, hb = (run_direction(cell, Tensor(x), mask).data for cell in (layer.fwd, layer.bwd))
     assert np.allclose(out.data, hf + hb, atol=1e-15)
+
+
+@pytest.mark.parametrize("case", sorted(RAGGED_MASKS))
+@pytest.mark.parametrize("kind", ["qlstm", "lstm"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_node_bit_equal_to_two_direction_graph(case, kind, dtype):
+    rng = np.random.default_rng(27)
+    mask = RAGGED_MASKS[case]
+    layer = BiRecurrentLayer(make_cell(kind, dtype, rng), make_cell(kind, dtype, rng))
+    seq = (2.0 * rng.standard_normal(mask.shape + (layer.fwd.input_size,))).astype(dtype)
+    cotangent = rng.standard_normal(mask.shape + (layer.fwd.hidden_size,)).astype(dtype)
+    out, grads = direction_grads(layer, seq, mask, BiRecurrentLayer.forward, cotangent)
+    ref_out, ref_grads = direction_grads(layer, seq, mask, two_direction_graph, cotangent)
+    assert out.dtype == dtype and np.array_equal(out, ref_out)
+    names = ["input"] + [name for name, _ in layer.named_parameters()]
+    for name, got, want in zip(names, grads, ref_grads):
+        assert got.dtype == dtype and np.array_equal(got, want), name
 
 
 def test_bidirectional_palindrome_symmetry():
@@ -497,6 +519,38 @@ def test_model_masking_invariance_logits_and_grads():
     grads_a = dict(model_a.named_parameters())
     for name, p in model_b.named_parameters():
         assert np.max(np.abs(p.grad - grads_a[name].grad)) < 1e-6, name
+
+
+def test_backward_frees_the_stack_output_while_the_loss_is_held():
+    model = build_model(toy_config(dropout=0.2))
+    batch = make_batch(np.random.default_rng(28).standard_normal((6, 3, 8)), [6, 4, 2])
+    seen = {}
+
+    def watch(obj, name):
+        forward = obj.forward
+        def watched(*args):
+            seen[name] = forward(*args)
+            return seen[name]
+        obj.forward = watched
+
+    watch(model.front_end, "front")
+    watch(model.stack[0], "stack0")
+    loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
+    stack0_out = weakref.ref(seen.pop("stack0").data)
+    front_node = seen.pop("front").node
+    front_backward = front_node.backward
+    dead_before_front = []
+
+    def front_backward_after_stack(g):  # the front end's node runs after stack 0's
+        dead_before_front.append(stack0_out() is None)
+        return front_backward(g)
+
+    front_node.backward = front_backward_after_stack
+    del front_node
+    assert stack0_out() is not None
+    autograd.backward(loss)
+    assert dead_before_front == [True]
+    assert np.isfinite(loss.item())
 
 
 def test_full_toy_model_gradient_check():
