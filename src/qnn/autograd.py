@@ -9,8 +9,10 @@ buffers once its backward has run; a graph is differentiated once. Calling
 backward on two graphs over the same leaves without zeroing adds the leaf
 gradients: accumulation is explicit, never overwrite.
 
-Broadcasting is deliberately narrow: elementwise ops accept exact-shape
-operands or a scalar; bias addition over the trailing axis has its own op.
+There is no broadcasting: mul takes two operands of one shape. The ops here
+are the ones the model and its checks compose (mul, sum, the activations,
+reverse_time); the dense and recurrent layers, the quaternion normalization
+and the loss are each one op_result node with a hand-written backward.
 Sequences are time-major (T, B, D) so recurrent code slices axis 0.
 """
 
@@ -88,10 +90,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.data.shape)}, dtype={self.data.dtype}{flag})"
 
-    # operator sugar; the free functions below do the work
-    def __add__(self, other):
-        return add(self, other)
-
     def sum(self):
         return sum_all(self)
 
@@ -103,87 +101,19 @@ def op_result(data: np.ndarray, inputs, op: str, backward) -> Tensor:
     return Tensor(data)
 
 
-def _as_operand(x, like: Tensor):
-    """Coerce python scalars to a constant 0-d tensor of the partner's dtype."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
-def _check_elementwise(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape and a.data.shape != () and b.data.shape != ():
-        raise DimensionError(f"{op}: incompatible shapes {a.data.shape} vs {b.data.shape}")
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of two tensors of one shape and dtype."""
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"mul: incompatible shapes {a.data.shape} vs {b.data.shape}")
     if a.data.dtype != b.data.dtype:
-        raise ContractError(f"{op}: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    # only scalar broadcast is supported, so either shapes match or target is 0-d
-    if g.shape == tuple(shape):
-        return g
-    return g.sum().reshape(shape)
-
-
-def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_operand(a, b)
-    b = _as_operand(b, a)
-    _check_elementwise(a, b, "add")
-    out = a.data + b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return op_result(out, (a, b), "add", backward)
-
-
-def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _as_operand(a, b)
-    b = _as_operand(b, a)
-    _check_elementwise(a, b, "mul")
+        raise ContractError(f"mul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
     out = a.data * b.data
 
     def backward(g):  # an operand that needs no gradient (a dropout mask) gets none
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
 
     return op_result(out, (a, b), "mul", backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        return (-g,)
-
-    return op_result(-a.data, (a,), "neg", backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul: inner extents differ, {a.data.shape} vs {b.data.shape}")
-    if a.data.dtype != b.data.dtype:
-        raise ContractError(f"matmul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-    out = a.data @ b.data
-
-    def backward(g):  # an operand that needs no gradient (the raw features) gets none
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return op_result(out, (a, b), "matmul", backward)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x[..., N] + b[N], broadcasting b over all leading axes."""
-    if b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
-        raise DimensionError(f"add_bias: bias {b.data.shape} does not match input {x.data.shape}")
-    if x.data.dtype != b.data.dtype:
-        raise ContractError(f"add_bias: dtype mismatch {x.data.dtype} vs {b.data.dtype}")
-    out = x.data + b.data
-
-    def backward(g):
-        return g, g.reshape(-1, b.data.shape[0]).sum(axis=0)
-
-    return op_result(out, (x, b), "add_bias", backward)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -242,15 +172,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(a.data.shape, g, dtype=a.data.dtype),)
 
     return op_result(out, (a,), "sum", backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        return (g.reshape(a.data.shape),)
-
-    return op_result(out, (a,), "reshape", backward)
 
 
 def reverse_time(a: Tensor) -> Tensor:

@@ -78,14 +78,20 @@ def load_checkpoint(path: str):
         return digest, params
 
 
-def load_into_model(path: str, model, expected_digest: str) -> None:
-    """Copy checkpointed buffers into a freshly built model, verifying the
-    config digest and every name/shape/dtype."""
+def load_verified(path: str, expected_digest: str) -> dict:
+    """The checkpoint's parameters, refused when its config digest differs;
+    nothing of the model has to exist yet."""
     digest, params = load_checkpoint(path)
     if digest != expected_digest:
         raise ContractError(
             f"checkpoint digest {digest} does not match model config digest {expected_digest}"
         )
+    return params
+
+
+def copy_into_model(params: dict, model) -> None:
+    """Copy loaded buffers into a freshly built model, verifying every
+    name/shape/dtype."""
     model_params = dict(model.named_parameters())
     missing = sorted(set(model_params) - set(params))
     extra = sorted(set(params) - set(model_params))
@@ -99,3 +105,9 @@ def load_into_model(path: str, model, expected_digest: str) -> None:
                 f"model has {tensor.data.dtype}{tensor.data.shape}"
             )
         tensor.data[...] = stored
+
+
+def load_into_model(path: str, model, expected_digest: str) -> None:
+    """Copy checkpointed buffers into a freshly built model, verifying the
+    config digest and every name/shape/dtype."""
+    copy_into_model(load_verified(path, expected_digest), model)

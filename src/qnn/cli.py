@@ -14,7 +14,7 @@ import dataclasses
 import os
 import sys
 
-from qnn.checkpoint import load_into_model
+from qnn.checkpoint import copy_into_model, load_verified
 from qnn.config import (
     ACTIVATION_CHOICES,
     FRONT_ENDS,
@@ -138,8 +138,9 @@ def cmd_eval(args) -> int:
     args.config = config_path
     config, _ = _resolve(args)
     _check_size_budget(config)
+    params = load_verified(args.checkpoint, config.digest())  # refuse a mismatch before building
     model = build_model(config)
-    load_into_model(args.checkpoint, model, config.digest())
+    copy_into_model(params, model)
     utterances = read_features(args.test)
     _check_dataset("test", utterances, config)
     loss, fer = evaluate(model, utterances, config.batch_size)

@@ -10,8 +10,9 @@ each output quaternion is the sum over inputs of (weight quaternion)
 Hamilton-multiplied by (input quaternion). block_matrix lays out that
 matrix, for several maps side by side, from a table of block places derived
 from quat.to_matrix; a real matrix is its 1x1 case, so quaternion and real
-LSTM gates share one builder. The only dense layer, RealLinear, is real: the
-R2H front end and the output layer. Split activations apply a real
+LSTM gates share one builder. The only dense layer, RealLinear, is real (the
+R2H front end and the output layer) and is one graph node: x @ W + b, with
+a backward of at most two GEMMs and a bias sum. Split activations apply a real
 nonlinearity to every component independently.
 """
 
@@ -23,8 +24,8 @@ import operator
 import numpy as np
 
 from qnn import autograd, quat
-from qnn.autograd import Tensor, add_bias, matmul, mul, op_result, reshape
-from qnn.errors import ConfigError, DimensionError
+from qnn.autograd import Tensor, mul, op_result
+from qnn.errors import ConfigError, ContractError, DimensionError
 
 ACTIVATIONS = {
     "sigmoid": autograd.sigmoid,
@@ -122,11 +123,23 @@ class RealLinear:
         self.bias = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
+        """x[..., n_in] @ weight + bias as one graph node; a constant x gets no gradient."""
         if x.shape[-1] != self.n_in:
             raise DimensionError(f"RealLinear: trailing dim {x.shape[-1]} does not match input {self.n_in}")
-        flat = x if x.data.ndim == 2 else reshape(x, (-1, self.n_in))
-        out = add_bias(matmul(flat, self.weight), self.bias)
-        return out if x.data.ndim == 2 else reshape(out, x.shape[:-1] + (self.n_out,))
+        if x.dtype != self.weight.dtype:
+            raise ContractError(f"RealLinear: input dtype {x.dtype} does not match weight {self.weight.dtype}")
+        flat = x.data.reshape(-1, self.n_in)
+        w = self.weight.data
+        out = flat @ w
+        out += self.bias.data
+
+        def backward(g):
+            g = g.reshape(-1, self.n_out)
+            d_x = (g @ w.T).reshape(x.shape) if x.requires_grad else None
+            return d_x, flat.T @ g, g.sum(axis=0)
+
+        return op_result(out.reshape(x.shape[:-1] + (self.n_out,)), (x, self.weight, self.bias),
+                         "linear", backward)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)

@@ -196,7 +196,8 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
     validation pass, learning-rate update, metrics line, checkpoint. The
     initial model, the final model, and the best-validation model are kept
     when out_dir is given. A non-finite training loss or parameter gradient
-    aborts immediately, before the optimizer step.
+    aborts immediately, before the optimizer step; a non-finite weight after
+    an epoch's last step aborts before that epoch is validated or recorded.
     """
     config.validate()
     keep_freed_pages()
@@ -247,6 +248,9 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
             del logits, loss  # the next forward never overlaps this step's graph
             loss_sum += value * batch.valid_frames
             frames += batch.valid_frames
+        bad = next((name for name, p in params if not np.isfinite(p.data).all()), None)
+        if bad is not None:  # Adam can overflow finite gradients into inf or NaN weights
+            raise TrainingAbort(f"non-finite weights in parameter '{bad}' after epoch {epoch}")
 
         val_loss, val_fer = evaluate(model, valid_utts, config.batch_size)
         optimizer.lr = schedule.update(val_loss, optimizer.lr)

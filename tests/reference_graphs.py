@@ -1,18 +1,76 @@
 """Graph ops the library does not have, for building reference graphs.
 
-The bit-equality tests compare the fused nodes of the model (quat_normalize,
-lstm_layer) and the plain block layout of layers.block_matrix against
-the same arithmetic spelled out as a graph of small nodes. concat and narrow
-are those small nodes; neg_concat_quat_weight writes the structured
-quaternion matrix out with its sign table by hand, so a reference built from
-it shares no code with block_matrix. two_direction_graph is the
-bidirectional layer as it was built before it became one node.
+The bit-equality tests compare the fused nodes of the model (linear,
+quat_normalize, lstm_layer) and the plain block layout of
+layers.block_matrix against the same arithmetic spelled out as a graph of
+small nodes. add, neg, matmul, add_bias, reshape, concat and narrow are
+those small nodes; none of them broadcasts, apart from add_bias's bias over
+the trailing axis.
+neg_concat_quat_weight writes the structured quaternion matrix out with its
+sign table by hand, so a reference built from it shares no code with
+block_matrix. linear_graph and two_direction_graph are the dense and the
+bidirectional layer as they were built before each became one node.
 """
 
 import numpy as np
 
-from qnn.autograd import Tensor, neg, op_result, reverse_time
+from qnn.autograd import Tensor, op_result, reverse_time
+from qnn.errors import ContractError, DimensionError
 from qnn.recurrent import run_direction
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: incompatible shapes {a.data.shape} vs {b.data.shape}")
+    if a.data.dtype != b.data.dtype:
+        raise ContractError(f"add: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
+
+    def backward(g):
+        return g, g
+
+    return op_result(a.data + b.data, (a, b), "add", backward)
+
+
+def neg(a: Tensor) -> Tensor:
+    def backward(g):
+        return (-g,)
+
+    return op_result(-a.data, (a,), "neg", backward)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise DimensionError(f"matmul: inner extents differ, {a.data.shape} vs {b.data.shape}")
+    if a.data.dtype != b.data.dtype:
+        raise ContractError(f"matmul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
+
+    def backward(g):  # an operand that needs no gradient (the raw features) gets none
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
+
+    return op_result(a.data @ b.data, (a, b), "matmul", backward)
+
+
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    """x[..., N] + b[N], broadcasting b over all leading axes."""
+    if b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
+        raise DimensionError(f"add_bias: bias {b.data.shape} does not match input {x.data.shape}")
+    if x.data.dtype != b.data.dtype:
+        raise ContractError(f"add_bias: dtype mismatch {x.data.dtype} vs {b.data.dtype}")
+
+    def backward(g):
+        return g, g.reshape(-1, b.data.shape[0]).sum(axis=0)
+
+    return op_result(x.data + b.data, (x, b), "add_bias", backward)
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    def backward(g):
+        return (g.reshape(a.data.shape),)
+
+    return op_result(a.data.reshape(shape), (a,), "reshape", backward)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -52,9 +110,17 @@ def neg_concat_quat_weight(r: Tensor, x: Tensor, y: Tensor, z: Tensor) -> Tensor
     return concat(cols, axis=1)
 
 
+def linear_graph(layer, x: Tensor) -> Tensor:
+    """A RealLinear layer as the reshape, matmul, add_bias and reshape
+    nodes it was built from before it became one node."""
+    flat = x if x.data.ndim == 2 else reshape(x, (-1, layer.n_in))
+    out = add_bias(matmul(flat, layer.weight), layer.bias)
+    return out if x.data.ndim == 2 else reshape(out, x.shape[:-1] + (layer.n_out,))
+
+
 def two_direction_graph(layer, seq: Tensor, mask: np.ndarray) -> Tensor:
     """A bidirectional layer as separate nodes: the forward cell over seq,
     the backward cell over a time-reversed copy of seq, its output reversed
     back, and the two added."""
     backward_out = run_direction(layer.bwd, reverse_time(seq), mask[::-1])
-    return run_direction(layer.fwd, seq, mask) + reverse_time(backward_out)
+    return add(run_direction(layer.fwd, seq, mask), reverse_time(backward_out))

@@ -18,7 +18,7 @@ from qnn.checkpoint import load_checkpoint, save_checkpoint
 from qnn.cli import main
 from qnn.config import ModelConfig
 from qnn.data import SynthSpec, generate_synthetic, read_features, write_features
-from qnn.layers import RealToQuatEncoder, chi4_init, quat_normalize, split_activation
+from qnn.layers import RealLinear, RealToQuatEncoder, chi4_init, quat_normalize, split_activation
 from qnn.recurrent import build_model, count_params, symbolic_param_counts
 from qnn.selfcheck import algebra_suite, gradient_suite
 from qnn.training import Adam, LRSchedule, cross_entropy_framewise, train
@@ -160,27 +160,24 @@ def _delta_pair_frames(utterances, lo, hi):
 
 
 def _memoryless_logistic_accuracy(spec, train_utts, valid_utts):
-    """Single-frame binary logistic regression on the delta-coded pair,
-    trained with the library's own optimizer; returns validation accuracy %."""
+    """Single-frame binary logistic regression on the delta-coded pair: the
+    library's dense layer on one frame at a time, trained with the library's
+    own optimizer, from small weights; returns validation accuracy %."""
     lo, hi = spec.delta_classes
     x_train, y_train = _delta_pair_frames(train_utts, lo, hi)
     x_valid, y_valid = _delta_pair_frames(valid_utts, lo, hi)
     rng = np.random.default_rng(CRIT6_SEED)
-    weight = Tensor(0.01 * rng.standard_normal((spec.dim, 2)), requires_grad=True)
-    bias = Tensor(np.zeros(2), requires_grad=True)
-    optimizer = Adam([("w", weight), ("b", bias)], lr=0.05)
-    inputs = Tensor(x_train)
+    dense = RealLinear(spec.dim, 2, np.random.default_rng(CRIT6_SEED), dtype=np.float64)
+    dense.weight.data[...] = 0.01 * rng.standard_normal((spec.dim, 2))
+    optimizer = Adam(dense.named_parameters(), lr=0.05)
+    inputs = Tensor(x_train[:, None, :])  # (frames, 1, dim): each frame its own sequence
     labels = y_train[:, None]
     mask = np.ones((x_train.shape[0], 1), dtype=bool)
     for _ in range(300):
         optimizer.zero_grad()
-        logits = autograd.reshape(
-            autograd.add_bias(autograd.matmul(inputs, weight), bias),
-            (x_train.shape[0], 1, 2),
-        )
-        autograd.backward(cross_entropy_framewise(logits, labels, mask))
+        autograd.backward(cross_entropy_framewise(dense(inputs), labels, mask))
         optimizer.step()
-    predictions = (x_valid @ weight.data + bias.data).argmax(axis=1)
+    predictions = (x_valid @ dense.weight.data + dense.bias.data).argmax(axis=1)
     return 100.0 * float((predictions == y_valid).mean())
 
 

@@ -252,6 +252,26 @@ def test_eval_digest_mismatch_refuses(tmp_path, capsys):
     assert "digest" in err
 
 
+def test_eval_refuses_digest_mismatch_before_building_the_model(tmp_path, capsys, monkeypatch):
+    main(synth_args(tmp_path / "data", dim=4))
+    run = tmp_path / "run"
+    assert main(["train", "--train", str(tmp_path / "data/train.qfea"), "--valid",
+                 str(tmp_path / "data/valid.qfea"), "--out", str(run), "--front-end", "identity",
+                 "--hidden", "4", "--depth", "1", "--epochs", "0"]) == 0
+    text = (run / "config.txt").read_text()
+    cut = tmp_path / "cut.txt"  # the fields after depth fall back to their defaults
+    cut.write_text(text[:text.index("\n", text.index("depth =")) + 1])
+    built = []
+    monkeypatch.setattr(cli, "build_model", lambda config: built.append(config))
+    capsys.readouterr()
+    code = main(["eval", str(run / "initial.qnn"), "--config", str(cut),
+                 "--test", str(tmp_path / "data/test.qfea")])
+    err = capsys.readouterr().err
+    assert code == 1 and built == []
+    assert f"checkpoint digest {load_checkpoint(str(run / 'initial.qnn'))[0]} " in err
+    assert f"model config digest {resolve_config(parse_config_file(str(cut))).digest()}" in err
+
+
 def test_usage_error_without_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

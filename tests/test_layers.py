@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qnn import quat
-from qnn.autograd import Tape, Tensor, add, backward, matmul, mul, op_result, sum_all
+from qnn.autograd import Tape, Tensor, backward, mul, op_result, sum_all
 from qnn.config import ModelConfig
 from qnn.data import SynthSpec, generate_synthetic, make_batches
-from qnn.errors import ConfigError, DimensionError
+from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn.gradcheck import gradient_check
 from qnn.layers import (
     NORM_EPS,
@@ -24,7 +24,7 @@ from qnn.layers import (
 from qnn import recurrent
 from qnn.recurrent import GATES, QLSTMCell, RealLSTMCell, build_model, lstm_layer
 from qnn.training import cross_entropy_framewise, train
-from reference_graphs import concat, narrow, neg_concat_quat_weight
+from reference_graphs import add, concat, linear_graph, matmul, narrow, neg_concat_quat_weight
 
 
 def unpack_quaternions(v: np.ndarray):
@@ -110,6 +110,10 @@ def test_bad_input_width():
     rng = np.random.default_rng(5)
     with pytest.raises(DimensionError):
         RealLinear(8, 2, rng)(Tensor(np.zeros((1, 7), dtype=np.float32)))
+    with pytest.raises(DimensionError, match="trailing dim 7"):
+        RealLinear(8, 2, rng)(Tensor(np.zeros((3, 2, 7), dtype=np.float32)))
+    with pytest.raises(ContractError, match="float64"):
+        RealLinear(8, 2, rng)(Tensor(np.zeros((3, 8), dtype=np.float64)))
     with pytest.raises(DimensionError):  # not a whole number of quaternions
         quat_normalize(Tensor(np.zeros((1, 7), dtype=np.float32)))
 
@@ -320,8 +324,8 @@ def graph_quat_normalize(x: Tensor, eps: float = NORM_EPS) -> Tensor:
     blocks = [narrow(x, axis, c * h, h) for c in range(4)]
     sq = mul(blocks[0], blocks[0])
     for b in blocks[1:]:
-        sq = sq + mul(b, b)
-    denom = add(graph_sqrt(sq), eps)
+        sq = add(sq, mul(b, b))
+    denom = add(graph_sqrt(sq), Tensor(np.full(sq.shape, eps, dtype=sq.dtype)))
     return concat([graph_div(b, denom) for b in blocks], axis=axis)
 
 
@@ -409,6 +413,62 @@ def test_real_linear_identity_and_grads():
     y = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     errs = gradient_check(lambda: layer2(y).sum(), layer2.named_parameters() + [("y", y)])
     assert max(errs.values()) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(24, 12), (6, 4, 12)])
+@pytest.mark.parametrize("x_is_leaf", [True, False])
+def test_linear_node_bit_equal_to_graph_reference(dtype, shape, x_is_leaf):
+    rng = np.random.default_rng(30)
+    layer = RealLinear(shape[-1], 7, rng, dtype=dtype)
+    layer.bias.data[:] = rng.standard_normal(7)
+    x_data = rng.standard_normal(shape).astype(dtype)
+    cotangent = Tensor(rng.standard_normal(shape[:-1] + (7,)).astype(dtype))
+    results = []
+    for dense in (RealLinear.forward, linear_graph):
+        x = Tensor(x_data.copy(), requires_grad=x_is_leaf)
+        for _, p in layer.named_parameters():
+            p.zero_grad()
+        out = dense(layer, x)
+        backward(sum_all(mul(out, cotangent)))
+        results.append([out.data, x.grad, layer.weight.grad, layer.bias.grad])
+    fused, graph = results
+    assert (fused[1] is None) == (graph[1] is None) == (not x_is_leaf)
+    for got, want in zip(fused, graph):
+        if want is not None:
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+
+class WatchedTranspose(np.ndarray):
+    """A weight array that counts how often its transpose is taken."""
+
+    transposes = 0
+
+    @property
+    def T(self):
+        WatchedTranspose.transposes += 1
+        return self.transpose()
+
+
+def test_linear_node_skips_input_gradient_of_constant_input():
+    rng = np.random.default_rng(31)
+    layer = RealLinear(5, 3, rng, dtype=np.float64)
+    layer.weight.data = layer.weight.data.view(WatchedTranspose)
+    g = rng.standard_normal((2, 4, 3))
+    features = Tensor(rng.standard_normal((2, 4, 5)))  # raw input: needs no gradient
+    out = layer(features)
+    assert out.node.op == "linear" and out.node.inputs == (features, layer.weight, layer.bias)
+    WatchedTranspose.transposes = 0
+    d_x, d_w, d_b = out.node.backward(g)
+    assert d_x is None and WatchedTranspose.transposes == 0
+    flat_g = g.reshape(8, 3)
+    assert np.array_equal(d_w, features.data.reshape(8, 5).T @ flat_g)
+    assert np.array_equal(d_b, flat_g.sum(axis=0))
+    x = Tensor(features.data, requires_grad=True)
+    d_x, _, _ = layer(x).node.backward(g)
+    assert WatchedTranspose.transposes == 1
+    assert np.array_equal(d_x, (flat_g @ np.asarray(layer.weight.data).T).reshape(2, 4, 5))
 
 
 def test_encoder_shapes_and_unit_norm():

@@ -1,12 +1,13 @@
 """Recurrent cell, bidirectional layer, and full-model behavior."""
 
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qnn import autograd
-from qnn.autograd import Tape, Tensor, add_bias, matmul, mul, op_result, reshape, sigmoid, tanh
+from qnn.autograd import Tape, Tensor, mul, op_result, sigmoid, tanh
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
 from qnn.errors import ConfigError, ContractError, DimensionError
@@ -27,7 +28,8 @@ from qnn.recurrent import (
     run_direction,
 )
 from qnn.training import cross_entropy_framewise
-from reference_graphs import concat, narrow, neg_concat_quat_weight, two_direction_graph
+from reference_graphs import (add, add_bias, concat, matmul, narrow, neg_concat_quat_weight, reshape,
+                              two_direction_graph)
 
 
 def zero_cell(cell):
@@ -176,13 +178,13 @@ def reference_direction(cell, seq, mask):
     h = c = Tensor(np.zeros((batch, hid), dtype=seq.dtype))
     outs = []
     for t in range(t_len):
-        pre = reshape(narrow(proj, 0, t, 1), (batch, 4 * hid)) + matmul(h, wh)
+        pre = add(reshape(narrow(proj, 0, t, 1), (batch, 4 * hid)), matmul(h, wh))
         f, i, o = (sigmoid(narrow(pre, 1, k * hid, hid)) for k in (0, 1, 3))
-        c_new = mul(f, c) + mul(i, tanh(narrow(pre, 1, 2 * hid, hid)))
+        c_new = add(mul(f, c), mul(i, tanh(narrow(pre, 1, 2 * hid, hid))))
         h_new = mul(o, tanh(c_new))
         keep = Tensor(np.broadcast_to(mask[t][:, None], (batch, hid)).astype(seq.dtype))
         drop = Tensor(1 - keep.data)
-        h, c = mul(h_new, keep) + mul(h, drop), mul(c_new, keep) + mul(c, drop)
+        h, c = add(mul(h_new, keep), mul(h, drop)), add(mul(c_new, keep), mul(c, drop))
         outs.append(reshape(mul(h, keep), (1, batch, hid)))
     return concat(outs, axis=0)
 
@@ -338,14 +340,14 @@ def test_training_step_tape_has_one_node_per_layer():
     model = build_model(cfg)
     loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
     nodes = [t.node for t in Tape.from_root(loss).records if t.node is not None]
-    ops = [node.op for node in nodes]
-    assert "reverse_time" not in ops and "add" not in ops, ops
+    ops = Counter(node.op for node in nodes)
+    assert ops == {"linear": 2, "tanh": 1, "quat_normalize": 1, "mul": 3, "lstm_layer": 2,
+                   "cross_entropy": 1}, ops
     layers = [node for node in nodes if node.op == "lstm_layer"]
-    assert len(layers) == cfg.depth
     for node, layer in zip(layers, model.stack):
         assert [id(p) for p in node.inputs[1:]] == [id(p) for _, p in layer.named_parameters()]
         feeders = [inp.node.op for inp in node.inputs if inp.node is not None]
-        assert "matmul" not in feeders and "add_bias" not in feeders, feeders
+        assert feeders == ["mul"], feeders  # only the dropout before the layer
 
 
 def test_direction_dtype_mismatch_is_contract_error():

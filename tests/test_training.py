@@ -399,6 +399,21 @@ def test_train_aborts_on_non_finite_gradient_before_step(tmp_path, monkeypatch):
     assert not (tmp_path / "last.qnn").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow this test provokes
+def test_train_aborts_on_non_finite_weights_before_recording_the_epoch(tmp_path):
+    # finite gradients, but an Adam step of about lr0 overflows every weight
+    cfg = tiny_config(front_end="identity", hidden_real_width=4, batch_size=12, epochs=3, lr0=1e308)
+    train_utts, valid_utts, _ = synth_utts()
+    assert len(make_batches(train_utts, cfg.batch_size)) == 1
+    model = build_model(cfg)
+    first = model.named_parameters()[0][0]
+    with pytest.raises(TrainingAbort, match=rf"non-finite weights in parameter '{re.escape(first)}' after epoch 1"):
+        train(model, train_utts, valid_utts, cfg, out_dir=str(tmp_path))
+    assert (tmp_path / "metrics.txt").read_text() == ""
+    assert (tmp_path / "initial.qnn").exists() and not (tmp_path / "last.qnn").exists()
+    assert not (tmp_path / "best.qnn").exists()
+
+
 # --- checkpoints ---------------------------------------------------------
 
 
