@@ -5,6 +5,9 @@ stdout as self-describing key=value records; errors go to stderr. Exit
 codes: 0 success, 1 check/validation failure, 2 usage error, 3 I/O or
 format error. Config precedence is defaults < --config file < flags. train and
 eval refuse (exit 2) a model whose parameters plus Adam state exceed memory.
+Every field of ModelConfig (train, eval, params) and SynthSpec (synth) is a flag,
+named as the field with dashes or as in _FLAG_NAMES, typed by the field's default
+and limited to config.CHOICES.
 """
 
 from __future__ import annotations
@@ -15,57 +18,39 @@ import os
 import sys
 
 from qnn.checkpoint import copy_into_model, load_verified
-from qnn.config import (
-    ACTIVATION_CHOICES,
-    FRONT_ENDS,
-    LR_RULES,
-    PRECISIONS,
-    STACK_KINDS,
-    ModelConfig,
-    parse_config_file,
-    resolve_config,
-)
+from qnn.config import CHOICES, ModelConfig, check_memory, field_types, parse_config_file, resolve_config
 from qnn.data import SynthSpec, atomic_write, generate_synthetic, read_features, total_frames, write_features
-from qnn.errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    FormatError,
-    TrainingAbort,
-)
+from qnn.errors import ConfigError, ContractError, DataError, FormatError, TrainingAbort
 from qnn.recurrent import build_model, count_params, symbolic_param_counts
 from qnn.selfcheck import run_selfcheck, sign_flipped_hamilton
 from qnn.training import evaluate, train
 
-_CONFIG_FLAGS = tuple(f.name for f in dataclasses.fields(ModelConfig))
+_FLAG_NAMES = {"stack_kind": "--stack", "hidden_real_width": "--hidden", "lr0": "--lr",
+               "segments_per_utt": "--segments"}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, record) -> None:
+    """One flag per field of the dataclass `record`, unset (None) by default."""
+    for name, kind in field_types(record).items():
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, type=kind, choices=CHOICES.get(name))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--front-end", dest="front_end", choices=FRONT_ENDS)
-    parser.add_argument("--r2h-size", dest="r2h_size", type=int,
-                        help="real width of the encoder output")
-    parser.add_argument("--r2h-activation", dest="r2h_activation", choices=ACTIVATION_CHOICES)
-    parser.add_argument("--stack", dest="stack_kind", choices=STACK_KINDS)
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--hidden", dest="hidden_real_width", type=int)
-    parser.add_argument("--dropout", type=float)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", dest="lr0", type=float)
-    parser.add_argument("--lr-rule", dest="lr_rule", choices=LR_RULES)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--precision", choices=PRECISIONS)
-    parser.add_argument("--classes", type=int)
-    parser.add_argument("--input-dim", dest="input_dim", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
+    _add_field_flags(parser, ModelConfig)
+
+
+def _flag_values(args, record) -> dict:
+    """The fields of `record` whose flags were given."""
+    return {name: getattr(args, name) for name in field_types(record) if getattr(args, name) is not None}
 
 
 def _resolve(args):
     """Returns (config, keys the user set explicitly via file or flags)."""
     file_values = parse_config_file(args.config) if args.config else {}
-    flag_values = {name: getattr(args, name) for name in _CONFIG_FLAGS}
-    provided = set(file_values) | {k for k, v in flag_values.items() if v is not None}
-    return resolve_config(file_values, flag_values), provided
+    flag_values = _flag_values(args, ModelConfig)
+    return resolve_config(file_values, flag_values), set(file_values) | set(flag_values)
 
 
 def _check_dataset(name: str, utterances, config: ModelConfig) -> None:
@@ -85,16 +70,9 @@ def _check_dataset(name: str, utterances, config: ModelConfig) -> None:
 
 
 def _check_size_budget(config: ModelConfig) -> None:
-    """Refuse a model whose parameters plus Adam's two moment buffers exceed
-    physical memory, before anything is allocated."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # unknown on this platform: no budget
-        return
-    need = 3 * (4 if config.precision == "f32" else 8) * symbolic_param_counts(config)["total"]
-    if 0 < physical < need:
-        raise ConfigError(f"parameters plus Adam state need {need} bytes, "
-                          f"more than the {physical} bytes of physical memory")
+    """Parameters plus Adam's two moment buffers must fit in physical memory."""
+    check_memory(3 * config.dtype.itemsize * symbolic_param_counts(config)["total"],
+                 "parameters plus Adam state")
 
 
 def cmd_train(args) -> int:
@@ -157,12 +135,7 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        classes=args.classes, dim=args.dim, seg_min=args.seg_min, seg_max=args.seg_max,
-        segments_per_utt=args.segments, train_utts=args.train_utts,
-        valid_utts=args.valid_utts, test_utts=args.test_utts,
-        noise=args.noise, slope=args.slope, seed=args.seed,
-    )
+    spec = SynthSpec(**_flag_values(args, SynthSpec))
     splits = generate_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)
     for name, utterances in zip(("train", "valid", "test"), splits):
@@ -224,17 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_selfcheck)
 
     p_synth = sub.add_parser("synth", help="generate the synthetic dataset")
-    p_synth.add_argument("--classes", type=int, default=SynthSpec.classes)
-    p_synth.add_argument("--dim", type=int, default=SynthSpec.dim)
-    p_synth.add_argument("--seg-min", dest="seg_min", type=int, default=SynthSpec.seg_min)
-    p_synth.add_argument("--seg-max", dest="seg_max", type=int, default=SynthSpec.seg_max)
-    p_synth.add_argument("--segments", type=int, default=SynthSpec.segments_per_utt)
-    p_synth.add_argument("--train-utts", dest="train_utts", type=int, default=SynthSpec.train_utts)
-    p_synth.add_argument("--valid-utts", dest="valid_utts", type=int, default=SynthSpec.valid_utts)
-    p_synth.add_argument("--test-utts", dest="test_utts", type=int, default=SynthSpec.test_utts)
-    p_synth.add_argument("--noise", type=float, default=SynthSpec.noise)
-    p_synth.add_argument("--slope", type=float, default=SynthSpec.slope)
-    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed)
+    _add_field_flags(p_synth, SynthSpec)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

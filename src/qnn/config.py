@@ -2,6 +2,11 @@
 training run, plus the key=value file format and the precedence rules
 (defaults < config file < command-line flags).
 
+Each field is the one declaration of its setting: its name is the file key,
+the type of its default types file values and flags alike (field_types), and
+CHOICES lists the values a string field allows. The CLI builds its flags from
+the same fields.
+
 The config digest — a stable hash of the canonical serialization — is
 embedded in checkpoints and metrics records so artifacts can be matched to
 the exact configuration that produced them.
@@ -13,15 +18,20 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from qnn.errors import ConfigError
 
-FRONT_ENDS = ("r2h-norm", "r2h", "naive-quat", "identity")
-ACTIVATION_CHOICES = ("tanh", "hardtanh", "relu")
-STACK_KINDS = ("qlstm", "lstm")
-LR_RULES = ("stall", "literal")
-PRECISIONS = ("f32", "f64")
+CHOICES = {
+    "front_end": ("r2h-norm", "r2h", "naive-quat", "identity"),
+    "r2h_activation": ("tanh", "hardtanh", "relu"),
+    "stack_kind": ("qlstm", "lstm"),
+    "lr_rule": ("stall", "literal"),
+    "precision": ("f32", "f64"),
+}
 
 
 @dataclass
@@ -43,18 +53,9 @@ class ModelConfig:
     batch_size: int = 8
 
     def validate(self) -> None:
-        if self.front_end not in FRONT_ENDS:
-            raise ConfigError(f"front_end must be one of {FRONT_ENDS}, got '{self.front_end}'")
-        if self.r2h_activation not in ACTIVATION_CHOICES:
-            raise ConfigError(
-                f"r2h_activation must be one of {ACTIVATION_CHOICES}, got '{self.r2h_activation}'"
-            )
-        if self.stack_kind not in STACK_KINDS:
-            raise ConfigError(f"stack_kind must be one of {STACK_KINDS}, got '{self.stack_kind}'")
-        if self.lr_rule not in LR_RULES:
-            raise ConfigError(f"lr_rule must be one of {LR_RULES}, got '{self.lr_rule}'")
-        if self.precision not in PRECISIONS:
-            raise ConfigError(f"precision must be one of {PRECISIONS}, got '{self.precision}'")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got '{getattr(self, name)}'")
         for name in ("r2h_size", "hidden_real_width", "classes", "input_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -78,6 +79,11 @@ class ModelConfig:
                 f"hidden_real_width must be divisible by 4 for a qlstm stack, got {self.hidden_real_width}"
             )
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter and activation."""
+        return np.dtype({"f32": np.float32, "f64": np.float64}[self.precision])
+
     def digest(self) -> str:
         canonical = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -87,21 +93,29 @@ class ModelConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+def field_types(record) -> dict:
+    """Field name -> value type of a dataclass, the type of the field's default."""
+    return {f.name: type(f.default) for f in dataclasses.fields(record)}
+
+
+def check_memory(need: int, what: str) -> None:
+    """Refuse what needs more bytes than physical memory, before it is allocated."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # unknown on this platform: no budget
+        return
+    if 0 < physical < need:
+        raise ConfigError(f"{what} need {need} bytes, more than the {physical} bytes of physical memory")
 
 
 def _coerce(key: str, raw: str):
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key '{key}' (valid: {', '.join(sorted(_FIELD_TYPES))})")
-    kind = _FIELD_TYPES[key]
+    types = field_types(ModelConfig)
+    if key not in types:
+        raise ConfigError(f"unknown config key '{key}' (valid: {', '.join(sorted(types))})")
     try:
-        if kind in ("int", int):
-            return int(raw)
-        if kind in ("float", float):
-            return float(raw)
+        return types[key](raw)
     except ValueError as exc:
-        raise ConfigError(f"config key '{key}' expects a {kind} value, got '{raw}'") from exc
-    return raw
+        raise ConfigError(f"config key '{key}' expects a {types[key].__name__} value, got '{raw}'") from exc
 
 
 def parse_config_file(path: str) -> dict:
@@ -133,7 +147,7 @@ def resolve_config(file_values: dict | None = None, flag_values: dict | None = N
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in _FIELD_TYPES:
+            if key not in field_types(ModelConfig):
                 raise ConfigError(f"unknown config key '{key}'")
             setattr(config, key, value)
     config.validate()

@@ -23,6 +23,7 @@ identical and only temporal context can separate them.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 import uuid
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qnn.config import check_memory
 from qnn.errors import ConfigError, DataError, FormatError
 
 QFEA_MAGIC = b"QFEA"
@@ -275,8 +277,17 @@ class SynthSpec:
             raise ConfigError(f"segments_per_utt must be >= 1, got {self.segments_per_utt}")
         if min(self.train_utts, self.valid_utts, self.test_utts) < 1:
             raise ConfigError("each split needs at least one utterance")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
+        if not math.isfinite(self.slope):
+            raise ConfigError(f"slope must be finite, got {self.slope}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # the largest possible output: every segment at seg_max frames of float32
+        # features and an int32 label, plus the float64 class templates
+        utterances = self.train_utts + self.valid_utts + self.test_utts
+        frames = utterances * self.segments_per_utt * self.seg_max
+        check_memory(frames * 4 * (self.dim + 1) + 8 * self.classes * self.dim, "the synthetic splits")
 
     @property
     def delta_classes(self) -> tuple:
@@ -325,14 +336,18 @@ def generate_synthetic(spec: SynthSpec):
     spec.validate()
     templates = class_templates(spec)
     seeds = np.random.SeedSequence(spec.seed).spawn(3)
-    return tuple(
-        _synth_split(spec, templates, name, count, np.random.default_rng(seed))
-        for name, count, seed in zip(
-            ("train", "valid", "test"),
-            (spec.train_utts, spec.valid_utts, spec.test_utts),
-            seeds,
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        splits = tuple(
+            _synth_split(spec, templates, name, count, np.random.default_rng(seed))
+            for name, count, seed in zip(
+                ("train", "valid", "test"),
+                (spec.train_utts, spec.valid_utts, spec.test_utts),
+                seeds,
+            )
         )
-    )
+    if not all(np.isfinite(utt.features).all() for split in splits for utt in split):
+        raise ConfigError(f"noise {spec.noise} or slope {spec.slope} overflows float32 features")
+    return splits
 
 
 def make_batches(utterances: list, batch_size: int, rng=None, sort_by_length: bool = False) -> list:

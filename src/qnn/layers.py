@@ -25,6 +25,7 @@ import numpy as np
 
 from qnn import autograd, quat
 from qnn.autograd import Tensor, mul, op_result
+from qnn.config import CHOICES
 from qnn.errors import ConfigError, ContractError, DimensionError
 
 ACTIVATIONS = {
@@ -244,8 +245,9 @@ class RealToQuatEncoder:
     ):
         if width % 4 != 0:
             raise ConfigError(f"encoder width must be a multiple of 4, got {width}")
-        if activation not in ("tanh", "hardtanh", "relu"):
-            raise ConfigError(f"encoder activation must be tanh/hardtanh/relu, got '{activation}'")
+        allowed = CHOICES["r2h_activation"]
+        if activation not in allowed:
+            raise ConfigError(f"encoder activation must be {'/'.join(allowed)}, got '{activation}'")
         self.dense = RealLinear(input_dim, width, rng, dtype=dtype)
         self.activation = activation
         self.normalized = normalized

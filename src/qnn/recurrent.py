@@ -392,7 +392,7 @@ def build_model(config: ModelConfig) -> AcousticModel:
     from config.seed, so identical configs give identical models.
     """
     front_width, hidden = layer_plan(config)
-    dtype = np.float32 if config.precision == "f32" else np.float64
+    dtype = config.dtype
     ss_init, ss_drop = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(ss_init)
     dropout_rng = np.random.default_rng(ss_drop)

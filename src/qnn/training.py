@@ -94,15 +94,16 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, p in self.params:
-            if p.grad is None:
-                raise ContractError(f"missing gradient for parameter '{name}'")
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m += (1.0 - ADAM_BETA1) * (g - m)
-            v += (1.0 - ADAM_BETA2) * (g * g - v)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        with np.errstate(over="ignore"):  # a huge lr overflows quietly; train() then aborts
+            for name, p in self.params:
+                if p.grad is None:
+                    raise ContractError(f"missing gradient for parameter '{name}'")
+                g = p.grad
+                m = self.m[name]
+                v = self.v[name]
+                m += (1.0 - ADAM_BETA1) * (g - m)
+                v += (1.0 - ADAM_BETA2) * (g * g - v)
+                p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 LR_THRESHOLD = 0.001
@@ -228,8 +229,9 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
         frames = 0
         for index, batch in enumerate(batches):
             optimizer.zero_grad()
-            logits = model.forward(batch, training=True)
-            loss = cross_entropy_framewise(logits, batch.labels, batch.mask)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflowed weights: refused below
+                logits = model.forward(batch, training=True)
+                loss = cross_entropy_framewise(logits, batch.labels, batch.mask)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingAbort(

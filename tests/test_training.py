@@ -399,7 +399,6 @@ def test_train_aborts_on_non_finite_gradient_before_step(tmp_path, monkeypatch):
     assert not (tmp_path / "last.qnn").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow this test provokes
 def test_train_aborts_on_non_finite_weights_before_recording_the_epoch(tmp_path):
     # finite gradients, but an Adam step of about lr0 overflows every weight
     cfg = tiny_config(front_end="identity", hidden_real_width=4, batch_size=12, epochs=3, lr0=1e308)
@@ -412,6 +411,16 @@ def test_train_aborts_on_non_finite_weights_before_recording_the_epoch(tmp_path)
     assert (tmp_path / "metrics.txt").read_text() == ""
     assert (tmp_path / "initial.qnn").exists() and not (tmp_path / "last.qnn").exists()
     assert not (tmp_path / "best.qnn").exists()
+
+
+def test_step_on_overflowed_weights_aborts_on_its_loss_without_a_warning(tmp_path):
+    # the first Adam step overflows the weights; the second batch's forward
+    # over them gives a nan loss, which is the abort record, not a numpy warning
+    cfg = tiny_config(front_end="identity", hidden_real_width=4, batch_size=4, epochs=1, lr0=1e308)
+    train_utts, valid_utts, _ = synth_utts()
+    assert len(make_batches(train_utts, cfg.batch_size)) > 1
+    with pytest.raises(TrainingAbort, match="non-finite training loss nan at epoch 1, batch 1"):
+        train(build_model(cfg), train_utts, valid_utts, cfg, out_dir=str(tmp_path))
 
 
 # --- checkpoints ---------------------------------------------------------
