@@ -11,8 +11,9 @@ gradients: accumulation is explicit, never overwrite.
 
 There is no broadcasting: mul takes two operands of one shape. The ops here
 are the ones the model and its checks compose (mul, sum, the activations,
-reverse_time); the dense and recurrent layers, the quaternion normalization
-and the loss are each one op_result node with a hand-written backward.
+reverse_time); the dense and recurrent layers, dropout, the quaternion
+normalization and the loss are each one op_result node with a hand-written
+backward.
 Sequences are time-major (T, B, D) so recurrent code slices axis 0.
 """
 

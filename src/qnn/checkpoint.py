@@ -79,13 +79,16 @@ def load_checkpoint(path: str):
 
 
 def load_verified(path: str, expected_digest: str) -> dict:
-    """The checkpoint's parameters, refused when its config digest differs;
-    nothing of the model has to exist yet."""
+    """The checkpoint's parameters, refused when its config digest differs
+    or a parameter holds inf or NaN; nothing of the model has to exist yet."""
     digest, params = load_checkpoint(path)
     if digest != expected_digest:
         raise ContractError(
             f"checkpoint digest {digest} does not match model config digest {expected_digest}"
         )
+    for name, data in params.items():
+        if not np.isfinite(data).all():
+            raise FormatError(f"checkpoint parameter '{name}' holds a non-finite value")
     return params
 
 

@@ -283,11 +283,17 @@ class SynthSpec:
             raise ConfigError(f"slope must be finite, got {self.slope}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # the largest possible output: every segment at seg_max frames of float32
-        # features and an int32 label, plus the float64 class templates
+        check_memory(self.peak_bytes(), "the synthetic splits")
+
+    def peak_bytes(self) -> int:
+        """An upper bound on generate_synthetic's memory: the largest
+        possible output (every segment at seg_max frames of float32 features
+        and an int32 label), the float64 class templates, and the float64
+        values, noise draw and ramp of the segment being made."""
         utterances = self.train_utts + self.valid_utts + self.test_utts
         frames = utterances * self.segments_per_utt * self.seg_max
-        check_memory(frames * 4 * (self.dim + 1) + 8 * self.classes * self.dim, "the synthetic splits")
+        return (frames * 4 * (self.dim + 1) + 8 * self.classes * self.dim
+                + 16 * self.seg_max * (self.dim + 1))
 
     @property
     def delta_classes(self) -> tuple:
@@ -309,25 +315,30 @@ def class_templates(spec: SynthSpec) -> np.ndarray:
 def _synth_split(spec: SynthSpec, templates: np.ndarray, name: str, count: int,
                  rng: np.random.Generator) -> list:
     lo, hi = spec.delta_classes
+    longest = spec.segments_per_utt * spec.seg_max
     utterances = []
     for i in range(count):
-        feats, labels = [], []
+        # each segment is cast into its utterance's float32 buffer as it is
+        # made; the buffer is then shrunk in place, so no copy is joined
+        feats = np.empty((longest, spec.dim), dtype=np.float32)
+        labels = np.empty(longest, dtype=np.int32)
+        end = 0
         for _ in range(spec.segments_per_utt):
             cls = int(rng.integers(spec.classes))
             length = int(rng.integers(spec.seg_min, spec.seg_max + 1))
             ramp = np.arange(length, dtype=np.float64) - (length - 1) / 2.0
             slope = spec.slope if cls == hi else (-spec.slope if cls == lo else 0.0)
             segment = templates[cls][None, :] + slope * ramp[:, None]
-            segment = segment + spec.noise * rng.standard_normal((length, spec.dim))
-            feats.append(segment)
-            labels.append(np.full(length, cls, dtype=np.int32))
-        utterances.append(
-            Utterance(
-                f"{name}-{i:04d}",
-                np.concatenate(feats).astype(np.float32),
-                np.concatenate(labels),
-            )
-        )
+            noise = rng.standard_normal((length, spec.dim))
+            noise *= spec.noise
+            segment += noise
+            feats[end:end + length] = segment
+            labels[end:end + length] = cls
+            end += length
+            del segment, noise  # before the next segment's are made
+        feats.resize((end, spec.dim), refcheck=False)
+        labels.resize(end, refcheck=False)
+        utterances.append(Utterance(f"{name}-{i:04d}", feats, labels))
     return utterances
 
 

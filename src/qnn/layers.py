@@ -13,7 +13,8 @@ from quat.to_matrix; a real matrix is its 1x1 case, so quaternion and real
 LSTM gates share one builder. The only dense layer, RealLinear, is real (the
 R2H front end and the output layer) and is one graph node: x @ W + b, with
 a backward of at most two GEMMs and a bias sum. Split activations apply a real
-nonlinearity to every component independently.
+nonlinearity to every component independently. Dropout is one graph node
+that keeps its boolean draw and rebuilds the float mask in its backward.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 import numpy as np
 
 from qnn import autograd, quat
-from qnn.autograd import Tensor, mul, op_result
+from qnn.autograd import Tensor, op_result
 from qnn.config import CHOICES
 from qnn.errors import ConfigError, ContractError, DimensionError
 
@@ -205,6 +206,10 @@ def quaternion_dropout(
     with probability p and survivors are scaled by 1/(1-p); in evaluation
     the input passes through untouched. per_component switches to ordinary
     real dropout for ablations and for the real-valued baseline.
+
+    One graph node that keeps only the boolean draw (one flag per
+    quaternion, or per component) and rebuilds the float mask in its
+    backward, with the same arithmetic as x * mask.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
@@ -215,15 +220,20 @@ def quaternion_dropout(
     scale = 1.0 / (1.0 - p)
     if per_component:
         keep = rng.random(size=x.shape) >= p
-        mask = keep.astype(x.data.dtype) * scale
     else:
         width = x.shape[-1]
         if width % 4 != 0:
             raise DimensionError(f"quaternion dropout needs width divisible by 4, got {width}")
-        h = width // 4
-        keep = rng.random(size=x.shape[:-1] + (h,)) >= p
-        mask = np.concatenate([keep] * 4, axis=-1).astype(x.data.dtype) * scale
-    return mul(x, Tensor(mask))
+        keep = rng.random(size=x.shape[:-1] + (width // 4,)) >= p
+
+    def mask():
+        full = keep if per_component else np.concatenate([keep] * 4, axis=-1)
+        return full.astype(x.dtype) * scale
+
+    def backward(g):
+        return (g * mask(),)
+
+    return op_result(x.data * mask(), (x,), "dropout", backward)
 
 
 class RealToQuatEncoder:

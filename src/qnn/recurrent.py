@@ -22,14 +22,21 @@ Each layer is one graph node (Appleyard et al., arXiv:1604.01946) fed by
 the sequence and its cells' parameters, which each cell lays out as plain
 W, R and bias arrays with layers.block_matrix. Per direction one matmul
 projects all frames into the (T, B, 4H) gate buffer, a numpy loop runs the
-recurrence caching gates and states, and the backward is full BPTT over
-that cache; the cell splits the W, bias and R gradients back per component.
-The loop works in place on its caches and applies one tanh per frame over
-all four gates, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded
-into W, the bias and R once per call.
+recurrence caching the activated gates and the h and c states, and the
+backward is full BPTT over that cache; the cell splits the W, bias and R
+gradients back per component. The loop works in place on its caches and
+applies one tanh per frame over all four gates, using
+sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded into W, the bias and
+R once per call.
 
-A bidirectional layer's second cell runs in reverse time over views of the
-same projection, mask and incoming gradient, and the node returns the
+What a step holds is kept small without changing a bit: tanh(c) goes to a
+per-frame scratch and the backward recomputes it for all frames at once,
+the backward writes its gate gradients over the gate cache, and a layer
+frees each direction's caches as soon as that direction's backward has run.
+
+A bidirectional layer's second cell projects a time-reversed copy of the
+sequence, so its caches are contiguous in its own time order, and walks
+reversed views of the mask and the incoming gradient; the node returns the
 componentwise sum of the two directions.
 """
 
@@ -123,17 +130,23 @@ def lstm_gates(gates: np.ndarray, c_prev: np.ndarray, affine, c_out, tanh_out, h
     np.multiply(o, tanh_out, out=h_out)
 
 
+def _own_order(x: np.ndarray, reverse: bool) -> np.ndarray:
+    """x in a pass's own time order: a reversed contiguous copy for a reverse pass."""
+    return np.ascontiguousarray(x[::-1]) if reverse else x
+
+
 def _direction(cell, x: np.ndarray, mask: np.ndarray, reverse: bool):
     """One cell over the (T, B, input) array x on plain arrays, in reverse
     time order if asked. Returns the (T, B, hidden) output in x's time order
     and backward(grad) -> (d_x, the cell's split_grads()).
 
     One matmul projects every frame by the cell's prepared() input map into
-    the gate buffer; the loop caches gates and states and the backward runs
-    full BPTT over that cache. A reverse pass walks negative-stride views of
-    the projection, the mask and the incoming gradient, and keeps its other
-    caches in its own (reversed) time order, so its GEMMs and its bias sum
-    reduce over time in the order a pass over a reversed copy of x would.
+    the gate buffer; the loop caches the activated gates and the h and c
+    states, and the backward runs full BPTT over that cache, writing its
+    gate gradients over the gate cache. A reverse pass projects a reversed
+    copy of x and walks negative-stride views of the mask and the incoming
+    gradient, so all its caches are contiguous in its own time order and its
+    GEMMs and bias sum reduce over time in that order.
     """
     wx, wh, bias = cell.prepared()
     if x.dtype != wx.dtype:
@@ -145,21 +158,22 @@ def _direction(cell, x: np.ndarray, mask: np.ndarray, reverse: bool):
     hidden = width // 4
     dtype = x.dtype
     affine = gate_affine(hidden, dtype)
-    # the pre-activations scaled by gate_affine; power-of-two scaling is exact
-    gates = np.matmul(x.reshape(t_len * batch, n_in), wx * affine[0]).reshape(t_len, batch, width)
-    gates += bias * affine[0]
     if reverse:
-        gates, mask = gates[::-1], mask[::-1]
+        mask = mask[::-1]
+    # the pre-activations scaled by gate_affine; power-of-two scaling is exact
+    gates = np.matmul(_own_order(x, reverse).reshape(t_len * batch, n_in),
+                      wx * affine[0]).reshape(t_len, batch, width)
+    gates += bias * affine[0]
     wh_scaled = wh * affine[0]
     recurrent = np.empty((batch, width), dtype=dtype)
-    tanh_c = np.empty((t_len, batch, hidden), dtype=dtype)
+    tanh_c = np.empty((batch, hidden), dtype=dtype)  # per-frame scratch, recomputed by the backward
     h_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)  # h_states[t] is h_{t-1}
     c_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)
     keeps = [None if full else m[:, None].astype(dtype) for m, full in zip(mask, mask.all(axis=1))]
     for t, keep in enumerate(keeps):
         np.matmul(h_states[t], wh_scaled, out=recurrent)
         gates[t] += recurrent
-        lstm_gates(gates[t], c_states[t], affine, c_states[t + 1], tanh_c[t], h_states[t + 1])
+        lstm_gates(gates[t], c_states[t], affine, c_states[t + 1], tanh_c, h_states[t + 1])
         if keep is not None:  # padded sequences carry their state
             drop = ~mask[t][:, None]
             np.copyto(h_states[t + 1], h_states[t], where=drop)
@@ -169,21 +183,30 @@ def _direction(cell, x: np.ndarray, mask: np.ndarray, reverse: bool):
     def backward(grad):
         if reverse:
             grad = grad[::-1]
-        f, i, g, o = np.split(gates, 4, axis=2)
-        # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t;
-        # d_pre[t] is written over local[t]
-        d_pre = np.empty((t_len, batch, width), dtype=dtype)
-        l_f, l_i, l_g, l_o = np.split(d_pre, 4, axis=2)
+        # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t.
+        # local, then d_pre, is written over the gate cache, so f is copied
+        # first for the loop. On padded frames the recomputed tanh(c) is the
+        # carried state's, which only ever meets a zero keep.
+        d_pre = gates
+        l_f, l_i, l_g, l_o = f, i, g, o = np.split(d_pre, 4, axis=2)
+        f = f.copy()
         np.multiply(c_states[:-1], f, out=l_f)
         l_f *= 1 - f
-        np.multiply(g, i, out=l_i)
-        l_i *= 1 - i
+        gi = g * i
         np.multiply(g, g, out=l_g)
         np.subtract(1, l_g, out=l_g)
         l_g *= i
-        np.multiply(tanh_c, o, out=l_o)
-        l_o *= 1 - o
-        through = o * (1 - tanh_c * tanh_c)
+        np.subtract(1, i, out=l_i)
+        l_i *= gi
+        del gi
+        tanh_c = np.tanh(c_states[1:])
+        through = tanh_c * tanh_c
+        np.subtract(1, through, out=through)
+        through *= o
+        tanh_c *= o
+        np.subtract(1, o, out=l_o)
+        l_o *= tanh_c
+        del tanh_c
         d_h = d_c = np.zeros((batch, hidden), dtype=dtype)  # rebound, never written in place
         for t in reversed(range(t_len)):
             keep = keeps[t]
@@ -201,8 +224,7 @@ def _direction(cell, x: np.ndarray, mask: np.ndarray, reverse: bool):
                 d_c += d_c_skip
                 d_h += d_h_skip
         d_pre = d_pre.reshape(-1, width)
-        # the one copy a reverse pass makes: x in its own time order, for d_wx
-        d_wx = (np.ascontiguousarray(x[::-1]) if reverse else x).reshape(-1, n_in).T @ d_pre
+        d_wx = _own_order(x, reverse).reshape(-1, n_in).T @ d_pre
         d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre
         d_x = (d_pre @ wx.T).reshape(x.shape)
         return d_x[::-1] if reverse else d_x, cell.split_grads(d_wx, d_wh, d_pre.sum(axis=0))
@@ -217,7 +239,8 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
     seq is (T, B, input) and mask (T, B) boolean. cells[0] runs forward in
     time; a second cell runs over the same sequence in reverse time and its
     output is added frame by frame. State carries through masked frames
-    unchanged and masked outputs are zero.
+    unchanged and masked outputs are zero. The backward drops each
+    direction, with its caches, as soon as that direction's backward has run.
     """
     if mask.shape != seq.shape[:2]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")
@@ -230,8 +253,8 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
 
     def backward(grad):
         d_seq, grads = None, []
-        for run in passes:
-            d_x, cell_grads = run(grad)
+        while passes:
+            d_x, cell_grads = passes.pop(0)(grad)
             d_seq = d_x if d_seq is None else d_seq + d_x
             grads += cell_grads
         return [d_seq] + grads

@@ -17,7 +17,7 @@ from qnn.autograd import Tensor, mul
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
 from qnn.gradcheck import gradient_check
-from qnn.layers import ACTIVATIONS, RealToQuatEncoder, split_activation
+from qnn.layers import ACTIVATIONS, RealToQuatEncoder, quaternion_dropout, split_activation
 from qnn.quat import Quaternion
 from qnn.recurrent import BiRecurrentLayer, QLSTMCell, build_model, run_direction
 from qnn.training import cross_entropy_framewise
@@ -156,6 +156,15 @@ def gradient_suite(seed: int = 0) -> SuiteResult:
         lambda: cross_entropy_framewise(model.forward(batch), labels, batch_mask),
         model.named_parameters(),
     )
+
+    for per_component in (False, True):
+        inp = Tensor(rng.standard_normal((3, 2, 8)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((3, 2, 8)))
+        label = "dropout_component" if per_component else "dropout_quaternion"
+        # a fresh generator per evaluation, so every loss sees the same draw
+        check(label, lambda t=inp, w=weights, pc=per_component: mul(quaternion_dropout(
+            t, 0.5, True, np.random.default_rng(seed), per_component=pc), w).sum(), [("input", inp)])
+
     return result
 
 

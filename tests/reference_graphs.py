@@ -8,13 +8,14 @@ those small nodes; none of them broadcasts, apart from add_bias's bias over
 the trailing axis.
 neg_concat_quat_weight writes the structured quaternion matrix out with its
 sign table by hand, so a reference built from it shares no code with
-block_matrix. linear_graph and two_direction_graph are the dense and the
-bidirectional layer as they were built before each became one node.
+block_matrix. linear_graph, two_direction_graph and mul_dropout are the
+dense layer, the bidirectional layer and dropout as they were built before
+each became one node.
 """
 
 import numpy as np
 
-from qnn.autograd import Tensor, op_result, reverse_time
+from qnn.autograd import Tensor, mul, op_result, reverse_time
 from qnn.errors import ContractError, DimensionError
 from qnn.recurrent import run_direction
 
@@ -124,3 +125,16 @@ def two_direction_graph(layer, seq: Tensor, mask: np.ndarray) -> Tensor:
     back, and the two added."""
     backward_out = run_direction(layer.bwd, reverse_time(seq), mask[::-1])
     return add(run_direction(layer.fwd, seq, mask), reverse_time(backward_out))
+
+
+def mul_dropout(x: Tensor, p: float, rng: np.random.Generator, per_component: bool) -> Tensor:
+    """Training-mode quaternion_dropout as a float mask, drawn the same way,
+    fed to a mul node."""
+    scale = 1.0 / (1.0 - p)
+    if per_component:
+        keep = rng.random(size=x.shape) >= p
+        mask = keep.astype(x.data.dtype) * scale
+    else:
+        keep = rng.random(size=x.shape[:-1] + (x.shape[-1] // 4,)) >= p
+        mask = np.concatenate([keep] * 4, axis=-1).astype(x.data.dtype) * scale
+    return mul(x, Tensor(mask))

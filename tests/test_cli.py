@@ -5,12 +5,14 @@ import dataclasses
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from qnn import cli
-from qnn.checkpoint import load_checkpoint
+from qnn.autograd import Tensor
+from qnn.checkpoint import load_checkpoint, save_checkpoint
 from qnn.cli import main
 from qnn.config import ModelConfig, parse_config_file, resolve_config
 from qnn.data import SynthSpec, read_features
@@ -251,6 +253,26 @@ def test_eval_digest_mismatch_refuses(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "digest" in err
+
+
+def test_eval_refuses_a_non_finite_weight_with_exit_3(tmp_path, capsys):
+    main(synth_args(tmp_path / "data"))
+    run = tmp_path / "run"
+    assert main(["train", "--train", str(tmp_path / "data/train.qfea"), "--valid",
+                 str(tmp_path / "data/valid.qfea"), "--out", str(run), "--epochs", "0",
+                 "--r2h-size", "16", "--hidden", "16", "--depth", "1"]) == 0
+    digest, params = load_checkpoint(str(run / "initial.qnn"))
+    params["front_end.dense.weight"][0, 0] = np.inf
+    bad = tmp_path / "bad.qnn"
+    save_checkpoint(str(bad), [(name, Tensor(data)) for name, data in params.items()], digest)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", str(bad), "--config", str(run / "config.txt"),
+                     "--test", str(tmp_path / "data/test.qfea")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3 and not caught
+    assert len(err) == 1 and err[0].startswith("error:") and "'front_end.dense.weight'" in err[0], err
 
 
 def test_eval_refuses_digest_mismatch_before_building_the_model(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Feature files, batching, layout composition, and the synthetic task."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,53 @@ def test_synthetic_deterministic():
         assert x.id == y.id
         assert np.array_equal(x.features, y.features)
         assert np.array_equal(x.labels, y.labels)
+
+
+def float64_synth_split(spec, templates, name, count, rng):
+    """Utterances built as whole float64 arrays and cast once at the end."""
+    lo, hi = spec.delta_classes
+    utterances = []
+    for i in range(count):
+        feats, labels = [], []
+        for _ in range(spec.segments_per_utt):
+            cls = int(rng.integers(spec.classes))
+            length = int(rng.integers(spec.seg_min, spec.seg_max + 1))
+            ramp = np.arange(length, dtype=np.float64) - (length - 1) / 2.0
+            slope = spec.slope if cls == hi else (-spec.slope if cls == lo else 0.0)
+            segment = templates[cls][None, :] + slope * ramp[:, None]
+            feats.append(segment + spec.noise * rng.standard_normal((length, spec.dim)))
+            labels.append(np.full(length, cls, dtype=np.int32))
+        utterances.append(Utterance(f"{name}-{i:04d}", np.concatenate(feats).astype(np.float32),
+                                    np.concatenate(labels)))
+    return utterances
+
+
+def test_synthetic_bytes_equal_the_float64_construction():
+    spec = small_spec(seg_min=1, seg_max=30, segments_per_utt=7, dim=9, classes=5, noise=0.7, slope=0.3)
+    seeds = np.random.SeedSequence(spec.seed).spawn(3)
+    counts = (spec.train_utts, spec.valid_utts, spec.test_utts)
+    for split, name, count, seed in zip(generate_synthetic(spec), ("train", "valid", "test"), counts, seeds):
+        want = float64_synth_split(spec, class_templates(spec), name, count, np.random.default_rng(seed))
+        for got, ref in zip(split, want, strict=True):
+            assert got.id == ref.id and got.features.flags.c_contiguous
+            assert got.features.dtype == ref.features.dtype and got.labels.dtype == ref.labels.dtype
+            assert got.features.tobytes() == ref.features.tobytes()
+            assert got.labels.tobytes() == ref.labels.tobytes()
+
+
+@pytest.mark.parametrize("seg_frames, segments", [(100_000, 1), (25_000, 4)])
+def test_generate_synthetic_stays_within_its_memory_budget(seg_frames, segments):
+    spec = SynthSpec(seg_min=seg_frames, seg_max=seg_frames, segments_per_utt=segments,
+                     train_utts=1, valid_utts=1, test_utts=1)
+    generate_synthetic(small_spec())  # numpy's one-time allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= spec.peak_bytes(), (peak, spec.peak_bytes())
 
 
 def test_synthetic_split_streams_differ():

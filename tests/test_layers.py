@@ -24,7 +24,7 @@ from qnn.layers import (
 from qnn import recurrent
 from qnn.recurrent import GATES, QLSTMCell, RealLSTMCell, build_model, lstm_layer
 from qnn.training import cross_entropy_framewise, train
-from reference_graphs import add, concat, linear_graph, matmul, narrow, neg_concat_quat_weight
+from reference_graphs import add, concat, linear_graph, matmul, mul_dropout, narrow, neg_concat_quat_weight
 
 
 def unpack_quaternions(v: np.ndarray):
@@ -400,6 +400,24 @@ def test_dropout_whole_quaternions():
     assert abs(drop_frac - 0.2) < 0.01
     survivors = blocks[~zeroed].ravel()
     assert np.allclose(survivors, 1.0 / 0.8, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_component", [False, True])
+def test_dropout_node_bit_equal_to_mul_graph(dtype, per_component):
+    rng = np.random.default_rng(31)
+    x_data = rng.standard_normal((7, 3, 16)).astype(dtype)
+    cotangent = Tensor(rng.standard_normal(x_data.shape).astype(dtype))
+    results = []
+    for drop in (lambda x, g: quaternion_dropout(x, 0.3, True, g, per_component=per_component),
+                 lambda x, g: mul_dropout(x, 0.3, g, per_component)):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        out = drop(x, np.random.default_rng(32))
+        backward(sum_all(mul(out, cotangent)))
+        results.append((out.data, x.grad))
+    (out, grad), (ref_out, ref_grad) = results
+    assert out.dtype == grad.dtype == dtype
+    assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
 
 
 def test_real_linear_identity_and_grads():

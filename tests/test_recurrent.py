@@ -1,5 +1,6 @@
 """Recurrent cell, bidirectional layer, and full-model behavior."""
 
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -341,13 +342,13 @@ def test_training_step_tape_has_one_node_per_layer():
     loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
     nodes = [t.node for t in Tape.from_root(loss).records if t.node is not None]
     ops = Counter(node.op for node in nodes)
-    assert ops == {"linear": 2, "tanh": 1, "quat_normalize": 1, "mul": 3, "lstm_layer": 2,
+    assert ops == {"linear": 2, "tanh": 1, "quat_normalize": 1, "dropout": 3, "lstm_layer": 2,
                    "cross_entropy": 1}, ops
     layers = [node for node in nodes if node.op == "lstm_layer"]
     for node, layer in zip(layers, model.stack):
         assert [id(p) for p in node.inputs[1:]] == [id(p) for _, p in layer.named_parameters()]
         feeders = [inp.node.op for inp in node.inputs if inp.node is not None]
-        assert feeders == ["mul"], feeders  # only the dropout before the layer
+        assert feeders == ["dropout"], feeders  # only the dropout before the layer
 
 
 def test_direction_dtype_mismatch_is_contract_error():
@@ -387,6 +388,58 @@ def test_layer_node_bit_equal_to_two_direction_graph(case, kind, dtype):
     names = ["input"] + [name for name, _ in layer.named_parameters()]
     for name, got, want in zip(names, grads, ref_grads):
         assert got.dtype == dtype and np.array_equal(got, want), name
+
+
+def closure_value(fn, name):
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def test_layer_backward_frees_the_first_direction_before_the_second_runs():
+    rng = np.random.default_rng(41)
+    layer = BiRecurrentLayer(make_cell("qlstm", np.float32, rng), make_cell("qlstm", np.float32, rng))
+    mask = RAGGED_MASKS["mid_batch_padding"]
+    seq = Tensor(rng.standard_normal(mask.shape + (layer.fwd.input_size,)).astype(np.float32),
+                 requires_grad=True)
+    out = layer.forward(seq, mask)
+    passes = closure_value(out.node.backward, "passes")
+    first_gates = weakref.ref(closure_value(passes[0], "gates"))
+    second = passes[1]
+    dead_before_second = []
+
+    def second_after_first(grad):
+        dead_before_second.append(first_gates() is None)
+        return second(grad)
+
+    passes[1] = second_after_first
+    assert first_gates() is not None
+    autograd.backward(out.sum())
+    assert dead_before_second == [True]
+    assert seq.grad is not None and np.isfinite(seq.grad).all()
+
+
+def test_training_step_memory_stays_within_bounds():
+    """One ragged training step's forward-graph bytes and traced peak. The
+    bounds sit about 5% above the measured 5.97 MB and 6.61 MB. Caching
+    tanh(c) per frame, a separate (T, B, 4H) gate-gradient buffer or float
+    dropout masks each push one over; all of them together, with each
+    direction's caches held through the whole layer backward, measured
+    7.09 MB and 8.43 MB."""
+    cfg = ModelConfig(front_end="r2h-norm", r2h_size=64, stack_kind="qlstm", depth=2,
+                      hidden_real_width=64, classes=4, dropout=0.2, input_dim=40, seed=3, precision="f32")
+    rng = np.random.default_rng(40)
+    batch = make_batch(rng.standard_normal((160, 4, 40)), [160, 97, 160, 33])
+    model = build_model(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
+        graph = tracemalloc.get_traced_memory()[0] - base
+        autograd.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert graph < 6_300_000, graph
+    assert peak < 7_000_000, peak
 
 
 def test_bidirectional_palindrome_symmetry():
