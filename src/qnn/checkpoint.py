@@ -10,7 +10,8 @@ Container layout (all integers little-endian):
 
 The digest ties a checkpoint to the exact configuration that produced it;
 loading refuses on mismatch so weights are never silently poured into a
-different architecture. Round-trips are bit-exact.
+different architecture. Loading also refuses a parameter name stored twice
+and any byte after the last parameter. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def load_checkpoint(path: str):
         params = {}
         for index in range(count):
             name = reader.text(reader.u32(f"name length of parameter {index}"), "name")
+            if name in params:
+                raise FormatError(f"checkpoint holds parameter '{name}' twice")
             tag = reader.take(1, f"dtype tag of '{name}'")[0]
             if tag not in _TAG_DTYPES:
                 raise FormatError(f"unknown dtype tag {tag} for parameter '{name}'")
@@ -75,6 +78,7 @@ def load_checkpoint(path: str):
                 params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
             except ValueError as exc:  # e.g. more dimensions than numpy allows
                 raise FormatError(f"parameter '{name}' has unsupported shape: {exc}") from None
+        reader.end()
         return digest, params
 
 

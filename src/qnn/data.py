@@ -134,6 +134,13 @@ class ByteReader:
             raise FormatError(f"{self.container}: {what} at byte offset {self.offset - n} "
                               f"is not UTF-8 ({exc.reason})") from None
 
+    def end(self) -> None:
+        """Refuse bytes after the container's declared content."""
+        left = self.size - self.offset
+        if left:
+            raise FormatError(f"{self.container}: {left} trailing bytes at byte offset {self.offset} "
+                              f"after the declared content")
+
 
 def _read_qfea(fh) -> list:
     reader = ByteReader(fh, "QFEA file")
@@ -157,6 +164,7 @@ def _read_qfea(fh) -> list:
         utt = Utterance(ident, features, labels)
         utt.validate()
         utterances.append(utt)
+    reader.end()
     return utterances
 
 

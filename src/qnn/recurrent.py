@@ -34,10 +34,11 @@ per-frame scratch and the backward recomputes it for all frames at once,
 the backward writes its gate gradients over the gate cache, and a layer
 frees each direction's caches as soon as that direction's backward has run.
 
-A bidirectional layer's second cell projects a time-reversed copy of the
-sequence, so its caches are contiguous in its own time order, and walks
-reversed views of the mask and the incoming gradient; the node returns the
-componentwise sum of the two directions.
+One kernel runs both directions and never knows which it runs: it walks
+the arrays it is given in their own time order. The layer hands the
+second cell time-reversed views of the sequence, the mask and the
+incoming gradient, reverses that pass's output and input gradient back,
+and returns the componentwise sum of the two directions.
 """
 
 from __future__ import annotations
@@ -130,25 +131,21 @@ def lstm_gates(gates: np.ndarray, c_prev: np.ndarray, affine, c_out, tanh_out, h
     np.multiply(o, tanh_out, out=h_out)
 
 
-def _own_order(x: np.ndarray, reverse: bool) -> np.ndarray:
-    """x in a pass's own time order: a reversed contiguous copy for a reverse pass."""
-    return np.ascontiguousarray(x[::-1]) if reverse else x
+def _direction(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarray, bias: np.ndarray):
+    """The LSTM recurrence over the (T, B, input) array x on plain arrays,
+    in x's own time order: wx is the (input, 4H) input map, wh the (H, 4H)
+    recurrent map and bias the (4H,) bias, gates side by side as
+    [f | i | c | o]. Returns the (T, B, H) output and
+    backward(grad) -> (d_x, d_wx, d_wh, d_bias).
 
-
-def _direction(cell, x: np.ndarray, mask: np.ndarray, reverse: bool):
-    """One cell over the (T, B, input) array x on plain arrays, in reverse
-    time order if asked. Returns the (T, B, hidden) output in x's time order
-    and backward(grad) -> (d_x, the cell's split_grads()).
-
-    One matmul projects every frame by the cell's prepared() input map into
-    the gate buffer; the loop caches the activated gates and the h and c
-    states, and the backward runs full BPTT over that cache, writing its
-    gate gradients over the gate cache. A reverse pass projects a reversed
-    copy of x and walks negative-stride views of the mask and the incoming
-    gradient, so all its caches are contiguous in its own time order and its
-    GEMMs and bias sum reduce over time in that order.
+    One matmul projects every frame into the gate buffer; the loop caches
+    the activated gates and the h and c states, and the backward runs full
+    BPTT over that cache, writing its gate gradients over the gate cache.
+    The kernel never knows its direction: handed time-reversed views, it
+    projects a contiguous copy of x (reshape copies a reversed view), so
+    its caches are contiguous in its own time order and its GEMMs and bias
+    sum reduce over time in that order.
     """
-    wx, wh, bias = cell.prepared()
     if x.dtype != wx.dtype:
         raise ContractError(f"lstm_layer: dtype mismatch {x.dtype} vs cell {wx.dtype}")
     t_len, batch, n_in = x.shape
@@ -158,11 +155,8 @@ def _direction(cell, x: np.ndarray, mask: np.ndarray, reverse: bool):
     hidden = width // 4
     dtype = x.dtype
     affine = gate_affine(hidden, dtype)
-    if reverse:
-        mask = mask[::-1]
     # the pre-activations scaled by gate_affine; power-of-two scaling is exact
-    gates = np.matmul(_own_order(x, reverse).reshape(t_len * batch, n_in),
-                      wx * affine[0]).reshape(t_len, batch, width)
+    gates = np.matmul(x.reshape(t_len * batch, n_in), wx * affine[0]).reshape(t_len, batch, width)
     gates += bias * affine[0]
     wh_scaled = wh * affine[0]
     recurrent = np.empty((batch, width), dtype=dtype)
@@ -181,8 +175,6 @@ def _direction(cell, x: np.ndarray, mask: np.ndarray, reverse: bool):
     out = h_states[1:] * mask[:, :, None]  # padded frames emit zeros
 
     def backward(grad):
-        if reverse:
-            grad = grad[::-1]
         # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t.
         # local, then d_pre, is written over the gate cache, so f is copied
         # first for the loop. On padded frames the recomputed tanh(c) is the
@@ -224,12 +216,12 @@ def _direction(cell, x: np.ndarray, mask: np.ndarray, reverse: bool):
                 d_c += d_c_skip
                 d_h += d_h_skip
         d_pre = d_pre.reshape(-1, width)
-        d_wx = _own_order(x, reverse).reshape(-1, n_in).T @ d_pre
+        d_wx = x.reshape(-1, n_in).T @ d_pre
         d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre
         d_x = (d_pre @ wx.T).reshape(x.shape)
-        return d_x[::-1] if reverse else d_x, cell.split_grads(d_wx, d_wh, d_pre.sum(axis=0))
+        return d_x, d_wx, d_wh, d_pre.sum(axis=0)
 
-    return out[::-1] if reverse else out, backward
+    return out, backward
 
 
 def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
@@ -237,26 +229,28 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
     parameters (Appleyard et al., arXiv:1604.01946).
 
     seq is (T, B, input) and mask (T, B) boolean. cells[0] runs forward in
-    time; a second cell runs over the same sequence in reverse time and its
-    output is added frame by frame. State carries through masked frames
-    unchanged and masked outputs are zero. The backward drops each
-    direction, with its caches, as soon as that direction's backward has run.
+    time; a second cell is handed time-reversed views of the sequence and
+    the mask, and its output, reversed back, is added frame by frame. State
+    carries through masked frames unchanged and masked outputs are zero.
+    The backward hands each direction the incoming gradient in its own time
+    order and drops that direction, with its caches, as soon as its
+    backward has run.
     """
     if mask.shape != seq.shape[:2]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")
-    out, first = _direction(cells[0], seq.data, mask, reverse=False)
-    passes = [first]
-    if len(cells) == 2:
-        out_b, second = _direction(cells[1], seq.data, mask, reverse=True)
-        out = out + out_b
-        passes.append(second)
+    out, passes = None, []
+    for cell, step in zip(cells, (1, -1)):
+        y, pass_backward = _direction(seq.data[::step], mask[::step], *cell.prepared())
+        out = y if out is None else out + y[::step]
+        passes.append(pass_backward)
 
     def backward(grad):
         d_seq, grads = None, []
-        while passes:
-            d_x, cell_grads = passes.pop(0)(grad)
-            d_seq = d_x if d_seq is None else d_seq + d_x
-            grads += cell_grads
+        for cell, step in zip(cells, (1, -1)):
+            d_x, *d_w = passes.pop(0)(grad[::step])
+            d_seq = d_x if d_seq is None else d_seq + d_x[::step]
+            grads += cell.split_grads(*d_w)
+            del d_w  # not held through the next direction's backward
         return [d_seq] + grads
 
     params = [p for cell in cells for _, p in cell.named_parameters()]

@@ -255,12 +255,26 @@ def test_eval_digest_mismatch_refuses(tmp_path, capsys):
     assert "digest" in err
 
 
-def test_eval_refuses_a_non_finite_weight_with_exit_3(tmp_path, capsys):
+def untrained_run(tmp_path):
+    """Synthetic data and a zero-epoch run under tmp_path: the run directory."""
     main(synth_args(tmp_path / "data"))
     run = tmp_path / "run"
     assert main(["train", "--train", str(tmp_path / "data/train.qfea"), "--valid",
                  str(tmp_path / "data/valid.qfea"), "--out", str(run), "--epochs", "0",
                  "--r2h-size", "16", "--hidden", "16", "--depth", "1"]) == 0
+    return run
+
+
+def eval_error_lines(tmp_path, capsys, ckpt):
+    """qnn eval of ckpt under the run's config: the exit code and stderr lines."""
+    capsys.readouterr()
+    code = main(["eval", str(ckpt), "--config", str(tmp_path / "run/config.txt"),
+                 "--test", str(tmp_path / "data/test.qfea")])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_eval_refuses_a_non_finite_weight_with_exit_3(tmp_path, capsys):
+    run = untrained_run(tmp_path)
     digest, params = load_checkpoint(str(run / "initial.qnn"))
     params["front_end.dense.weight"][0, 0] = np.inf
     bad = tmp_path / "bad.qnn"
@@ -273,6 +287,30 @@ def test_eval_refuses_a_non_finite_weight_with_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == 3 and not caught
     assert len(err) == 1 and err[0].startswith("error:") and "'front_end.dense.weight'" in err[0], err
+
+
+def test_eval_refuses_a_duplicate_parameter_name_with_exit_3(tmp_path, capsys):
+    run = untrained_run(tmp_path)
+    digest, params = load_checkpoint(str(run / "initial.qnn"))
+    named = [(name, Tensor(data)) for name, data in params.items()]
+    named.append(("front_end.dense.weight", Tensor(np.zeros_like(params["front_end.dense.weight"]))))
+    bad = tmp_path / "twice.qnn"
+    save_checkpoint(str(bad), named, digest)
+    code, err = eval_error_lines(tmp_path, capsys, bad)
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error:") and "'front_end.dense.weight'" in err[0], err
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "test"])
+def test_eval_refuses_bytes_after_the_declared_content_with_exit_3(tmp_path, capsys, target):
+    run = untrained_run(tmp_path)
+    path = run / "initial.qnn" if target == "checkpoint" else tmp_path / "data/test.qfea"
+    whole = path.read_bytes()
+    path.write_bytes(whole + b"\x00\x01")
+    code, err = eval_error_lines(tmp_path, capsys, run / "initial.qnn")
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"2 trailing bytes at byte offset {len(whole)}" in err[0], err
 
 
 def test_eval_refuses_digest_mismatch_before_building_the_model(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Feature files, batching, layout composition, and the synthetic task."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,19 @@ def test_qfea_truncation_reports_offset(tmp_path):
     cut.write_bytes(whole[: len(whole) - 7])
     with pytest.raises(FormatError, match="byte offset"):
         read_features(cut)
+
+
+def test_qfea_refuses_utterances_beyond_the_declared_count(tmp_path):
+    rng = np.random.default_rng(2)
+    utts = random_utts(rng, count=12)
+    path, head = tmp_path / "feats.qfea", tmp_path / "head.qfea"
+    write_features(path, utts)
+    write_features(head, utts[:5])
+    whole, declared = path.read_bytes(), head.read_bytes()
+    path.write_bytes(whole[:8] + struct.pack("<I", 5) + whole[12:])  # the count, 12 -> 5
+    with pytest.raises(FormatError, match=f"{len(whole) - len(declared)} trailing bytes "
+                                          f"at byte offset {len(declared)}"):
+        read_features(path)
 
 
 def test_qfea_rejects_non_finite(tmp_path):

@@ -442,6 +442,12 @@ def test_training_step_memory_stays_within_bounds():
     assert peak < 7_000_000, peak
 
 
+def test_bidirectional_cells_must_share_the_hidden_width():
+    rng = np.random.default_rng(12)
+    with pytest.raises(ConfigError, match="hidden width"):
+        BiRecurrentLayer(QLSTMCell(2, 2, rng), QLSTMCell(2, 3, rng))
+
+
 def test_bidirectional_palindrome_symmetry():
     rng = np.random.default_rng(10)
     cell = QLSTMCell(2, 2, rng, dtype=np.float64)
