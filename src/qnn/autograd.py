@@ -95,9 +95,15 @@ class Tensor:
         return sum_all(self)
 
 
+def recording(inputs) -> bool:
+    """Whether an op over inputs makes a graph node: gradients are being
+    tracked on this thread and some input requires one."""
+    return _grad_mode.enabled and any(t.requires_grad for t in inputs)
+
+
 def op_result(data: np.ndarray, inputs, op: str, backward) -> Tensor:
-    """Wrap an op's output, attaching a Node when gradients are being tracked."""
-    if _grad_mode.enabled and any(t.requires_grad for t in inputs):
+    """Wrap an op's output, attaching a Node when recording(inputs)."""
+    if recording(inputs):
         return Tensor(data, requires_grad=True, node=Node(op, tuple(inputs), backward))
     return Tensor(data)
 

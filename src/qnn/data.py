@@ -151,10 +151,14 @@ def _read_qfea(fh) -> list:
     if version != QFEA_VERSION:
         raise FormatError(f"unsupported QFEA version {version} at byte offset 4")
     count = reader.u32("utterance count")
-    utterances = []
+    utterances, seen = [], set()
     for index in range(count):
         id_len = reader.u32(f"id length of utterance {index}")
         ident = reader.text(id_len, f"id of utterance {index}")
+        if ident in seen:
+            raise FormatError(f"QFEA file: utterance id '{ident}' at byte offset {reader.offset - id_len} "
+                              f"was already read")
+        seen.add(ident)
         t_len = reader.u32(f"frame count of '{ident}'")
         dim = reader.u32(f"feature dim of '{ident}'")
         feat_bytes = reader.take(4 * t_len * dim, f"features of '{ident}'")

@@ -21,31 +21,38 @@ appending padding to a batch never changes valid-frame results.
 Each layer is one graph node (Appleyard et al., arXiv:1604.01946) fed by
 the sequence and its cells' parameters, which each cell lays out as plain
 W, R and bias arrays with layers.block_matrix. Per direction one matmul
-projects all frames into the (T, B, 4H) gate buffer, a numpy loop runs the
-recurrence caching the activated gates and the h and c states, and the
-backward is full BPTT over that cache; the cell splits the W, bias and R
-gradients back per component. The loop works in place on its caches and
-applies one tanh per frame over all four gates, using
-sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded into W, the bias and
-R once per call.
+projects all frames into a (T, B, 4H) gate buffer. One numpy loop then runs
+the recurrence of both directions in lockstep: per frame one stacked matmul
+of the two hidden states against the two recurrent maps, each direction's
+projection row added, one transposed copy into a contiguous gate-major
+(4, N, B, H) frame block for the N directions, and one tanh over that
+block, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded into W,
+the bias and R once per call; the cell-state and output arithmetic then
+runs on the block's contiguous (N, B, H) gate slices. Only while a graph
+is being recorded is each frame's activated block copied back into every
+direction's own gate buffer, which becomes that direction's gate cache;
+evaluation skips the copy. The backward is full BPTT per direction over its
+gate cache and its h and c states; the cell splits the W, bias and R
+gradients back per component.
 
 What a step holds is kept small without changing a bit: tanh(c) goes to a
 per-frame scratch and the backward recomputes it for all frames at once,
 the backward writes its gate gradients over the gate cache, and a layer
-frees each direction's caches as soon as that direction's backward has run.
+frees each direction's gate cache as soon as that direction's backward has
+run.
 
-One kernel runs both directions and never knows which it runs: it walks
-the arrays it is given in their own time order. The layer hands the
-second cell time-reversed views of the sequence, the mask and the
-incoming gradient, reverses that pass's output and input gradient back,
-and returns the componentwise sum of the two directions.
+The loop never knows which way a direction runs: each walks the arrays it
+is given in their own time order. The layer hands the second cell
+time-reversed views of the sequence, the mask and the incoming gradient,
+reverses that pass's output and input gradient back, and returns the
+componentwise sum of the two directions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qnn.autograd import Tensor, op_result
+from qnn.autograd import Tensor, op_result, recording
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch, naive_quat_compose
 from qnn.errors import ConfigError, ContractError, DimensionError
@@ -114,71 +121,107 @@ def gate_affine(hidden: int, dtype):
     return scale, 1 - scale
 
 
-def lstm_gates(gates: np.ndarray, c_prev: np.ndarray, affine, c_out, tanh_out, h_out) -> None:
-    """Gate arithmetic on plain arrays, in place: gates is the (B, 4*hidden)
-    pre-activation block [f | i | c | o] already multiplied by affine's
-    scale, and on return holds the activated gates; c_t, tanh(c_t) and h_t
-    are written into c_out, tanh_out and h_out."""
+def lstm_gates(block: np.ndarray, c_prev: np.ndarray, affine, c_out, tanh_out, h_out) -> None:
+    """Gate arithmetic on plain arrays, in place: block is the gate-major
+    (4, ..., hidden) pre-activation [f, i, c, o] already multiplied by
+    affine's scale, and on return holds the activated gates; affine is
+    gate_affine's (scale, shift) per gate, shaped to broadcast over block.
+    c_t, tanh(c_t) and h_t are written into c_out, tanh_out and h_out."""
     scale, shift = affine
-    np.tanh(gates, out=gates)
-    gates *= scale
-    gates += shift
-    n = c_prev.shape[-1]
-    f, i, g, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n], gates[:, 3 * n:]
+    np.tanh(block, out=block)
+    block *= scale
+    block += shift
+    f, i, g, o = block
     np.multiply(f, c_prev, out=c_out)
-    c_out += i * g
+    np.multiply(i, g, out=tanh_out)
+    c_out += tanh_out
     np.tanh(c_out, out=tanh_out)
     np.multiply(o, tanh_out, out=h_out)
 
 
-def _direction(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarray, bias: np.ndarray):
-    """The LSTM recurrence over the (T, B, input) array x on plain arrays,
-    in x's own time order: wx is the (input, 4H) input map, wh the (H, 4H)
-    recurrent map and bias the (4H,) bias, gates side by side as
-    [f | i | c | o]. Returns the (T, B, H) output and
+def _lockstep(xs, masks, params, record: bool):
+    """The LSTM recurrence of N = len(params) independent directions on
+    plain arrays, advanced together frame by frame. Direction n walks the
+    (T, B, input) array xs[n] and the (T, B) mask masks[n] in their own
+    time order with params[n] = (wx, wh, bias): the (input, 4H) input map,
+    the (H, 4H) recurrent map and the (4H,) bias, gates side by side as
+    [f | i | c | o]. Returns the N (T, B, H) outputs and the N closures
     backward(grad) -> (d_x, d_wx, d_wh, d_bias).
 
-    One matmul projects every frame into the gate buffer; the loop caches
-    the activated gates and the h and c states, and the backward runs full
-    BPTT over that cache, writing its gate gradients over the gate cache.
-    The kernel never knows its direction: handed time-reversed views, it
-    projects a contiguous copy of x (reshape copies a reversed view), so
-    its caches are contiguous in its own time order and its GEMMs and bias
-    sum reduce over time in that order.
+    One matmul per direction projects every frame into that direction's
+    (T, B, 4H) gate buffer. Each frame then runs one stacked matmul of the
+    N hidden states against the N recurrent maps, adds each direction's
+    projection row, makes one transposed copy into a contiguous gate-major
+    (4, N, B, H) block, and runs the gate arithmetic on its contiguous
+    (N, B, H) gate slices. The h and c states are laid out (N, T + 1, B, H):
+    each direction's are contiguous for its backward, and each frame's are
+    N contiguous (B, H) blocks. Only when record is set (a graph node will
+    hold the backward) is each frame's activated block copied back into the
+    gate buffers, which become the backward's gate caches.
     """
-    if x.dtype != wx.dtype:
-        raise ContractError(f"lstm_layer: dtype mismatch {x.dtype} vs cell {wx.dtype}")
-    t_len, batch, n_in = x.shape
-    if n_in != wx.shape[0]:
-        raise DimensionError(f"sequence width {n_in} does not match cell input {wx.shape[0]}")
-    width = wh.shape[1]
-    hidden = width // 4
-    dtype = x.dtype
+    for x, (wx, _, _) in zip(xs, params):
+        if x.dtype != wx.dtype:
+            raise ContractError(f"lstm_layer: dtype mismatch {x.dtype} vs cell {wx.dtype}")
+        if x.shape[2] != wx.shape[0]:
+            raise DimensionError(f"sequence width {x.shape[2]} does not match cell input {wx.shape[0]}")
+    t_len, batch, n_in = xs[0].shape
+    n_dir = len(params)
+    hidden = params[0][1].shape[0]
+    width = 4 * hidden
+    dtype = xs[0].dtype
     affine = gate_affine(hidden, dtype)
     # the pre-activations scaled by gate_affine; power-of-two scaling is exact
-    gates = np.matmul(x.reshape(t_len * batch, n_in), wx * affine[0]).reshape(t_len, batch, width)
-    gates += bias * affine[0]
-    wh_scaled = wh * affine[0]
-    recurrent = np.empty((batch, width), dtype=dtype)
-    tanh_c = np.empty((batch, hidden), dtype=dtype)  # per-frame scratch, recomputed by the backward
-    h_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)  # h_states[t] is h_{t-1}
-    c_states = np.zeros((t_len + 1, batch, hidden), dtype=dtype)
-    keeps = [None if full else m[:, None].astype(dtype) for m, full in zip(mask, mask.all(axis=1))]
-    for t, keep in enumerate(keeps):
+    projections = [np.matmul(x.reshape(t_len * batch, n_in), wx * affine[0]).reshape(t_len, batch, width)
+                   for x, (wx, _, _) in zip(xs, params)]
+    for gates, (_, _, bias) in zip(projections, params):
+        gates += bias * affine[0]
+    wh_scaled = np.stack([wh * affine[0] for _, wh, _ in params])
+    recurrent = np.empty((n_dir, batch, width), dtype=dtype)
+    block = np.empty((4, n_dir, batch, hidden), dtype=dtype)
+    tanh_c = np.empty((n_dir, batch, hidden), dtype=dtype)  # per-frame scratch; the backward recomputes tanh(c)
+    # each direction's states from the zero state, contiguous in its own time order
+    h_dirs = np.zeros((n_dir, t_len + 1, batch, hidden), dtype=dtype)
+    c_dirs = np.zeros((n_dir, t_len + 1, batch, hidden), dtype=dtype)
+    h_states, c_states = h_dirs.swapaxes(0, 1), c_dirs.swapaxes(0, 1)  # h_states[t] is the N h_{t-1}
+    # gate-major views: the recurrent term as (4, N, B, H), each gate buffer as (T, 4, B, H)
+    recurrent_block = recurrent.reshape(n_dir, batch, 4, hidden).transpose(2, 0, 1, 3)
+    gate_blocks = [p.reshape(t_len, batch, 4, hidden).transpose(0, 2, 1, 3) for p in projections]
+    block_dirs = [block[:, n] for n in range(n_dir)]
+    # per gate over the whole block: an operand of the block's shape takes numpy's contiguous path
+    block_affine = [np.broadcast_to(a[::hidden, None, None, None], block.shape).copy() for a in affine]
+    drops = [None if m.all() else ~m[:, :, None] for m in np.stack(masks, axis=1)]
+    for t, drop in enumerate(drops):
         np.matmul(h_states[t], wh_scaled, out=recurrent)
-        gates[t] += recurrent
-        lstm_gates(gates[t], c_states[t], affine, c_states[t + 1], tanh_c, h_states[t + 1])
-        if keep is not None:  # padded sequences carry their state
-            drop = ~mask[t][:, None]
+        for rec, gates in zip(recurrent, projections):
+            rec += gates[t]
+        np.copyto(block, recurrent_block)
+        lstm_gates(block, c_states[t], block_affine, c_states[t + 1], tanh_c, h_states[t + 1])
+        if record:
+            for gate_block, activated in zip(gate_blocks, block_dirs):
+                gate_block[t] = activated
+        if drop is not None:  # padded sequences carry their state
             np.copyto(h_states[t + 1], h_states[t], where=drop)
             np.copyto(c_states[t + 1], c_states[t], where=drop)
-    out = h_states[1:] * mask[:, :, None]  # padded frames emit zeros
+    outs = [h[1:] * m[:, :, None] for h, m in zip(h_dirs, masks)]  # padded frames emit zeros
+    passes = [_bptt(x, wx, wh, gates, h, c, m)
+              for x, (wx, wh, _), gates, h, c, m in zip(xs, params, projections, h_dirs, c_dirs, masks)]
+    return outs, passes
+
+
+def _bptt(x, wx, wh, gates, h_states, c_states, mask):
+    """backward(grad) -> (d_x, d_wx, d_wh, d_bias) of one direction: full
+    BPTT over its caches, in x's own time order. gates holds the activated
+    gates, h_states and c_states the (T + 1, B, H) states from zero."""
+    t_len, batch, n_in = x.shape
+    hidden = wh.shape[0]
+    dtype = x.dtype
 
     def backward(grad):
         # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t.
         # local, then d_pre, is written over the gate cache, so f is copied
         # first for the loop. On padded frames the recomputed tanh(c) is the
         # carried state's, which only ever meets a zero keep.
+        keeps = [None if full else m[:, None].astype(dtype) for m, full in zip(mask, mask.all(axis=1))]
         d_pre = gates
         l_f, l_i, l_g, l_o = f, i, g, o = np.split(d_pre, 4, axis=2)
         f = f.copy()
@@ -215,13 +258,13 @@ def _direction(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarray, 
             if keep is not None:
                 d_c += d_c_skip
                 d_h += d_h_skip
-        d_pre = d_pre.reshape(-1, width)
+        d_pre = d_pre.reshape(-1, 4 * hidden)
         d_wx = x.reshape(-1, n_in).T @ d_pre
         d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre
         d_x = (d_pre @ wx.T).reshape(x.shape)
         return d_x, d_wx, d_wh, d_pre.sum(axis=0)
 
-    return out, backward
+    return backward
 
 
 def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
@@ -230,31 +273,32 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
 
     seq is (T, B, input) and mask (T, B) boolean. cells[0] runs forward in
     time; a second cell is handed time-reversed views of the sequence and
-    the mask, and its output, reversed back, is added frame by frame. State
-    carries through masked frames unchanged and masked outputs are zero.
-    The backward hands each direction the incoming gradient in its own time
-    order and drops that direction, with its caches, as soon as its
-    backward has run.
+    the mask, runs in lockstep with the first, and its output, reversed
+    back, is added frame by frame. State carries through masked frames
+    unchanged and masked outputs are zero. The backward hands each
+    direction the incoming gradient in its own time order and drops that
+    direction, with its gate cache, as soon as its backward has run.
     """
     if mask.shape != seq.shape[:2]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")
-    out, passes = None, []
-    for cell, step in zip(cells, (1, -1)):
-        y, pass_backward = _direction(seq.data[::step], mask[::step], *cell.prepared())
+    inputs = [seq] + [p for cell in cells for _, p in cell.named_parameters()]
+    steps = (1, -1)[:len(cells)]
+    ys, passes = _lockstep([seq.data[::step] for step in steps], [mask[::step] for step in steps],
+                           [cell.prepared() for cell in cells], recording(inputs))
+    out = None
+    for y, step in zip(ys, steps):
         out = y if out is None else out + y[::step]
-        passes.append(pass_backward)
 
     def backward(grad):
         d_seq, grads = None, []
-        for cell, step in zip(cells, (1, -1)):
+        for cell, step in zip(cells, steps):
             d_x, *d_w = passes.pop(0)(grad[::step])
             d_seq = d_x if d_seq is None else d_seq + d_x[::step]
             grads += cell.split_grads(*d_w)
             del d_w  # not held through the next direction's backward
         return [d_seq] + grads
 
-    params = [p for cell in cells for _, p in cell.named_parameters()]
-    return op_result(out, [seq] + params, "lstm_layer", backward)
+    return op_result(out, inputs, "lstm_layer", backward)
 
 
 def run_direction(cell, seq: Tensor, mask: np.ndarray) -> Tensor:

@@ -230,6 +230,15 @@ def test_no_grad_suppresses_graph():
     assert out.node is None and not out.requires_grad
 
 
+def test_recording_is_whether_an_op_makes_a_node():
+    w = Tensor(np.ones(2), requires_grad=True)
+    c = Tensor(np.ones(2))
+    assert autograd.recording([w, c]) and mul(w, c).node is not None
+    assert not autograd.recording([c, c]) and mul(c, c).node is None
+    with autograd.no_grad():
+        assert not autograd.recording([w, c]) and mul(w, c).node is None
+
+
 def test_no_grad_is_per_thread():
     # threads entering and leaving no_grad must never switch recording off
     # for another thread

@@ -15,7 +15,7 @@ from qnn.autograd import Tensor
 from qnn.checkpoint import load_checkpoint, save_checkpoint
 from qnn.cli import main
 from qnn.config import ModelConfig, parse_config_file, resolve_config
-from qnn.data import SynthSpec, read_features
+from qnn.data import SynthSpec, read_features, write_features
 from qnn.errors import ConfigError, DataError, FormatError
 from qnn.recurrent import build_model, symbolic_param_counts
 
@@ -311,6 +311,23 @@ def test_eval_refuses_bytes_after_the_declared_content_with_exit_3(tmp_path, cap
     assert code == 3
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert f"2 trailing bytes at byte offset {len(whole)}" in err[0], err
+
+
+def test_train_refuses_a_repeated_qfea_utterance_id_with_exit_3(tmp_path, capsys):
+    main(synth_args(tmp_path / "data"))
+    train = tmp_path / "data/train.qfea"
+    utts = read_features(str(train))
+    utts[0].id = utts[1].id = "a"
+    write_features(str(train), utts)
+    t_len, dim = utts[0].features.shape
+    second_id_at = 12 + (4 + 1 + 8 + 4 * t_len * dim + 4 * t_len) + 4
+    capsys.readouterr()
+    code = main(["train", "--train", str(train), "--valid", str(tmp_path / "data/valid.qfea"),
+                 "--out", str(tmp_path / "run"), *TRAIN_FLAGS])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"'a' at byte offset {second_id_at}" in err[0], err
 
 
 def test_eval_refuses_digest_mismatch_before_building_the_model(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,7 @@ from qnn.recurrent import (
     gate_affine,
     layer_plan,
     lstm_gates,
+    lstm_layer,
     param_breakdown,
     run_direction,
 )
@@ -54,12 +55,15 @@ def make_batch(features, lengths):
 
 def step(cell, x, h_prev, c_prev):
     """One frame of run_direction's recurrence from a given state, on plain
-    arrays: the cell's prepared maps, then lstm_gates."""
+    arrays: the cell's prepared maps, then lstm_gates on the gate-major
+    (4, B, H) block."""
     wx, wh, bias = cell.prepared()
-    affine = gate_affine(cell.hidden_size, wh.dtype)
+    hidden = cell.hidden_size
+    affine = gate_affine(hidden, wh.dtype)
     gates = (x @ wx + bias + h_prev @ wh) * affine[0]
+    block = np.ascontiguousarray(gates.reshape(-1, 4, hidden).transpose(1, 0, 2))
     h, c = np.empty_like(c_prev), np.empty_like(c_prev)
-    lstm_gates(gates, c_prev, affine, c, np.empty_like(c), h)
+    lstm_gates(block, c_prev, [a[::hidden].reshape(4, 1, 1) for a in affine], c, np.empty_like(c), h)
     return h, c
 
 
@@ -260,6 +264,21 @@ def test_ragged_rollout_gradients_match_finite_differences(kind):
     assert max(errors.values()) < 1e-6, errors
 
 
+def parent_lstm_gates(gates, c_prev, affine, c_out, tanh_out, h_out):
+    """lstm_gates as the parent kernel ran it, on the (B, 4*hidden) block
+    [f | i | c | o] with gate_affine's per-column (scale, shift)."""
+    scale, shift = affine
+    np.tanh(gates, out=gates)
+    gates *= scale
+    gates += shift
+    n = c_prev.shape[-1]
+    f, i, g, o = gates[:, :n], gates[:, n:2 * n], gates[:, 2 * n:3 * n], gates[:, 3 * n:]
+    np.multiply(f, c_prev, out=c_out)
+    c_out += i * g
+    np.tanh(c_out, out=tanh_out)
+    np.multiply(o, tanh_out, out=h_out)
+
+
 def parent_lstm_direction(proj, wh, mask):
     """The fused node before it owned the input projection: proj is the
     (T, B, 4*hidden) output of the matmul -> add_bias -> reshape nodes."""
@@ -277,7 +296,7 @@ def parent_lstm_direction(proj, wh, mask):
     for t, keep in enumerate(keeps):
         np.matmul(h_states[t], wh_scaled, out=recurrent)
         gates[t] += recurrent
-        lstm_gates(gates[t], c_states[t], affine, c_states[t + 1], tanh_c[t], h_states[t + 1])
+        parent_lstm_gates(gates[t], c_states[t], affine, c_states[t + 1], tanh_c[t], h_states[t + 1])
         if keep is not None:
             drop = ~mask[t][:, None]
             np.copyto(h_states[t + 1], h_states[t], where=drop)
@@ -388,6 +407,24 @@ def test_layer_node_bit_equal_to_two_direction_graph(case, kind, dtype):
     names = ["input"] + [name for name, _ in layer.named_parameters()]
     for name, got, want in zip(names, grads, ref_grads):
         assert got.dtype == dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("case", sorted(RAGGED_MASKS))
+@pytest.mark.parametrize("kind", ["qlstm", "lstm"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_cells", [1, 2])
+def test_layer_output_is_the_same_recorded_or_not(case, kind, dtype, n_cells):
+    # the kernel keeps its gate caches only while recording; the output must not notice
+    rng = np.random.default_rng(42)
+    mask = RAGGED_MASKS[case]
+    cells = [make_cell(kind, dtype, rng) for _ in range(n_cells)]
+    seq = Tensor((2.0 * rng.standard_normal(mask.shape + (cells[0].input_size,))).astype(dtype),
+                 requires_grad=True)
+    recorded = lstm_layer(seq, mask, cells)
+    with autograd.no_grad():
+        plain = lstm_layer(seq, mask, cells)
+    assert recorded.node is not None and plain.node is None
+    assert recorded.dtype == dtype and np.array_equal(recorded.data, plain.data)
 
 
 def closure_value(fn, name):
