@@ -178,10 +178,11 @@ def _lockstep(xs, masks, params, record: bool):
     wh_scaled = np.stack([wh * affine[0] for _, wh, _ in params])
     recurrent = np.empty((n_dir, batch, width), dtype=dtype)
     block = np.empty((4, n_dir, batch, hidden), dtype=dtype)
-    tanh_c = np.empty((n_dir, batch, hidden), dtype=dtype)  # per-frame scratch; the backward recomputes tanh(c)
-    # each direction's states from the zero state, contiguous in its own time order
-    h_dirs = np.zeros((n_dir, t_len + 1, batch, hidden), dtype=dtype)
-    c_dirs = np.zeros((n_dir, t_len + 1, batch, hidden), dtype=dtype)
+    tanh_c = np.empty((n_dir, batch, hidden), dtype=dtype)  # per-frame scratch, recomputed by the backward
+    # each direction's states, contiguous in its own time order; the loop writes every frame after the zero state
+    h_dirs = np.empty((n_dir, t_len + 1, batch, hidden), dtype=dtype)
+    c_dirs = np.empty((n_dir, t_len + 1, batch, hidden), dtype=dtype)
+    h_dirs[:, 0] = c_dirs[:, 0] = 0
     h_states, c_states = h_dirs.swapaxes(0, 1), c_dirs.swapaxes(0, 1)  # h_states[t] is the N h_{t-1}
     # gate-major views: the recurrent term as (4, N, B, H), each gate buffer as (T, 4, B, H)
     recurrent_block = recurrent.reshape(n_dir, batch, 4, hidden).transpose(2, 0, 1, 3)
@@ -189,7 +190,8 @@ def _lockstep(xs, masks, params, record: bool):
     block_dirs = [block[:, n] for n in range(n_dir)]
     # per gate over the whole block: an operand of the block's shape takes numpy's contiguous path
     block_affine = [np.broadcast_to(a[::hidden, None, None, None], block.shape).copy() for a in affine]
-    drops = [None if m.all() else ~m[:, :, None] for m in np.stack(masks, axis=1)]
+    joint = np.stack(masks, axis=1)
+    drops = [None if full else ~m[:, :, None] for m, full in zip(joint, joint.all(axis=(1, 2)))]
     for t, drop in enumerate(drops):
         np.matmul(h_states[t], wh_scaled, out=recurrent)
         for rec, gates in zip(recurrent, projections):

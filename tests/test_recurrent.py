@@ -414,7 +414,7 @@ def test_layer_node_bit_equal_to_two_direction_graph(case, kind, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_cells", [1, 2])
 def test_layer_output_is_the_same_recorded_or_not(case, kind, dtype, n_cells):
-    # the kernel keeps its gate caches only while recording; the output must not notice
+    # the kernel fills its gate caches only while recording; the output must not notice
     rng = np.random.default_rng(42)
     mask = RAGGED_MASKS[case]
     cells = [make_cell(kind, dtype, rng) for _ in range(n_cells)]
