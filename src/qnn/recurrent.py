@@ -149,15 +149,19 @@ def _lockstep(xs, masks, params, record: bool):
     backward(grad) -> (d_x, d_wx, d_wh, d_bias).
 
     One matmul per direction projects every frame into that direction's
-    (T, B, 4H) gate buffer. Each frame then runs one stacked matmul of the
-    N hidden states against the N recurrent maps, adds each direction's
-    projection row, makes one transposed copy into a contiguous gate-major
-    (4, N, B, H) block, and runs the gate arithmetic on its contiguous
-    (N, B, H) gate slices. The h and c states are laid out (N, T + 1, B, H):
-    each direction's are contiguous for its backward, and each frame's are
-    N contiguous (B, H) blocks. Only when record is set (a graph node will
-    hold the backward) is each frame's activated block copied back into the
-    gate buffers, which become the backward's gate caches.
+    (T, B, 4H) gate buffer; a time-reversed view is projected from a
+    contiguous copy (reshape copies a reversed view), so every cache is
+    contiguous in its direction's own time order and the backward's GEMMs
+    and bias sum reduce over time in that order. Each frame then runs one
+    stacked matmul of the N hidden states against the N recurrent maps,
+    adds each direction's projection row, makes one transposed copy into a
+    contiguous gate-major (4, N, B, H) block, and runs the gate arithmetic
+    on its contiguous (N, B, H) gate slices. The h and c states are laid out
+    (N, T + 1, B, H): each direction's are contiguous for its backward, and
+    each frame's are N contiguous (B, H) blocks. Only when record is set (a
+    graph node will hold the backward) is each frame's activated block
+    copied back into the gate buffers, which become the backward's gate
+    caches.
     """
     for x, (wx, _, _) in zip(xs, params):
         if x.dtype != wx.dtype:
@@ -179,7 +183,7 @@ def _lockstep(xs, masks, params, record: bool):
     recurrent = np.empty((n_dir, batch, width), dtype=dtype)
     block = np.empty((4, n_dir, batch, hidden), dtype=dtype)
     tanh_c = np.empty((n_dir, batch, hidden), dtype=dtype)  # per-frame scratch, recomputed by the backward
-    # each direction's states, contiguous in its own time order; the loop writes every frame after the zero state
+    # each direction's states, contiguous in its own time order; the loop writes every frame after the first
     h_dirs = np.empty((n_dir, t_len + 1, batch, hidden), dtype=dtype)
     c_dirs = np.empty((n_dir, t_len + 1, batch, hidden), dtype=dtype)
     h_dirs[:, 0] = c_dirs[:, 0] = 0
