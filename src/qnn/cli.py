@@ -53,6 +53,15 @@ def _resolve(args):
     return resolve_config(file_values, flag_values), set(file_values) | set(flag_values)
 
 
+def _label_range(name: str, utterances) -> tuple[int, int]:
+    """The lowest and highest label of a non-empty set; a negative label is refused."""
+    low = min(int(u.labels.min()) for u in utterances)
+    top = max(int(u.labels.max()) for u in utterances)
+    if low < 0:
+        raise DataError(f"{name} set has labels in [{low}, {top}], labels must be >= 0")
+    return low, top
+
+
 def _check_dataset(name: str, utterances, config: ModelConfig) -> None:
     if not utterances:
         raise DataError(f"{name} set is empty")
@@ -61,9 +70,8 @@ def _check_dataset(name: str, utterances, config: ModelConfig) -> None:
         raise DataError(
             f"{name} set has feature dims {sorted(dims)}, config expects {config.input_dim}"
         )
-    top = max(int(u.labels.max()) for u in utterances)
-    low = min(int(u.labels.min()) for u in utterances)
-    if low < 0 or top >= config.classes:
+    low, top = _label_range(name, utterances)
+    if top >= config.classes:
         raise DataError(
             f"{name} set has labels in [{low}, {top}], config allows [0, {config.classes})"
         )
@@ -81,12 +89,12 @@ def cmd_train(args) -> int:
     valid_utts = read_features(args.valid)
     if not train_utts:
         raise DataError(f"{args.train}: training set is empty")
+    top = max(_label_range(name, utts)[1]
+              for name, utts in (("train", train_utts), ("valid", valid_utts)) if utts)
     if "input_dim" not in provided:
         config.input_dim = train_utts[0].features.shape[1]
     if "classes" not in provided:
-        config.classes = 1 + max(
-            int(u.labels.max()) for u in train_utts + valid_utts
-        )
+        config.classes = 1 + top
     config.validate()
     _check_size_budget(config)
     _check_dataset("train", train_utts, config)

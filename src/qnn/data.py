@@ -47,8 +47,8 @@ class Utterance:
     labels: np.ndarray    # (T,) int32
 
     def validate(self) -> None:
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise DataError(f"utterance '{self.id}': features must be (T>=1, D), got {self.features.shape}")
+        if self.features.ndim != 2 or min(self.features.shape) < 1:
+            raise DataError(f"utterance '{self.id}': features must be (T>=1, D>=1), got {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise DataError(
                 f"utterance '{self.id}': label length {self.labels.shape} does not match T={self.features.shape[0]}"
@@ -300,12 +300,14 @@ class SynthSpec:
     def peak_bytes(self) -> int:
         """An upper bound on generate_synthetic's memory: the largest
         possible output (every segment at seg_max frames of float32 features
-        and an int32 label), the float64 class templates, and the float64
-        values, noise draw and ramp of the segment being made."""
+        and an int32 label), the float64 class templates, the float64
+        values, noise draw and ramp of the segment being made, and 4 KiB per
+        utterance for the Python objects around the arrays (ids, array
+        headers, the split generators)."""
         utterances = self.train_utts + self.valid_utts + self.test_utts
         frames = utterances * self.segments_per_utt * self.seg_max
         return (frames * 4 * (self.dim + 1) + 8 * self.classes * self.dim
-                + 16 * self.seg_max * (self.dim + 1))
+                + 16 * self.seg_max * (self.dim + 1) + 4096 * utterances)
 
     @property
     def delta_classes(self) -> tuple:
@@ -319,9 +321,17 @@ def class_templates(spec: SynthSpec) -> np.ndarray:
     n_bumps = spec.classes - 1
     centers = np.linspace(0.15, 0.85, n_bumps) * (spec.dim - 1)
     width = max(spec.dim / 10.0, 1.0)
-    dims = np.arange(spec.dim)
-    bumps = np.exp(-0.5 * ((dims[None, :] - centers[:, None]) / width) ** 2)
-    return np.concatenate([bumps, bumps[-1:]], axis=0).astype(np.float64)
+    dims = np.arange(spec.dim, dtype=np.float64)
+    templates = np.empty((spec.classes, spec.dim))  # exp(-0.5 * ((dims - centers) / width) ** 2) in place
+    bumps = templates[:n_bumps]
+    for center, row in zip(centers, bumps):  # a broadcast operand would make numpy buffer it
+        np.subtract(dims, center, out=row)
+    bumps /= width
+    np.square(bumps, out=bumps)
+    bumps *= -0.5
+    np.exp(bumps, out=bumps)
+    templates[n_bumps] = templates[n_bumps - 1]
+    return templates
 
 
 def _synth_split(spec: SynthSpec, templates: np.ndarray, name: str, count: int,

@@ -261,7 +261,6 @@ class RealToQuatEncoder:
         self.dense = RealLinear(input_dim, width, rng, dtype=dtype)
         self.activation = activation
         self.normalized = normalized
-        self.output_dim = width
 
     def forward(self, x) -> Tensor:
         if isinstance(x, np.ndarray):

@@ -12,7 +12,8 @@ where W and R are quaternion-weighted linear maps (Hamilton product against
 the input, realised as structured real matmuls), the activations are split
 (componentwise), and * is the componentwise product. The real-valued
 baseline cell runs the identical recurrence with ordinary dense maps, so
-one driver handles both.
+one cell class and one driver handle both. CELLS maps each stack kind to
+its cell; everything that depends on the kind reads it.
 
 Sequences are time-major (T, B, D) with a boolean validity mask; states
 carry across padded frames unchanged and padded outputs are zeroed, so
@@ -65,13 +66,18 @@ GATES = ("f", "i", "c", "o")
 class _LSTMCell:
     """Both cell kinds: per gate an input map W and a recurrent map R, each
     its named component matrices drawn by init and laid out by places
-    (layers.block_matrix), and one zero-initialised bias per gate."""
+    (layers.block_matrix), and one zero-initialised bias per gate. A cell
+    kind declares names, places and init; the widths it is built with count
+    units of len(places) reals (quaternions or reals)."""
 
-    def __init__(self, names, places, init, n_in: int, n_hidden: int, rng: np.random.Generator, dtype):
+    def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator, dtype=np.float32):
+        unit = len(self.places)
+        self.input_size, self.hidden_size = unit * n_in, unit * n_hidden
+
         def gate_maps(fan_in):
             return {g: {name: Tensor(c, requires_grad=True)
-                        for name, c in zip(names, init(fan_in, n_hidden, rng, dtype=dtype))} for g in GATES}
-        self.places = places
+                        for name, c in zip(self.names, self.init(fan_in, n_hidden, rng, dtype=dtype))}
+                    for g in GATES}
         self.w = gate_maps(n_in)
         self.r = gate_maps(n_hidden)
         self.b = {g: Tensor(np.zeros(self.hidden_size, dtype=dtype), requires_grad=True) for g in GATES}
@@ -95,21 +101,24 @@ class _LSTMCell:
 
 
 class QLSTMCell(_LSTMCell):
-    """One direction of a quaternion LSTM layer (widths in quaternions)."""
+    """One direction of a quaternion LSTM layer: QLSTMCell(in_q, hidden_q, rng)."""
 
-    def __init__(self, in_q: int, hidden_q: int, rng: np.random.Generator, dtype=np.float32):
-        self.input_size, self.hidden_size = 4 * in_q, 4 * hidden_q
-        super().__init__(("w_r", "w_x", "w_y", "w_z"), layers.QUAT_PLACES, layers.chi4_init,
-                         in_q, hidden_q, rng, dtype)
+    names = ("w_r", "w_x", "w_y", "w_z")
+    places = layers.QUAT_PLACES
+    init = staticmethod(layers.chi4_init)
 
 
 class RealLSTMCell(_LSTMCell):
-    """One direction of the real-valued baseline LSTM layer."""
+    """One direction of the real-valued baseline LSTM layer: RealLSTMCell(n_in, hidden, rng)."""
 
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator, dtype=np.float32):
-        self.input_size, self.hidden_size = input_size, hidden_size
-        super().__init__(("weight",), layers.REAL_PLACES, lambda *a, **k: (layers.glorot_uniform(*a, **k),),
-                         input_size, hidden_size, rng, dtype)
+    names = ("weight",)
+    places = layers.REAL_PLACES
+    init = staticmethod(lambda *a, **k: (layers.glorot_uniform(*a, **k),))
+
+
+# The cell of each stack kind; len(places) reals make one unit (quaternion or
+# real), which divides every width the stack sees and is what dropout drops.
+CELLS = {"qlstm": QLSTMCell, "lstm": RealLSTMCell}
 
 
 def gate_affine(hidden: int, dtype):
@@ -328,62 +337,44 @@ class BiRecurrentLayer:
         return self.fwd.named_parameters(prefix + "fwd.") + self.bwd.named_parameters(prefix + "bwd.")
 
 
-class IdentityFrontEnd:
-    """Pass features through unchanged (real baseline input)."""
+class FixedFrontEnd:
+    """A parameter-free front end: transform(features) cast to dtype."""
 
-    def __init__(self, input_dim: int, dtype=np.float32):
-        self.output_dim = input_dim
+    def __init__(self, transform, dtype=np.float32):
+        self.transform = transform
         self.dtype = dtype
 
     def forward(self, features: np.ndarray) -> Tensor:
-        return Tensor(features.astype(self.dtype, copy=False))
+        return Tensor(self.transform(features).astype(self.dtype, copy=False))
 
     def named_parameters(self, prefix: str = ""):
         return []
 
 
-class NaiveQuatFrontEnd:
-    """Group four consecutive feature coefficients into one quaternion.
-
-    Pure reindexing of the input (no parameters): frame coefficients
-    (4k, 4k+1, 4k+2, 4k+3) become quaternion k, repacked to the
-    quarter-block layout. Widths not divisible by 4 are zero-padded.
-    """
-
-    def __init__(self, input_dim: int, dtype=np.float32):
-        self.pad = (-input_dim) % 4
-        self.output_dim = input_dim + self.pad
-        self.dtype = dtype
-
-    def forward(self, features: np.ndarray) -> Tensor:
-        return Tensor(naive_quat_compose(features).astype(self.dtype, copy=False))
-
-    def named_parameters(self, prefix: str = ""):
-        return []
+# The transform of each parameter-free front end: the features unchanged, or
+# each four consecutive coefficients as one quaternion (zero-padded to 4k).
+FIXED_FRONT_ENDS = {"identity": lambda features: features, "naive-quat": naive_quat_compose}
 
 
 class AcousticModel:
     """Front end -> (bi)recurrent stack -> real dense output, framewise.
 
-    Dropout (whole quaternions on the quaternion path, per component on the
-    real path) is applied to the front-end output and to every stack layer
-    output, never to the logits.
+    Dropout (whole quaternions, or single components when per_component is
+    set, as for the real stack) is applied to the front-end output and to
+    every stack layer output, never to the logits.
     """
 
     def __init__(self, front_end, stack, output: RealLinear, dropout: float,
-                 dropout_rng: np.random.Generator, quaternion_dropout_masks: bool):
+                 dropout_rng: np.random.Generator, per_component: bool):
         self.front_end = front_end
         self.stack = list(stack)
         self.output = output
         self.dropout = dropout
         self.dropout_rng = dropout_rng
-        self.quaternion_dropout_masks = quaternion_dropout_masks
+        self.per_component = per_component
 
     def _drop(self, x: Tensor, training: bool) -> Tensor:
-        return quaternion_dropout(
-            x, self.dropout, training=training, rng=self.dropout_rng,
-            per_component=not self.quaternion_dropout_masks,
-        )
+        return quaternion_dropout(x, self.dropout, training, self.dropout_rng, self.per_component)
 
     def forward(self, batch: UtteranceBatch, training: bool = False) -> Tensor:
         """Logits (T, B, C); padded frames carry meaningless values and must
@@ -424,12 +415,15 @@ def layer_plan(config: ModelConfig) -> tuple[int, int]:
     """Real widths along the model, read by both build_model and
     symbolic_param_counts: the front-end output and every stack layer's
     output. The first stack layer maps the one to the other, the remaining
-    depth - 1 layers map the stack width to itself."""
+    depth - 1 layers map the stack width to itself; the front-end output
+    must be a whole number of the stack kind's units (CELLS)."""
     config.validate()
     dim = config.input_dim
     width = {"identity": dim, "naive-quat": 4 * ((dim + 3) // 4)}.get(config.front_end, config.r2h_size)
-    if config.stack_kind == "qlstm" and width % 4 != 0:
-        raise ConfigError(f"qlstm stack needs an input width divisible by 4, front end provides {width}")
+    unit = len(CELLS[config.stack_kind].places)
+    if width % unit != 0:
+        raise ConfigError(f"{config.stack_kind} stack needs an input width divisible by {unit}, "
+                          f"front end provides {width}")
     return width, config.hidden_real_width
 
 
@@ -440,14 +434,14 @@ def symbolic_param_counts(config: ModelConfig) -> dict:
     the memory budget so large configs stay cheap."""
     front_width, hidden = layer_plan(config)
     depth = config.depth
-    front = config.input_dim * front_width + front_width if config.front_end in ("r2h-norm", "r2h") else 0
-    shrink = 4 if config.stack_kind == "qlstm" else 1  # real scalars per weight entry
+    front = 0 if config.front_end in FIXED_FRONT_ENDS else config.input_dim * front_width + front_width
+    unit = len(CELLS[config.stack_kind].places)  # real matrix entries per weight scalar
 
-    def layer_weights(n_in):  # two directions, four gates, each an input map W and a recurrent map R
-        return 2 * 4 * (n_in * hidden + hidden * hidden) // shrink
+    def layer_weights(n_in):  # two directions, each gate an input map W and a recurrent map R
+        return 2 * len(GATES) * (n_in * hidden + hidden * hidden) // unit
 
     stack_weights = layer_weights(front_width) + (depth - 1) * layer_weights(hidden) if depth else 0
-    stack = stack_weights + depth * 2 * 4 * hidden  # plus one bias per gate
+    stack = stack_weights + depth * 2 * len(GATES) * hidden  # plus one bias per gate
     out_in = hidden if depth else front_width
     return _breakdown(front, stack, out_in * config.classes + config.classes, stack_weights)
 
@@ -456,7 +450,9 @@ def build_model(config: ModelConfig) -> AcousticModel:
     """Construct the model described by a validated config.
 
     Initialisation and dropout use generators spawned deterministically
-    from config.seed, so identical configs give identical models.
+    from config.seed, so identical configs give identical models: the front
+    end draws first, then per layer the forward cell and the backward cell,
+    then the output layer.
     """
     front_width, hidden = layer_plan(config)
     dtype = config.dtype
@@ -464,38 +460,20 @@ def build_model(config: ModelConfig) -> AcousticModel:
     rng = np.random.default_rng(ss_init)
     dropout_rng = np.random.default_rng(ss_drop)
 
-    if config.front_end == "identity":
-        front = IdentityFrontEnd(config.input_dim, dtype=dtype)
-    elif config.front_end == "naive-quat":
-        front = NaiveQuatFrontEnd(config.input_dim, dtype=dtype)
+    if config.front_end in FIXED_FRONT_ENDS:
+        front = FixedFrontEnd(FIXED_FRONT_ENDS[config.front_end], dtype=dtype)
     else:
-        front = RealToQuatEncoder(
-            config.input_dim,
-            front_width,
-            config.r2h_activation,
-            normalized=(config.front_end == "r2h-norm"),
-            rng=rng,
-            dtype=dtype,
-        )
+        front = RealToQuatEncoder(config.input_dim, front_width, config.r2h_activation,
+                                  normalized=(config.front_end == "r2h-norm"), rng=rng, dtype=dtype)
 
+    cell = CELLS[config.stack_kind]
+    unit = len(cell.places)
     stack = []
     n_in = front_width
     for _ in range(config.depth):
-        if config.stack_kind == "qlstm":
-            fwd = QLSTMCell(n_in // 4, hidden // 4, rng, dtype=dtype)
-            bwd = QLSTMCell(n_in // 4, hidden // 4, rng, dtype=dtype)
-        else:
-            fwd = RealLSTMCell(n_in, hidden, rng, dtype=dtype)
-            bwd = RealLSTMCell(n_in, hidden, rng, dtype=dtype)
-        stack.append(BiRecurrentLayer(fwd, bwd))
+        stack.append(BiRecurrentLayer(cell(n_in // unit, hidden // unit, rng, dtype=dtype),
+                                      cell(n_in // unit, hidden // unit, rng, dtype=dtype)))
         n_in = hidden
 
     output = RealLinear(n_in, config.classes, rng, dtype=dtype)
-    return AcousticModel(
-        front,
-        stack,
-        output,
-        dropout=config.dropout,
-        dropout_rng=dropout_rng,
-        quaternion_dropout_masks=(config.stack_kind == "qlstm"),
-    )
+    return AcousticModel(front, stack, output, config.dropout, dropout_rng, per_component=(unit == 1))

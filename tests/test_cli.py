@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import itertools
 import math
 import struct
 import tracemalloc
@@ -14,10 +15,10 @@ from qnn import cli
 from qnn.autograd import Tensor
 from qnn.checkpoint import load_checkpoint, save_checkpoint
 from qnn.cli import main
-from qnn.config import ModelConfig, parse_config_file, resolve_config
-from qnn.data import SynthSpec, read_features, write_features
+from qnn.config import CHOICES, ModelConfig, parse_config_file, resolve_config
+from qnn.data import SynthSpec, Utterance, read_features, write_features
 from qnn.errors import ConfigError, DataError, FormatError
-from qnn.recurrent import build_model, symbolic_param_counts
+from qnn.recurrent import build_model, count_params, param_breakdown, symbolic_param_counts
 
 
 def record_lines(capsys, key):
@@ -330,6 +331,29 @@ def test_train_refuses_a_repeated_qfea_utterance_id_with_exit_3(tmp_path, capsys
     assert f"'a' at byte offset {second_id_at}" in err[0], err
 
 
+def test_train_refuses_utterances_with_no_feature_dims_with_exit_3(tmp_path, capsys):
+    ident = b"empty"
+    train = tmp_path / "train.qfea"
+    train.write_bytes(b"QFEA" + struct.pack("<III", 1, 1, len(ident)) + ident
+                      + struct.pack("<II", 2, 0) + struct.pack("<2i", 0, 1))
+    code = main(["train", "--train", str(train), "--valid", str(train), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and "utterance 'empty'" in err[0] and "(2, 0)" in err[0], err
+
+
+@pytest.mark.parametrize("classes", [[], ["--classes", "3"]], ids=["inferred", "given"])
+def test_train_refuses_negative_labels_with_exit_3_whatever_the_classes(tmp_path, capsys, classes):
+    train = tmp_path / "train.qfea"
+    write_features(str(train), [Utterance("neg", np.ones((3, 4), dtype=np.float32),
+                                          np.full(3, -3, dtype=np.int32))])
+    code = main(["train", "--train", str(train), "--valid", str(train), "--out", str(tmp_path / "run"),
+                 *classes])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and "train set has labels in [-3, -3]" in err[0], err
+
+
 def test_eval_refuses_digest_mismatch_before_building_the_model(tmp_path, capsys, monkeypatch):
     main(synth_args(tmp_path / "data", dim=4))
     run = tmp_path / "run"
@@ -375,15 +399,20 @@ def test_params_depth_zero(capsys):
     assert int(fields["total"]) == (40 * 64 + 64) + (64 * 5 + 5)
 
 
-def test_params_symbolic_matches_built_model(capsys):
-    from qnn.recurrent import build_model, count_params, symbolic_param_counts
-
-    for front_end, stack_kind in (("r2h-norm", "qlstm"), ("naive-quat", "qlstm"),
-                                  ("identity", "lstm")):
-        cfg = ModelConfig(front_end=front_end, r2h_size=16, stack_kind=stack_kind,
-                          depth=2, hidden_real_width=16, classes=5, input_dim=8,
-                          dropout=0.0)
-        assert symbolic_param_counts(cfg)["total"] == count_params(build_model(cfg))
+def test_params_symbolic_matches_built_model():
+    grid = itertools.product(CHOICES["front_end"], CHOICES["stack_kind"], (0, 1, 3), (6, 8))
+    for front_end, stack_kind, depth, input_dim in grid:
+        cfg = ModelConfig(front_end=front_end, r2h_size=16, stack_kind=stack_kind, depth=depth,
+                          hidden_real_width=16, classes=5, input_dim=input_dim, dropout=0.0)
+        try:
+            counts = symbolic_param_counts(cfg)
+        except ConfigError:  # identity into qlstm with 6 features: neither may build it
+            with pytest.raises(ConfigError):
+                build_model(cfg)
+            continue
+        model = build_model(cfg)
+        assert counts == param_breakdown(model), cfg
+        assert counts["total"] == count_params(model), cfg
 
 
 def test_selfcheck_clean_passes(capsys):

@@ -236,10 +236,14 @@ def test_synthetic_bytes_equal_the_float64_construction():
             assert got.labels.tobytes() == ref.labels.tobytes()
 
 
-@pytest.mark.parametrize("seg_frames, segments", [(100_000, 1), (25_000, 4)])
-def test_generate_synthetic_stays_within_its_memory_budget(seg_frames, segments):
-    spec = SynthSpec(seg_min=seg_frames, seg_max=seg_frames, segments_per_utt=segments,
-                     train_utts=1, valid_utts=1, test_utts=1)
+@pytest.mark.parametrize("fields", [
+    dict(seg_min=100_000, seg_max=100_000, segments_per_utt=1),
+    dict(seg_min=25_000, seg_max=25_000, segments_per_utt=4),
+    # many wide class templates and tiny splits: the templates' working set is most of the peak
+    dict(classes=4000, dim=2000, seg_min=1, seg_max=1, segments_per_utt=1),
+], ids=["100000-1", "25000-4", "templates"])
+def test_generate_synthetic_stays_within_its_memory_budget(fields):
+    spec = SynthSpec(train_utts=1, valid_utts=1, test_utts=1, **fields)
     generate_synthetic(small_spec())  # numpy's one-time allocations stay out of the trace
     tracemalloc.start()
     try:

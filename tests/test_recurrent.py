@@ -15,9 +15,9 @@ from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn.gradcheck import gradient_check
 from qnn.recurrent import (
     GATES,
+    FIXED_FRONT_ENDS,
     BiRecurrentLayer,
-    IdentityFrontEnd,
-    NaiveQuatFrontEnd,
+    FixedFrontEnd,
     QLSTMCell,
     RealLSTMCell,
     build_model,
@@ -525,10 +525,10 @@ def test_bidirectional_gradients():
 
 
 def test_naive_quat_front_layout():
-    front = NaiveQuatFrontEnd(40, dtype=np.float64)
-    assert front.output_dim == 40 and front.pad == 0
+    front = FixedFrontEnd(FIXED_FRONT_ENDS["naive-quat"], dtype=np.float64)
     frame = np.arange(40.0).reshape(1, 1, 40)
     out = front.forward(frame).data[0, 0]
+    assert out.shape == (40,)
     # quaternion k comes from coefficients (4k..4k+3); quarter-block layout
     for k in range(10):
         assert out[k] == frame[0, 0, 4 * k]          # r block
@@ -538,14 +538,14 @@ def test_naive_quat_front_layout():
 
 
 def test_naive_quat_front_pads_to_multiple_of_four():
-    front = NaiveQuatFrontEnd(6)
-    assert front.pad == 2 and front.output_dim == 8
+    front = FixedFrontEnd(FIXED_FRONT_ENDS["naive-quat"])
     out = front.forward(np.ones((2, 1, 6), dtype=np.float32))
     assert out.shape == (2, 1, 8)
+    assert np.array_equal(out.data[1, 0], [1, 1, 1, 1, 1, 0, 1, 0])  # y and z of quaternion 1 are padding
 
 
 def test_identity_front_is_passthrough():
-    front = IdentityFrontEnd(5, dtype=np.float64)
+    front = FixedFrontEnd(FIXED_FRONT_ENDS["identity"], dtype=np.float64)
     x = np.random.default_rng(14).standard_normal((3, 2, 5))
     assert np.array_equal(front.forward(x).data, x)
     assert front.named_parameters() == []
@@ -671,7 +671,8 @@ def test_layer_plan_is_the_built_width_chain(front_end, stack_kind):
     cfg = toy_config(front_end=front_end, stack_kind=stack_kind, input_dim=6, r2h_size=12, depth=3)
     model = build_model(cfg)
     front_width, hidden = layer_plan(cfg)
-    built = [model.front_end.output_dim] + [layer.fwd.hidden_size for layer in model.stack]
+    features = np.zeros((2, 1, cfg.input_dim), dtype=cfg.dtype)
+    built = [model.front_end.forward(features).shape[-1]] + [layer.fwd.hidden_size for layer in model.stack]
     assert [front_width] + [hidden] * cfg.depth == built
     assert built == [layer.fwd.input_size for layer in model.stack] + [model.output.n_in]
     assert all(layer.bwd.input_size == layer.fwd.input_size for layer in model.stack)
