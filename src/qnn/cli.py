@@ -93,8 +93,8 @@ def cmd_train(args) -> int:
               for name, utts in (("train", train_utts), ("valid", valid_utts)) if utts)
     if "input_dim" not in provided:
         config.input_dim = train_utts[0].features.shape[1]
-    if "classes" not in provided:
-        config.classes = 1 + top
+    if "classes" not in provided:  # a model tells at least two classes apart
+        config.classes = max(2, 1 + top)
     config.validate()
     _check_size_budget(config)
     _check_dataset("train", train_utts, config)

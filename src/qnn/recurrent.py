@@ -21,26 +21,26 @@ appending padding to a batch never changes valid-frame results.
 
 Each layer is one graph node (Appleyard et al., arXiv:1604.01946) fed by
 the sequence and its cells' parameters, which each cell lays out as plain
-W, R and bias arrays with layers.block_matrix. Per direction one matmul
-projects all frames into a (T, B, 4H) gate buffer. One numpy loop then runs
-the recurrence of both directions in lockstep: per frame one stacked matmul
-of the two hidden states against the two recurrent maps, each direction's
-projection row added, one transposed copy into a contiguous gate-major
-(4, N, B, H) frame block for the N directions, and one tanh over that
-block, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded into W,
-the bias and R once per call; the cell-state and output arithmetic then
-runs on the block's contiguous (N, B, H) gate slices. Only while a graph
-is being recorded is each frame's activated block copied back into every
-direction's own gate buffer, which becomes that direction's gate cache;
-evaluation skips the copy. The backward is full BPTT per direction over its
-gate cache and its h and c states; the cell splits the W, bias and R
-gradients back per component.
+W, R and bias arrays with layers.block_matrix. One numpy kernel runs the N
+directions of a layer together over one (N, T, B, 4H) gate array, laid out
+like the (N, T + 1, B, H) h and c states. Per direction one matmul projects
+all frames into its slice of that array. One loop then runs the recurrence
+of all directions in lockstep: per frame one stacked matmul of the N hidden
+states against the N recurrent maps, the frame's projected rows added, one
+transposed copy into a contiguous gate-major (4, N, B, H) frame block, and
+one tanh over that block, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the
+halving folded into W, the bias and R once per call; the cell-state and
+output arithmetic then runs on the block's contiguous (N, B, H) gate
+slices. Only while a graph is being recorded is each frame's activated
+block copied back into the gate array, which becomes the gate cache;
+evaluation skips the copy. The backward is full BPTT of all N directions in
+one reversed per-frame loop over the gate cache and the states; the cell
+splits the W, bias and R gradients back per component.
 
 What a step holds is kept small without changing a bit: tanh(c) goes to a
-per-frame scratch and the backward recomputes it for all frames at once,
-the backward writes its gate gradients over the gate cache, and a layer
-frees each direction's gate cache as soon as that direction's backward has
-run.
+per-frame scratch and the backward recomputes it for all frames at once
+over the c states, and the backward writes its gate gradients over the gate
+cache.
 
 The loop never knows which way a direction runs: each walks the arrays it
 is given in their own time order. The layer hands the second cell
@@ -154,23 +154,24 @@ def _lockstep(xs, masks, params, record: bool):
     (T, B, input) array xs[n] and the (T, B) mask masks[n] in their own
     time order with params[n] = (wx, wh, bias): the (input, 4H) input map,
     the (H, 4H) recurrent map and the (4H,) bias, gates side by side as
-    [f | i | c | o]. Returns the N (T, B, H) outputs and the N closures
-    backward(grad) -> (d_x, d_wx, d_wh, d_bias).
+    [f | i | c | o]. Returns the N (T, B, H) outputs and one closure
+    backward(grads) -> N tuples (d_x, d_wx, d_wh, d_bias), grads being the
+    N output gradients, each in its direction's time order.
 
-    One matmul per direction projects every frame into that direction's
-    (T, B, 4H) gate buffer; a time-reversed view is projected from a
-    contiguous copy (reshape copies a reversed view), so every cache is
-    contiguous in its direction's own time order and the backward's GEMMs
-    and bias sum reduce over time in that order. Each frame then runs one
-    stacked matmul of the N hidden states against the N recurrent maps,
-    adds each direction's projection row, makes one transposed copy into a
-    contiguous gate-major (4, N, B, H) block, and runs the gate arithmetic
-    on its contiguous (N, B, H) gate slices. The h and c states are laid out
-    (N, T + 1, B, H): each direction's are contiguous for its backward, and
-    each frame's are N contiguous (B, H) blocks. Only when record is set (a
-    graph node will hold the backward) is each frame's activated block
-    copied back into the gate buffers, which become the backward's gate
-    caches.
+    The gates, h and c states are (N, T, B, 4H) and (N, T + 1, B, H) arrays:
+    each direction's slice is contiguous in its own time order, so its
+    projection and closing GEMMs and its bias sum run over time in that
+    order, and each frame's are N contiguous blocks for the stacked
+    per-frame matmuls. A time-reversed view is projected from a contiguous
+    copy (reshape copies a reversed view). Only when record is set (a graph
+    node will hold the backward) is each frame's activated gate-major block
+    copied back into the gate array, which becomes the gate cache.
+
+    The backward runs once: it writes over the gate cache and the c states.
+    Its reversed loop makes per frame one joint [d_c, d_c, d_c, d_h]
+    product and one stacked matmul against the N transposed recurrent maps.
+    A frame where any direction is padded (the forward's drops) takes the
+    keep/skip path for all N, which passes a full direction through as is.
     """
     for x, (wx, _, _) in zip(xs, params):
         if x.dtype != wx.dtype:
@@ -184,102 +185,94 @@ def _lockstep(xs, masks, params, record: bool):
     dtype = xs[0].dtype
     affine = gate_affine(hidden, dtype)
     # the pre-activations scaled by gate_affine; power-of-two scaling is exact
-    projections = [np.matmul(x.reshape(t_len * batch, n_in), wx * affine[0]).reshape(t_len, batch, width)
-                   for x, (wx, _, _) in zip(xs, params)]
-    for gates, (_, _, bias) in zip(projections, params):
-        gates += bias * affine[0]
+    gates = np.empty((n_dir, t_len, batch, width), dtype=dtype)
+    for x, (wx, _, bias), projected in zip(xs, params, gates):
+        np.matmul(x.reshape(t_len * batch, n_in), wx * affine[0], out=projected.reshape(t_len * batch, width))
+        projected += bias * affine[0]
     wh_scaled = np.stack([wh * affine[0] for _, wh, _ in params])
     recurrent = np.empty((n_dir, batch, width), dtype=dtype)
     block = np.empty((4, n_dir, batch, hidden), dtype=dtype)
     tanh_c = np.empty((n_dir, batch, hidden), dtype=dtype)  # per-frame scratch, recomputed by the backward
-    # each direction's states, contiguous in its own time order; the loop writes every frame after the first
+    # the loop writes every frame after the first
     h_dirs = np.empty((n_dir, t_len + 1, batch, hidden), dtype=dtype)
     c_dirs = np.empty((n_dir, t_len + 1, batch, hidden), dtype=dtype)
     h_dirs[:, 0] = c_dirs[:, 0] = 0
     h_states, c_states = h_dirs.swapaxes(0, 1), c_dirs.swapaxes(0, 1)  # h_states[t] is the N h_{t-1}
-    # gate-major views: the recurrent term as (4, N, B, H), each gate buffer as (T, 4, B, H)
+    # gate-major views: the recurrent term as (4, N, B, H), the gate array as (T, 4, N, B, H)
     recurrent_block = recurrent.reshape(n_dir, batch, 4, hidden).transpose(2, 0, 1, 3)
-    gate_blocks = [p.reshape(t_len, batch, 4, hidden).transpose(0, 2, 1, 3) for p in projections]
-    block_dirs = [block[:, n] for n in range(n_dir)]
+    gate_blocks = gates.reshape(n_dir, t_len, batch, 4, hidden).transpose(1, 3, 0, 2, 4)
     # per gate over the whole block: an operand of the block's shape takes numpy's contiguous path
     block_affine = [np.broadcast_to(a[::hidden, None, None, None], block.shape).copy() for a in affine]
     joint = np.stack(masks, axis=1)
     drops = [None if full else ~m[:, :, None] for m, full in zip(joint, joint.all(axis=(1, 2)))]
     for t, drop in enumerate(drops):
         np.matmul(h_states[t], wh_scaled, out=recurrent)
-        for rec, gates in zip(recurrent, projections):
-            rec += gates[t]
+        recurrent += gates[:, t]
         np.copyto(block, recurrent_block)
         lstm_gates(block, c_states[t], block_affine, c_states[t + 1], tanh_c, h_states[t + 1])
         if record:
-            for gate_block, activated in zip(gate_blocks, block_dirs):
-                gate_block[t] = activated
+            gate_blocks[t] = block
         if drop is not None:  # padded sequences carry their state
             np.copyto(h_states[t + 1], h_states[t], where=drop)
             np.copyto(c_states[t + 1], c_states[t], where=drop)
     outs = [h[1:] * m[:, :, None] for h, m in zip(h_dirs, masks)]  # padded frames emit zeros
-    passes = [_bptt(x, wx, wh, gates, h, c, m)
-              for x, (wx, wh, _), gates, h, c, m in zip(xs, params, projections, h_dirs, c_dirs, masks)]
-    return outs, passes
 
-
-def _bptt(x, wx, wh, gates, h_states, c_states, mask):
-    """backward(grad) -> (d_x, d_wx, d_wh, d_bias) of one direction: full
-    BPTT over its caches, in x's own time order. gates holds the activated
-    gates, h_states and c_states the (T + 1, B, H) states from zero."""
-    t_len, batch, n_in = x.shape
-    hidden = wh.shape[0]
-    dtype = x.dtype
-
-    def backward(grad):
+    def backward(grads):
         # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t.
         # local, then d_pre, is written over the gate cache, so f is copied
-        # first for the loop. On padded frames the recomputed tanh(c) is the
-        # carried state's, which only ever meets a zero keep.
-        keeps = [None if full else m[:, None].astype(dtype) for m, full in zip(mask, mask.all(axis=1))]
+        # first for the loop; tanh(c) and g * i are written over the c states,
+        # which nothing reads after local. On padded frames the recomputed
+        # tanh(c) is the carried state's, which only ever meets a zero keep.
         d_pre = gates
-        l_f, l_i, l_g, l_o = f, i, g, o = np.split(d_pre, 4, axis=2)
+        l_f, l_i, l_g, l_o = f, i, g, o = np.split(d_pre, 4, axis=3)
         f = f.copy()
-        np.multiply(c_states[:-1], f, out=l_f)
-        l_f *= 1 - f
-        gi = g * i
-        np.multiply(g, g, out=l_g)
-        np.subtract(1, l_g, out=l_g)
-        l_g *= i
-        np.subtract(1, i, out=l_i)
-        l_i *= gi
-        del gi
-        tanh_c = np.tanh(c_states[1:])
-        through = tanh_c * tanh_c
+        np.multiply(c_dirs[:, :-1], f, out=l_f)
+        tanh_c = np.tanh(c_dirs, out=c_dirs)[:, 1:]
+        through = np.subtract(1, f)  # 1 - f first, then through_t in the same buffer
+        l_f *= through
+        np.multiply(tanh_c, tanh_c, out=through)
         np.subtract(1, through, out=through)
         through *= o
         tanh_c *= o
         np.subtract(1, o, out=l_o)
         l_o *= tanh_c
-        del tanh_c
-        d_h = d_c = np.zeros((batch, hidden), dtype=dtype)  # rebound, never written in place
+        gi = np.multiply(g, i, out=tanh_c)
+        np.multiply(g, g, out=l_g)
+        np.subtract(1, l_g, out=l_g)
+        l_g *= i
+        np.subtract(1, i, out=l_i)
+        l_i *= gi
+        del tanh_c, gi
+        whT = np.stack([wh for _, wh, _ in params]).swapaxes(1, 2)
+        keeps = [None if drop is None else (~drop).astype(dtype) for drop in drops]
+        d_h, d_c = np.zeros((2, n_dir, batch, hidden), dtype=dtype)  # each frame makes new ones
         for t in reversed(range(t_len)):
             keep = keeps[t]
             if keep is None:
-                d_h = d_h + grad[t]
+                for d, grad in zip(d_h, grads):
+                    d += grad[t]
             else:  # state gradients pass unchanged through padded frames
-                d_h = d_h + grad[t] * keep
+                for d, grad, k in zip(d_h, grads, keep):
+                    d += grad[t] * k
                 d_h, d_h_skip = d_h * keep, d_h * (1 - keep)
                 d_c, d_c_skip = d_c * keep, d_c * (1 - keep)
-            d_c = d_c + d_h * through[t]
-            d_pre[t] *= np.concatenate((d_c, d_c, d_c, d_h), axis=1)
-            d_c = d_c * f[t]
-            d_h = d_pre[t] @ wh.T
+            d_c = d_c + d_h * through[:, t]
+            d_pre[:, t] *= np.concatenate((d_c, d_c, d_c, d_h), axis=2)
+            d_c = d_c * f[:, t]
+            d_h = np.matmul(d_pre[:, t], whT)
             if keep is not None:
                 d_c += d_c_skip
                 d_h += d_h_skip
-        d_pre = d_pre.reshape(-1, 4 * hidden)
-        d_wx = x.reshape(-1, n_in).T @ d_pre
-        d_wh = h_states[:-1].reshape(-1, hidden).T @ d_pre
-        d_x = (d_pre @ wx.T).reshape(x.shape)
-        return d_x, d_wx, d_wh, d_pre.sum(axis=0)
+        del f, through
+        results = []
+        for x, (wx, _, _), d, h in zip(xs, params, d_pre, h_dirs):
+            d = d.reshape(-1, width)
+            d_wx = x.reshape(-1, n_in).T @ d
+            d_wh = h[:-1].reshape(-1, hidden).T @ d
+            results.append(((d @ wx.T).reshape(x.shape), d_wx, d_wh, d.sum(axis=0)))
+        return results
 
-    return backward
+    return outs, backward
 
 
 def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
@@ -291,26 +284,24 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
     the mask, runs in lockstep with the first, and its output, reversed
     back, is added frame by frame. State carries through masked frames
     unchanged and masked outputs are zero. The backward hands each
-    direction the incoming gradient in its own time order and drops that
-    direction, with its gate cache, as soon as its backward has run.
+    direction the incoming gradient in its own time order and runs the
+    BPTT of all its directions in one joint loop.
     """
     if mask.shape != seq.shape[:2]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")
     inputs = [seq] + [p for cell in cells for _, p in cell.named_parameters()]
     steps = (1, -1)[:len(cells)]
-    ys, passes = _lockstep([seq.data[::step] for step in steps], [mask[::step] for step in steps],
-                           [cell.prepared() for cell in cells], recording(inputs))
+    ys, joint_backward = _lockstep([seq.data[::step] for step in steps], [mask[::step] for step in steps],
+                                   [cell.prepared() for cell in cells], recording(inputs))
     out = None
     for y, step in zip(ys, steps):
         out = y if out is None else out + y[::step]
 
     def backward(grad):
         d_seq, grads = None, []
-        for cell, step in zip(cells, steps):
-            d_x, *d_w = passes.pop(0)(grad[::step])
+        for cell, step, (d_x, *d_w) in zip(cells, steps, joint_backward([grad[::step] for step in steps])):
             d_seq = d_x if d_seq is None else d_seq + d_x[::step]
             grads += cell.split_grads(*d_w)
-            del d_w  # not held through the next direction's backward
         return [d_seq] + grads
 
     return op_result(out, inputs, "lstm_layer", backward)

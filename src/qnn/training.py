@@ -181,7 +181,10 @@ def _batch_metrics(model, batch):
 
 
 def evaluate(model, utterances, batch_size: int = 8):
-    """(mean loss, frame error rate %) over valid frames, batch-size invariant."""
+    """(mean loss, frame error rate %) over valid frames. Padded frames never
+    count, so the batch size changes the result only by rounding: a frame's
+    logits move in their last bits with the shapes BLAS is handed (up to
+    5e-7 at f32 and 1e-15 at f64 against single-utterance batches)."""
     batches = make_batches(utterances, batch_size)
     if not batches:
         return 0.0, 0.0

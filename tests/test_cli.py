@@ -119,6 +119,17 @@ def test_train_infers_input_dim_and_classes(tmp_path, capsys):
     assert "classes = 4" in text
 
 
+def test_train_infers_two_classes_from_all_zero_labels(tmp_path, capsys):
+    data = tmp_path / "zeros.qfea"
+    rng = np.random.default_rng(5)
+    write_features(str(data), [Utterance(f"u{k}", rng.standard_normal((5, 4)).astype(np.float32),
+                                         np.zeros(5, dtype=np.int32)) for k in range(2)])
+    out = tmp_path / "run"
+    code = main(["train", "--train", str(data), "--valid", str(data), "--out", str(out), *TRAIN_FLAGS])
+    assert code == 0, capsys.readouterr().err
+    assert "classes = 2" in (out / "config.txt").read_text().splitlines()
+
+
 def test_config_file_precedence(tmp_path, capsys):
     main(synth_args(tmp_path / "data"))
     cfg = tmp_path / "base.txt"

@@ -225,6 +225,12 @@ def test_evaluate_batch_size_invariant():
     loss_16, fer_16 = evaluate(model, valid, batch_size=16)
     assert fer_1 == fer_16
     assert abs(loss_1 - loss_16) < 1e-12
+    # a built model agrees only within rounding, fixed here from the dtype
+    model = build_model(tiny_config(precision="f64"))
+    loss_1, fer_1 = evaluate(model, valid, batch_size=1)
+    loss_8, fer_8 = evaluate(model, valid, batch_size=8)
+    assert fer_1 == fer_8
+    assert loss_1 != 0 and abs(loss_1 - loss_8) <= 1e3 * np.finfo(np.float64).eps * abs(loss_1)
 
 
 # --- train loop ----------------------------------------------------------
