@@ -135,41 +135,24 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.tanh(0.5 * x) * 0.5 + 0.5
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = stable_sigmoid(a.data)
+def _elementwise(op: str, fn, grad):
+    """A one-input elementwise op named op: out = fn(x) on the plain array,
+    and its backward returns grad(g, x, out)."""
 
-    def backward(g):
-        return (g * out * (1.0 - out),)
+    def apply(a: Tensor) -> Tensor:
+        out = fn(a.data)
+        return op_result(out, (a,), op, lambda g: (grad(g, a.data, out),))
 
-    return op_result(out, (a,), "sigmoid", backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return op_result(out, (a,), "tanh", backward)
+    apply.__name__ = op
+    return apply
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        return (g * (a.data > 0),)
-
-    return op_result(out, (a,), "relu", backward)
-
-
-def hardtanh(a: Tensor) -> Tensor:
-    """Clamp to [-1, 1]; slope 1 strictly inside, 0 outside and at the kinks."""
-    out = np.clip(a.data, -1.0, 1.0)
-
-    def backward(g):
-        return (g * ((a.data > -1.0) & (a.data < 1.0)),)
-
-    return op_result(out, (a,), "hardtanh", backward)
+sigmoid = _elementwise("sigmoid", stable_sigmoid, lambda g, x, out: g * out * (1.0 - out))
+tanh = _elementwise("tanh", np.tanh, lambda g, x, out: g * (1.0 - out * out))
+relu = _elementwise("relu", lambda x: np.maximum(x, 0.0), lambda g, x, out: g * (x > 0))
+# clamp to [-1, 1]; slope 1 strictly inside, 0 outside and at the kinks
+hardtanh = _elementwise("hardtanh", lambda x: np.clip(x, -1.0, 1.0),
+                        lambda g, x, out: g * ((x > -1.0) & (x < 1.0)))
 
 
 def sum_all(a: Tensor) -> Tensor:

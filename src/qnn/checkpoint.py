@@ -26,7 +26,7 @@ from qnn.errors import ContractError, FormatError
 
 MAGIC = b"QNN1"
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
-_TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_TAG_DTYPES = {tag: dtype for dtype, tag in _DTYPE_TAGS.items()}
 
 
 def save_checkpoint(path: str, named_params, digest: str) -> None:

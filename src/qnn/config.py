@@ -98,6 +98,12 @@ def field_types(record) -> dict:
     return {f.name: type(f.default) for f in dataclasses.fields(record)}
 
 
+def seed_streams(seed: int) -> tuple:
+    """The (init, dropout, shuffle) generators of one run: the three
+    children of SeedSequence(seed), so no stream's draws move another's."""
+    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+
+
 def check_memory(need: int, what: str) -> None:
     """Refuse what needs more bytes than physical memory, before it is allocated."""
     try:

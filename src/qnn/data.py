@@ -173,8 +173,7 @@ def _read_qfea(fh) -> list:
 
 
 def _read_csv(path: str) -> list:
-    order = []
-    rows = {}
+    rows = {}  # utterance id -> {frame: (label, values)}, in order of first appearance
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -202,15 +201,12 @@ def _read_csv(path: str) -> list:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             if not _INT32.min <= label <= _INT32.max:
                 raise FormatError(f"{path}:{lineno}: label {label} does not fit in int32")
-            if ident not in rows:
-                rows[ident] = {}
-                order.append(ident)
-            if frame in rows[ident]:
+            frames = rows.setdefault(ident, {})
+            if frame in frames:
                 raise FormatError(f"{path}:{lineno}: duplicate frame {frame} for utterance '{ident}'")
-            rows[ident][frame] = (label, values)
+            frames[frame] = (label, values)
     utterances = []
-    for ident in order:
-        frames = rows[ident]
+    for ident, frames in rows.items():
         t_len = len(frames)
         if sorted(frames) != list(range(t_len)):
             raise FormatError(f"{path}: utterance '{ident}' frames are not contiguous from 0")
@@ -252,16 +248,6 @@ def naive_quat_compose(features: np.ndarray) -> np.ndarray:
     quats = (dim + pad) // 4
     grouped = features.reshape(features.shape[:-1] + (quats, 4))
     return np.ascontiguousarray(grouped.swapaxes(-1, -2)).reshape(features.shape[:-1] + (4 * quats,))
-
-
-def naive_quat_decompose(packed: np.ndarray) -> np.ndarray:
-    """Inverse of naive_quat_compose on the padded width."""
-    width = packed.shape[-1]
-    if width % 4 != 0:
-        raise DataError(f"quarter-block width must be divisible by 4, got {width}")
-    quats = width // 4
-    grouped = packed.reshape(packed.shape[:-1] + (4, quats))
-    return np.ascontiguousarray(grouped.swapaxes(-1, -2)).reshape(packed.shape[:-1] + (width,))
 
 
 @dataclass

@@ -4,7 +4,7 @@ A vector of H quaternions lives in a real vector of length 4H using the
 quarter-block convention: entries [0, H) are the r parts, then the x, y and
 z parts. A quaternion map (an LSTM gate's input or recurrent weights)
 multiplies by a structured real matrix whose 4x4 grid of blocks is the
-transpose of quat.QuatMatrix4 with the component matrices Wr, Wx, Wy, Wz in
+transpose of quat.to_matrix with the component matrices Wr, Wx, Wy, Wz in
 place of r, x, y, z (transposed because activations are row vectors), so
 each output quaternion is the sum over inputs of (weight quaternion)
 Hamilton-multiplied by (input quaternion). block_matrix lays out that
@@ -13,8 +13,10 @@ from quat.to_matrix; a real matrix is its 1x1 case, so quaternion and real
 LSTM gates share one builder. The only dense layer, RealLinear, is real (the
 R2H front end and the output layer) and is one graph node: x @ W + b, with
 a backward of at most two GEMMs and a bias sum. Split activations apply a real
-nonlinearity to every component independently. Dropout is one graph node
-that keeps its boolean draw and rebuilds the float mask in its backward.
+nonlinearity to every component independently. Dropout drops whole units
+of the cell that reads its output (a quaternion, or a real for the real
+stack), and is one graph node that keeps its boolean draw and rebuilds the
+float mask in its backward.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ ACTIVATIONS = {
     "hardtanh": autograd.hardtanh,
     "relu": autograd.relu,
 }
-
-NORM_EPS = 1e-12
 
 
 def split_activation(kind: str, x: Tensor) -> Tensor:
@@ -81,7 +81,7 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator, dtype=np
 # (i, j) is block (j, i) of quat.to_matrix of the component's basis
 # quaternion, transposed because activations are row vectors.
 QUAT_PLACES = [[(i, j, m[j, i] > 0) for j, i in np.argwhere(m).tolist()]
-               for m in (quat.to_matrix(q).m for q in (quat.ONE, quat.I, quat.J, quat.K))]
+               for m in (quat.to_matrix(q) for q in (quat.ONE, quat.I, quat.J, quat.K))]
 REAL_PLACES = [[(0, 0, True)]]
 
 
@@ -153,7 +153,7 @@ class RealLinear:
 def quat_normalize(x: Tensor) -> Tensor:
     """Scale every quaternion in a quarter-block tensor to (near) unit norm.
 
-    Divides each quaternion by (its norm + NORM_EPS); quaternions with norm
+    Divides each quaternion by (its norm + quat.NORM_EPS); quaternions with norm
     well above NORM_EPS come out with |norm - 1| below 1e-6, the zero quaternion stays
     zero. One graph node: the backward is the closed form of
     q / (|q| + eps), with the derivative of the norm at 0 taken as 0 (the
@@ -164,7 +164,7 @@ def quat_normalize(x: Tensor) -> Tensor:
         raise DimensionError(f"quaternion tensor width must be a multiple of 4, got {width}")
     # (..., 4, h): component c of quaternion k sits at [..., c, k]
     quats = x.data.reshape(x.shape[:-1] + (4, width // 4))
-    eps = x.dtype.type(NORM_EPS)
+    eps = x.dtype.type(quat.NORM_EPS)
     squares = quats * quats
     sq = squares[..., 0, :] + squares[..., 1, :]
     sq += squares[..., 2, :]
@@ -198,18 +198,20 @@ def quaternion_dropout(
     p: float,
     training: bool,
     rng: np.random.Generator | None = None,
-    per_component: bool = False,
+    unit: int = 4,
 ) -> Tensor:
-    """Inverted dropout that removes whole quaternions.
+    """Inverted dropout that removes whole units of `unit` components.
 
-    In training, each quaternion (all four components together) is zeroed
-    with probability p and survivors are scaled by 1/(1-p); in evaluation
-    the input passes through untouched. per_component switches to ordinary
-    real dropout for ablations and for the real-valued baseline.
+    The last axis holds width // unit units in the quarter-block layout:
+    component c of unit k sits at c * (width // unit) + k. In training,
+    each unit (all its components together) is zeroed with probability p
+    and survivors are scaled by 1/(1-p); in evaluation the input passes
+    through untouched. unit is the cell's len(places): 4 drops whole
+    quaternions, 1 is ordinary real dropout for the real-valued baseline.
 
-    One graph node that keeps only the boolean draw (one flag per
-    quaternion, or per component) and rebuilds the float mask in its
-    backward, with the same arithmetic as x * mask.
+    One graph node that keeps only the boolean draw (one flag per unit) and
+    rebuilds the float mask in its backward, with the same arithmetic as
+    x * mask.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
@@ -218,17 +220,13 @@ def quaternion_dropout(
     if rng is None:
         raise ConfigError("training-mode dropout needs a seeded generator")
     scale = 1.0 / (1.0 - p)
-    if per_component:
-        keep = rng.random(size=x.shape) >= p
-    else:
-        width = x.shape[-1]
-        if width % 4 != 0:
-            raise DimensionError(f"quaternion dropout needs width divisible by 4, got {width}")
-        keep = rng.random(size=x.shape[:-1] + (width // 4,)) >= p
+    width = x.shape[-1]
+    if width % unit != 0:
+        raise DimensionError(f"dropout needs width divisible by its unit {unit}, got {width}")
+    keep = rng.random(size=x.shape[:-1] + (width // unit,)) >= p
 
     def mask():
-        full = keep if per_component else np.concatenate([keep] * 4, axis=-1)
-        return full.astype(x.dtype) * scale
+        return np.concatenate([keep] * unit, axis=-1).astype(x.dtype) * scale
 
     def backward(g):
         return (g * mask(),)

@@ -3,8 +3,9 @@
 A quaternion q = r + x*i + y*j + z*k is kept as four floats. Everything here
 runs in double precision and serves as the semantic reference (and test
 oracle) for the vectorised layers: the Hamilton product written out as its
-16-term expansion must agree with the 4x4 real matrix representation of the
-left operand applied to the right operand's component vector.
+16-term expansion must agree with the 4x4 real matrix to_matrix(q1) applied
+to the component vector of q2. NORM_EPS is the epsilon of the quaternion
+normalization, read by normalize here and by layers.quat_normalize.
 """
 
 from __future__ import annotations
@@ -26,37 +27,13 @@ class Quaternion:
         """Component vector (r, x, y, z) as float64."""
         return np.array([self.r, self.x, self.y, self.z], dtype=np.float64)
 
-    @staticmethod
-    def from_array(v) -> "Quaternion":
-        r, x, y, z = (float(c) for c in v)
-        return Quaternion(r, x, y, z)
-
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
-
-@dataclass(frozen=True)
-class QuatMatrix4:
-    """4x4 real matrix form of a quaternion.
-
-    Row-major layout:
-
-        [ r -x -y -z ]
-        [ x  r -z  y ]
-        [ y  z  r -x ]
-        [ z -y  x  r ]
-
-    which is r*I plus an antisymmetric part, so multiplying this matrix with
-    the component vector of p gives hamilton(q, p).
-    """
-
-    m: np.ndarray
-
-    def apply(self, p: Quaternion) -> Quaternion:
-        return Quaternion.from_array(self.m @ p.as_array())
+NORM_EPS = 1e-12
 
 
 def hamilton(q1: Quaternion, q2: Quaternion) -> Quaternion:
@@ -71,10 +48,20 @@ def hamilton(q1: Quaternion, q2: Quaternion) -> Quaternion:
     )
 
 
-def to_matrix(q: Quaternion) -> QuatMatrix4:
-    """Real 4x4 matrix M(q) with M(q) @ vec(p) == hamilton(q, p)."""
+def to_matrix(q: Quaternion) -> np.ndarray:
+    """Real 4x4 float64 matrix M(q) with M(q) @ p.as_array() == hamilton(q, p).
+
+    Row-major layout:
+
+        [ r -x -y -z ]
+        [ x  r -z  y ]
+        [ y  z  r -x ]
+        [ z -y  x  r ]
+
+    which is r*I plus an antisymmetric part.
+    """
     r, x, y, z = q.r, q.x, q.y, q.z
-    m = np.array(
+    return np.array(
         [
             [r, -x, -y, -z],
             [x, r, -z, y],
@@ -83,7 +70,6 @@ def to_matrix(q: Quaternion) -> QuatMatrix4:
         ],
         dtype=np.float64,
     )
-    return QuatMatrix4(m)
 
 
 def conjugate(q: Quaternion) -> Quaternion:
@@ -94,13 +80,11 @@ def norm(q: Quaternion) -> float:
     return math.sqrt(q.r * q.r + q.x * q.x + q.y * q.y + q.z * q.z)
 
 
-def normalize(q: Quaternion, eps: float = 1e-12) -> Quaternion:
+def normalize(q: Quaternion) -> Quaternion:
     """Scale q to (nearly) unit norm.
 
-    The denominator is norm(q) + eps so the zero quaternion maps to itself
-    instead of dividing by zero; eps must be positive.
+    The denominator is norm(q) + NORM_EPS so the zero quaternion maps to
+    itself instead of dividing by zero.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    d = norm(q) + eps
+    d = norm(q) + NORM_EPS
     return Quaternion(q.r / d, q.x / d, q.y / d, q.z / d)

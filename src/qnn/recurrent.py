@@ -54,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from qnn.autograd import Tensor, op_result, recording
-from qnn.config import ModelConfig
+from qnn.config import ModelConfig, seed_streams
 from qnn.data import UtteranceBatch, naive_quat_compose
 from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn import layers
@@ -117,7 +117,8 @@ class RealLSTMCell(_LSTMCell):
 
 
 # The cell of each stack kind; len(places) reals make one unit (quaternion or
-# real), which divides every width the stack sees and is what dropout drops.
+# real), which divides every width the stack sees and is what dropout drops
+# (quaternion_dropout's unit).
 CELLS = {"qlstm": QLSTMCell, "lstm": RealLSTMCell}
 
 
@@ -350,22 +351,23 @@ FIXED_FRONT_ENDS = {"identity": lambda features: features, "naive-quat": naive_q
 class AcousticModel:
     """Front end -> (bi)recurrent stack -> real dense output, framewise.
 
-    Dropout (whole quaternions, or single components when per_component is
-    set, as for the real stack) is applied to the front-end output and to
-    every stack layer output, never to the logits.
+    Dropout drops whole units of `unit` reals (the stack cell's: whole
+    quaternions for the quaternion stack, single reals for the real one)
+    from the front-end output and from every stack layer output, never
+    from the logits.
     """
 
     def __init__(self, front_end, stack, output: RealLinear, dropout: float,
-                 dropout_rng: np.random.Generator, per_component: bool):
+                 dropout_rng: np.random.Generator, unit: int):
         self.front_end = front_end
         self.stack = list(stack)
         self.output = output
         self.dropout = dropout
         self.dropout_rng = dropout_rng
-        self.per_component = per_component
+        self.unit = unit
 
     def _drop(self, x: Tensor, training: bool) -> Tensor:
-        return quaternion_dropout(x, self.dropout, training, self.dropout_rng, self.per_component)
+        return quaternion_dropout(x, self.dropout, training, self.dropout_rng, self.unit)
 
     def forward(self, batch: UtteranceBatch, training: bool = False) -> Tensor:
         """Logits (T, B, C); padded frames carry meaningless values and must
@@ -440,16 +442,14 @@ def symbolic_param_counts(config: ModelConfig) -> dict:
 def build_model(config: ModelConfig) -> AcousticModel:
     """Construct the model described by a validated config.
 
-    Initialisation and dropout use generators spawned deterministically
-    from config.seed, so identical configs give identical models: the front
-    end draws first, then per layer the forward cell and the backward cell,
-    then the output layer.
+    Initialisation and dropout use the first two of
+    config.seed_streams(config.seed), so identical configs give identical
+    models: the front end draws first, then per layer the forward cell and
+    the backward cell, then the output layer.
     """
     front_width, hidden = layer_plan(config)
     dtype = config.dtype
-    ss_init, ss_drop = np.random.SeedSequence(config.seed).spawn(2)
-    rng = np.random.default_rng(ss_init)
-    dropout_rng = np.random.default_rng(ss_drop)
+    rng, dropout_rng, _ = seed_streams(config.seed)
 
     if config.front_end in FIXED_FRONT_ENDS:
         front = FixedFrontEnd(FIXED_FRONT_ENDS[config.front_end], dtype=dtype)
@@ -467,4 +467,4 @@ def build_model(config: ModelConfig) -> AcousticModel:
         n_in = hidden
 
     output = RealLinear(n_in, config.classes, rng, dtype=dtype)
-    return AcousticModel(front, stack, output, config.dropout, dropout_rng, per_component=(unit == 1))
+    return AcousticModel(front, stack, output, config.dropout, dropout_rng, unit)

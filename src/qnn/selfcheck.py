@@ -84,8 +84,8 @@ def algebra_suite(hamilton_fn=None, pairs: int = 10_000, seed: int = 0) -> Suite
         q1 = Quaternion(*row[:4])
         q2 = Quaternion(*row[4:])
         direct = product(q1, q2).as_array()
-        via_matrix = quat.to_matrix(q1).apply(q2)
-        err = np.max(np.abs(direct - via_matrix.as_array()))
+        via_matrix = quat.to_matrix(q1) @ q2.as_array()
+        err = np.max(np.abs(direct - via_matrix))
         result.count(err < ABS_TOL_MATRIX,
                      f"matrix oracle: q1={q1}, q2={q2}, abs err {err:.3e}")
 
@@ -157,13 +157,12 @@ def gradient_suite(seed: int = 0) -> SuiteResult:
         model.named_parameters(),
     )
 
-    for per_component in (False, True):
+    for unit, label in ((4, "dropout_quaternion"), (1, "dropout_component")):
         inp = Tensor(rng.standard_normal((3, 2, 8)), requires_grad=True)
         weights = Tensor(rng.standard_normal((3, 2, 8)))
-        label = "dropout_component" if per_component else "dropout_quaternion"
         # a fresh generator per evaluation, so every loss sees the same draw
-        check(label, lambda t=inp, w=weights, pc=per_component: mul(quaternion_dropout(
-            t, 0.5, True, np.random.default_rng(seed), per_component=pc), w).sum(), [("input", inp)])
+        check(label, lambda t=inp, w=weights, u=unit: mul(quaternion_dropout(
+            t, 0.5, True, np.random.default_rng(seed), u), w).sum(), [("input", inp)])
 
     return result
 

@@ -4,7 +4,10 @@ learning-rate halving.
 The learning rate only ever takes values lr0 * 2^-k. Two halving rules are
 offered: "stall" (default) halves when the relative validation improvement
 (prev - curr) / prev drops below the 0.001 threshold, "literal" halves when
-the validation loss itself is below 0.001. The first epoch never halves.
+the validation loss itself is below 0.001. Under "stall" the first epoch
+never halves, having no earlier loss to compare with; "literal" can halve
+after any epoch, the first included. Shuffling draws from the third of
+config.seed_streams.
 
 Metrics are written as one self-describing key=value line per epoch. The
 file deliberately excludes wall-clock timings (they are printed, and kept
@@ -25,7 +28,7 @@ import numpy as np
 from qnn import autograd
 from qnn.autograd import Tensor, op_result
 from qnn.checkpoint import save_checkpoint
-from qnn.config import ModelConfig
+from qnn.config import ModelConfig, seed_streams
 from qnn.data import atomic_write, make_batches
 from qnn.errors import ContractError, DataError, TrainingAbort
 
@@ -209,7 +212,7 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
     params = model.named_parameters()
     optimizer = Adam(params, lr=config.lr0)
     schedule = LRSchedule(rule=config.lr_rule)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
+    shuffle_rng = seed_streams(config.seed)[2]
 
     reports = []
     best_val = float("inf")

@@ -13,7 +13,6 @@ from qnn.data import (
     generate_synthetic,
     make_batches,
     naive_quat_compose,
-    naive_quat_decompose,
     read_features,
     total_frames,
     write_features,
@@ -171,19 +170,20 @@ def test_compose_d40_layout():
             assert out[0, c * 10 + k] == frames[0, 4 * k + c]
 
 
-def test_compose_decompose_round_trip():
+def test_compose_matches_explicit_repack():
     rng = np.random.default_rng(2)
     frames = rng.standard_normal((3, 5, 12))
-    assert np.array_equal(naive_quat_decompose(naive_quat_compose(frames)), frames)
+    # quaternion k = coefficients 4k..4k+3; the quarter-block layout holds component c at c * 3 + k
+    repacked = frames.reshape(3, 5, 3, 4).swapaxes(-1, -2).reshape(3, 5, 12)
+    assert np.array_equal(naive_quat_compose(frames), repacked)
 
 
 def test_compose_pads_remainder():
     frames = np.ones((2, 6))
     out = naive_quat_compose(frames)
     assert out.shape == (2, 8)
-    back = naive_quat_decompose(out)
-    assert np.array_equal(back[:, :6], frames)
-    assert np.array_equal(back[:, 6:], np.zeros((2, 2)))
+    # quaternions (1, 1, 1, 1) and (1, 1, 0, 0): r parts, then x, y and z parts
+    assert np.array_equal(out, np.array([[1, 1, 1, 1, 1, 0, 1, 0]] * 2, dtype=float))
 
 
 # --- synthetic task ------------------------------------------------------

@@ -10,7 +10,6 @@ from qnn.data import SynthSpec, generate_synthetic, make_batches
 from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn.gradcheck import gradient_check
 from qnn.layers import (
-    NORM_EPS,
     QUAT_PLACES,
     RealLinear,
     RealToQuatEncoder,
@@ -318,7 +317,7 @@ def graph_div(a: Tensor, b: Tensor) -> Tensor:
     return op_result(a.data / b.data, (a, b), "div", backward)
 
 
-def graph_quat_normalize(x: Tensor, eps: float = NORM_EPS) -> Tensor:
+def graph_quat_normalize(x: Tensor, eps: float = quat.NORM_EPS) -> Tensor:
     h = x.shape[-1] // 4
     axis = x.data.ndim - 1
     blocks = [narrow(x, axis, c * h, h) for c in range(4)]
@@ -373,7 +372,7 @@ def test_quat_normalize_zero_quaternion_gradient_is_finite():
     x = Tensor(np.zeros((2, 8)), requires_grad=True)
     g = np.arange(16.0).reshape(2, 8)
     backward(sum_all(mul(quat_normalize(x), Tensor(g))))
-    assert np.array_equal(x.grad, g / (0.0 + NORM_EPS))
+    assert np.array_equal(x.grad, g / (0.0 + quat.NORM_EPS))
 
 
 def test_dropout_identity_cases():
@@ -409,7 +408,7 @@ def test_dropout_node_bit_equal_to_mul_graph(dtype, per_component):
     x_data = rng.standard_normal((7, 3, 16)).astype(dtype)
     cotangent = Tensor(rng.standard_normal(x_data.shape).astype(dtype))
     results = []
-    for drop in (lambda x, g: quaternion_dropout(x, 0.3, True, g, per_component=per_component),
+    for drop in (lambda x, g: quaternion_dropout(x, 0.3, True, g, 1 if per_component else 4),
                  lambda x, g: mul_dropout(x, 0.3, g, per_component)):
         x = Tensor(x_data.copy(), requires_grad=True)
         out = drop(x, np.random.default_rng(32))

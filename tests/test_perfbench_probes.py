@@ -1,7 +1,9 @@
-"""Smoke test of the benchmark's layer probes against the current library.
+"""Smoke test of the benchmark against the current library.
 
-perfbench/probes.py replays single layers through qnn's public functions;
-a library change that breaks those replays fails here, in the tier-1 suite.
+Every perfbench module is imported here, so a library change that removes
+a name the benchmark imports fails collection in the tier-1 suite rather
+than the benchmark run. perfbench/probes.py replays single layers through
+qnn's public functions; a change that breaks those replays fails below.
 """
 
 import math
@@ -14,7 +16,16 @@ from qnn.recurrent import build_model
 from qnn.training import Adam
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import bench  # noqa: E402
+import run  # noqa: E402
+import sweep  # noqa: E402
+import workloads  # noqa: E402
 from probes import StepProbe  # noqa: E402
+
+
+def test_benchmark_modules_import():
+    assert callable(run.main) and callable(sweep.main) and callable(bench.run_workload)
+    assert set(workloads.WORKLOADS) == {"train_short", "train_long"}
 
 
 def test_step_probe_traces_and_replays_one_step():

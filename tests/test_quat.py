@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from qnn.quat import I, J, K, ONE, Quaternion, conjugate, hamilton, norm, normalize, to_matrix
 
@@ -47,13 +46,13 @@ def test_hamilton_matches_matrix_oracle():
         q1 = rand_quat(rng, 3.0)
         q2 = rand_quat(rng, 3.0)
         direct = hamilton(q1, q2).as_array()
-        via_matrix = to_matrix(q1).m @ q2.as_array()
+        via_matrix = to_matrix(q1) @ q2.as_array()
         assert np.abs(direct - via_matrix).max() < 1e-12
 
 
 def test_to_matrix_identity_and_i():
-    assert np.array_equal(to_matrix(ONE).m, np.eye(4))
-    mi = to_matrix(I).m
+    assert np.array_equal(to_matrix(ONE), np.eye(4))
+    mi = to_matrix(I)
     expected = np.zeros((4, 4))
     expected[0, 1] = -1.0
     expected[1, 0] = 1.0
@@ -66,7 +65,7 @@ def test_matrix_structure():
     rng = np.random.default_rng(2)
     for _ in range(20):
         q = rand_quat(rng, 4.0)
-        m = to_matrix(q).m
+        m = to_matrix(q)
         assert np.all(np.diag(m) == q.r)
         a = m - q.r * np.eye(4)
         assert np.array_equal(a.T, -a)
@@ -122,7 +121,7 @@ def test_normalize():
     assert_quat_close(normalize(Quaternion(2.0, 0.0, 0.0, 0.0)), ONE, tol=1e-11)
     assert_quat_close(normalize(Quaternion(1.0, 1.0, 1.0, 1.0)), Quaternion(0.5, 0.5, 0.5, 0.5), tol=1e-11)
     zero = Quaternion(0.0, 0.0, 0.0, 0.0)
-    assert normalize(zero, eps=1e-12) == zero
+    assert normalize(zero) == zero
 
 
 def test_normalize_unit_band():
@@ -131,21 +130,8 @@ def test_normalize_unit_band():
         q = rand_quat(rng, 2.0)
         if norm(q) <= 1e-6:
             continue
-        n = norm(normalize(q, eps=1e-12))
+        n = norm(normalize(q))
         assert 1.0 - 1e-9 <= n <= 1.0
-
-
-def test_normalize_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        normalize(ONE, eps=0.0)
-
-
-def test_matrix_apply_equals_hamilton():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        q = rand_quat(rng, 3.0)
-        p = rand_quat(rng, 3.0)
-        assert_quat_close(to_matrix(q).apply(p), hamilton(q, p), tol=1e-12)
 
 
 def test_components_finite_guard():

@@ -164,6 +164,8 @@ def test_stall_rule_examples():
 
 
 def test_literal_rule():
+    # unlike stall, literal can halve on its first call: it needs no earlier loss
+    assert LRSchedule(rule="literal").update(0.0005, 1e-3) == 0.5e-3
     sched = LRSchedule(rule="literal")
     assert sched.update(0.002, 1e-3) == 1e-3
     assert sched.update(0.0005, 1e-3) == 0.5e-3
