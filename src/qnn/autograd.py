@@ -116,7 +116,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractError(f"mul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
     out = a.data * b.data
 
-    def backward(g):  # an operand that needs no gradient (a dropout mask) gets none
+    def backward(g):  # an operand that needs no gradient (a constant) gets none
         return (g * b.data if a.requires_grad else None,
                 g * a.data if b.requires_grad else None)
 

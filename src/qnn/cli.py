@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands: train, eval, selfcheck, synth, params. All output goes to
-stdout as self-describing key=value records; errors go to stderr. Exit
-codes: 0 success, 1 check/validation failure, 2 usage error, 3 I/O or
-format error. Config precedence is defaults < --config file < flags. train and
-eval refuse (exit 2) a model whose parameters plus Adam state exceed memory.
-Every field of ModelConfig (train, eval, params) and SynthSpec (synth) is a flag,
-named as the field with dashes or as in _FLAG_NAMES, typed by the field's default
-and limited to config.CHOICES.
+stdout as self-describing key=value records; an error goes to stderr as
+one error: line, and the exit code (0 on success) is the one qnn.errors
+declares for its type. Config precedence is defaults < --config file <
+flags. train and eval refuse (exit 2) a model whose parameters plus Adam
+state exceed memory. Every field of ModelConfig (train, eval, params) and
+SynthSpec (synth) is a flag, named as the field with dashes or as in
+_FLAG_NAMES, typed by the field's default and limited to config.CHOICES.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 from qnn.checkpoint import copy_into_model, load_verified
 from qnn.config import CHOICES, ModelConfig, check_memory, field_types, parse_config_file, resolve_config
 from qnn.data import SynthSpec, atomic_write, generate_synthetic, read_features, total_frames, write_features
-from qnn.errors import ConfigError, ContractError, DataError, FormatError, TrainingAbort
+from qnn.errors import ConfigError, DataError, QnnError
 from qnn.recurrent import build_model, count_params, symbolic_param_counts
 from qnn.selfcheck import run_selfcheck, sign_flipped_hamilton
 from qnn.training import evaluate, train
@@ -165,13 +165,11 @@ def cmd_params(args) -> int:
         f"stack_weight_scalars={counts['stack_weight_scalars']}"
     )
     if config.depth > 0:
-        other_kind = "lstm" if config.stack_kind == "qlstm" else "qlstm"
-        matched = dataclasses.replace(config, stack_kind=other_kind)
         try:
-            other = symbolic_param_counts(matched)
+            q, r = (symbolic_param_counts(dataclasses.replace(config, stack_kind=kind))
+                    for kind in ("qlstm", "lstm"))
         except ConfigError:
             return 0  # no matched counterpart (width not divisible by 4)
-        q, r = (counts, other) if config.stack_kind == "qlstm" else (other, counts)
         print(
             f"result=params_matched qlstm_total={q['total']} lstm_total={r['total']} "
             f"stack_weight_ratio={r['stack_weight_scalars'] / q['stack_weight_scalars']!r} "
@@ -220,15 +218,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (QnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ContractError, TrainingAbort) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

@@ -176,10 +176,7 @@ def _read_csv(path: str) -> list:
     rows = {}  # utterance id -> {frame: (label, values)}, in order of first appearance
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty CSV file") from None
+        header = next(reader, [])
         if header[:3] != ["id", "frame", "label"] or any(
             name != f"f{i}" for i, name in enumerate(header[3:])
         ):
@@ -187,9 +184,10 @@ def _read_csv(path: str) -> list:
         dim = len(header) - 3
         if dim < 1:
             raise FormatError(f"{path}: CSV header declares no feature columns")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num  # a quoted field may span lines
             if len(row) != 3 + dim:
                 raise FormatError(f"{path}:{lineno}: expected {3 + dim} fields, got {len(row)}")
             ident = row[0]
@@ -210,7 +208,8 @@ def _read_csv(path: str) -> list:
         t_len = len(frames)
         if sorted(frames) != list(range(t_len)):
             raise FormatError(f"{path}: utterance '{ident}' frames are not contiguous from 0")
-        features = np.array([frames[t][1] for t in range(t_len)], dtype=np.float32)
+        with np.errstate(over="ignore"):  # a value beyond float32 is refused by validate()
+            features = np.array([frames[t][1] for t in range(t_len)], dtype=np.float32)
         labels = np.array([frames[t][0] for t in range(t_len)], dtype=np.int32)
         utt = Utterance(ident, features, labels)
         utt.validate()
@@ -230,6 +229,8 @@ def read_features(path: str) -> list:
             return _read_csv(path)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: CSV is not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise FormatError(f"{path}: unreadable CSV ({exc})") from None
     raise FormatError(f"{path}: bad magic {head!r} at byte offset 0 (expected {QFEA_MAGIC!r} or a CSV header)")
 
 
@@ -372,9 +373,8 @@ def generate_synthetic(spec: SynthSpec):
 def make_batches(utterances: list, batch_size: int, rng=None, sort_by_length: bool = False) -> list:
     """Group utterances into right-padded batches.
 
-    With rng given the utterance order (or, under sort_by_length, the batch
-    order) is shuffled; sort_by_length buckets similar lengths together to
-    limit padding.
+    sort_by_length buckets similar lengths together to limit padding; with
+    rng given, the order of the batches is shuffled.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -383,10 +383,8 @@ def make_batches(utterances: list, batch_size: int, rng=None, sort_by_length: bo
     order = list(range(len(utterances)))
     if sort_by_length:
         order.sort(key=lambda i: (len(utterances[i]), i))
-    elif rng is not None:
-        order = list(rng.permutation(len(utterances)))
     chunks = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
-    if sort_by_length and rng is not None:
+    if rng is not None:
         chunks = [chunks[i] for i in rng.permutation(len(chunks))]
 
     dim = utterances[0].features.shape[1]

@@ -1,12 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, each with its CLI exit code.
 
-The CLI maps these onto exit codes: ConfigError -> 2 (usage),
-FormatError -> 3 (I/O), everything else that signals a failed check -> 1.
+`qnn` exits with the `exit_code` of the error that ended a command:
+ConfigError -> 2 (usage); DataError and FormatError -> 3 (input or file),
+as does an OSError; every other QnnError -> 1 (a failed check).
 """
 
 
 class QnnError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class DimensionError(QnnError, ValueError):
@@ -16,13 +19,19 @@ class DimensionError(QnnError, ValueError):
 class ConfigError(QnnError, ValueError):
     """Invalid configuration value or combination."""
 
+    exit_code = 2
+
 
 class DataError(QnnError, ValueError):
     """Bad payload inside an otherwise well-formed container (NaN feature, label out of range, ...)."""
 
+    exit_code = 3
+
 
 class FormatError(QnnError, ValueError):
     """Malformed file: wrong magic, truncation, unparsable text."""
+
+    exit_code = 3
 
 
 class ContractError(QnnError, RuntimeError):
@@ -30,4 +39,4 @@ class ContractError(QnnError, RuntimeError):
 
 
 class TrainingAbort(QnnError, RuntimeError):
-    """Training stopped because the loss became non-finite."""
+    """Training stopped because the loss, a gradient or a weight became non-finite."""

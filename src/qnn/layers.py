@@ -15,8 +15,8 @@ R2H front end and the output layer) and is one graph node: x @ W + b, with
 a backward of at most two GEMMs and a bias sum. Split activations apply a real
 nonlinearity to every component independently. Dropout drops whole units
 of the cell that reads its output (a quaternion, or a real for the real
-stack), and is one graph node that keeps its boolean draw and rebuilds the
-float mask in its backward.
+stack), and is one graph node that keeps its boolean draw, one flag per
+unit, and multiplies by the per-unit float mask forward and backward.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def chi4_init(fan_in: int, fan_out: int, rng: np.random.Generator, dtype=np.floa
     shape = (fan_in, fan_out)
     modulus = sigma * np.sqrt((rng.standard_normal(size=(4,) + shape) ** 2).sum(axis=0))
     axis = rng.standard_normal(size=(3,) + shape)
-    axis /= np.sqrt((axis**2).sum(axis=0)) + 1e-12
+    axis /= np.sqrt((axis**2).sum(axis=0)) + quat.NORM_EPS
     theta = rng.uniform(-np.pi, np.pi, size=shape)
     w_r = modulus * np.cos(theta)
     s = modulus * np.sin(theta)
@@ -209,9 +209,10 @@ def quaternion_dropout(
     through untouched. unit is the cell's len(places): 4 drops whole
     quaternions, 1 is ordinary real dropout for the real-valued baseline.
 
-    One graph node that keeps only the boolean draw (one flag per unit) and
-    rebuilds the float mask in its backward, with the same arithmetic as
-    x * mask.
+    One graph node that keeps only the boolean draw (one flag per unit).
+    Its forward and its backward multiply the (..., unit, width // unit)
+    view of their input by the per-unit float mask, with the same products
+    as x * mask over the full width.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
@@ -219,19 +220,16 @@ def quaternion_dropout(
         return x
     if rng is None:
         raise ConfigError("training-mode dropout needs a seeded generator")
-    scale = 1.0 / (1.0 - p)
+    scale = x.dtype.type(1.0 / (1.0 - p))
     width = x.shape[-1]
     if width % unit != 0:
         raise DimensionError(f"dropout needs width divisible by its unit {unit}, got {width}")
     keep = rng.random(size=x.shape[:-1] + (width // unit,)) >= p
 
-    def mask():
-        return np.concatenate([keep] * unit, axis=-1).astype(x.dtype) * scale
+    def drop(a):
+        return (a.reshape(x.shape[:-1] + (unit, -1)) * (keep * scale)[..., None, :]).reshape(x.shape)
 
-    def backward(g):
-        return (g * mask(),)
-
-    return op_result(x.data * mask(), (x,), "dropout", backward)
+    return op_result(drop(x.data), (x,), "dropout", lambda g: (drop(g),))
 
 
 class RealToQuatEncoder:
@@ -267,9 +265,6 @@ class RealToQuatEncoder:
         if self.normalized:
             out = quat_normalize(out)
         return out
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
 
     def named_parameters(self, prefix: str = ""):
         return self.dense.named_parameters(prefix + "dense.")

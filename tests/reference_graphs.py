@@ -127,14 +127,9 @@ def two_direction_graph(layer, seq: Tensor, mask: np.ndarray) -> Tensor:
     return add(run_direction(layer.fwd, seq, mask), reverse_time(backward_out))
 
 
-def mul_dropout(x: Tensor, p: float, rng: np.random.Generator, per_component: bool) -> Tensor:
-    """Training-mode quaternion_dropout as a float mask, drawn the same way,
-    fed to a mul node."""
-    scale = 1.0 / (1.0 - p)
-    if per_component:
-        keep = rng.random(size=x.shape) >= p
-        mask = keep.astype(x.data.dtype) * scale
-    else:
-        keep = rng.random(size=x.shape[:-1] + (x.shape[-1] // 4,)) >= p
-        mask = np.concatenate([keep] * 4, axis=-1).astype(x.data.dtype) * scale
+def mul_dropout(x: Tensor, p: float, rng: np.random.Generator, unit: int) -> Tensor:
+    """Training-mode quaternion_dropout as a full-width float mask, drawn the
+    same way (one flag per unit of `unit` components), fed to a mul node."""
+    keep = rng.random(size=x.shape[:-1] + (x.shape[-1] // unit,)) >= p
+    mask = np.concatenate([keep] * unit, axis=-1).astype(x.data.dtype) * (1.0 / (1.0 - p))
     return mul(x, Tensor(mask))

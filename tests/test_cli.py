@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qnn import cli
+from qnn import cli, errors
 from qnn.autograd import Tensor
 from qnn.checkpoint import load_checkpoint, save_checkpoint
 from qnn.cli import main
@@ -325,6 +325,58 @@ def test_eval_refuses_bytes_after_the_declared_content_with_exit_3(tmp_path, cap
     assert f"2 trailing bytes at byte offset {len(whole)}" in err[0], err
 
 
+def with_dtype_tag(data, tag=7):
+    """A checkpoint's bytes with the dtype tag of its first parameter set to tag."""
+    name_at = 12 + u32_at(data, 4)
+    tag_at = name_at + 4 + u32_at(data, name_at)
+    return data[:tag_at] + bytes([tag]) + data[tag_at + 1:]
+
+
+EMPTY_QFEA = b"QFEA" + struct.pack("<II", 1, 0)
+DIM_5_QFEA = b"QFEA" + struct.pack("<III", 1, 1, 1) + b"u" + struct.pack("<II5fi", 1, 5, *[1.0] * 5, 0)
+CSV_HEAD = b"id,frame,label,f0\n"
+REFUSED_INPUTS = {  # case -> (input replaced, its new path, its bytes or a map of the old ones, exit code, error)
+    "empty_train": ("train", "empty.qfea", EMPTY_QFEA, 3, "empty.qfea: training set is empty"),
+    "empty_valid": ("valid", "empty.qfea", EMPTY_QFEA, 3, "valid set is empty"),
+    "valid_dim_5": ("valid", "dim5.qfea", DIM_5_QFEA, 3, "valid set has feature dims [5], config expects 8"),
+    "csv_empty": ("train", "bad.csv", b"", 3, "bad.csv: bad magic b''"),
+    "csv_no_f0": ("train", "bad.csv", b"id,frame,label\n", 3, "bad.csv: CSV header declares no feature columns"),
+    "csv_field_count": ("train", "bad.csv", CSV_HEAD + b"a,0,0\n", 3, "bad.csv:2: expected 4 fields, got 3"),
+    "csv_number": ("train", "bad.csv", CSV_HEAD + b"a,0,0,zz\n", 3,
+                   "bad.csv:2: could not convert string to float: 'zz'"),
+    "csv_duplicate_frame": ("train", "bad.csv", CSV_HEAD + b"a,0,0,1\na,0,0,2\n", 3,
+                            "bad.csv:3: duplicate frame 0 for utterance 'a'"),
+    "csv_float32_overflow": ("train", "bad.csv", CSV_HEAD + b"a,0,0,1e39\n", 3,
+                             "utterance 'a': non-finite feature at frame 0, dim 0"),
+    "checkpoint_dtype_tag": ("checkpoint", "run/bad.qnn", with_dtype_tag, 3,
+                             "unknown dtype tag 7 for parameter 'front_end.dense.weight'"),
+    "eval_without_config": ("checkpoint", "alone/initial.qnn", lambda data: data, 2, "no config file at"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
+def test_refused_inputs_end_in_one_error_line(tmp_path, capsys, case):
+    """qnn train or eval with one input replaced: one error: line naming the
+    fault, the exit code its error type declares, and no traceback."""
+    role, name, content, code, text = REFUSED_INPUTS[case]
+    run = untrained_run(tmp_path)
+    inputs = {"train": tmp_path / "data/train.qfea", "valid": tmp_path / "data/valid.qfea",
+              "checkpoint": run / "initial.qnn", "test": tmp_path / "data/test.qfea"}
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(content(inputs[role].read_bytes()) if callable(content) else content)
+    inputs[role] = path
+    if role == "checkpoint":  # the config is the config.txt beside the checkpoint
+        argv = ["eval", str(inputs["checkpoint"]), "--test", str(inputs["test"])]
+    else:
+        argv = ["train", "--train", str(inputs["train"]), "--valid", str(inputs["valid"]),
+                "--out", str(tmp_path / "out"), *TRAIN_FLAGS]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and text in err, err
+
+
 def test_train_refuses_a_repeated_qfea_utterance_id_with_exit_3(tmp_path, capsys):
     main(synth_args(tmp_path / "data"))
     train = tmp_path / "data/train.qfea"
@@ -391,6 +443,23 @@ def test_usage_error_without_subcommand():
     assert exc.value.code == 2
 
 
+QNN_ERRORS = sorted((kind for kind in vars(errors).values()
+                     if isinstance(kind, type) and issubclass(kind, errors.QnnError)),
+                    key=lambda kind: kind.__name__)
+EXIT_CODES = {"QnnError": 1, "DimensionError": 1, "ConfigError": 2, "DataError": 3, "FormatError": 3,
+              "ContractError": 1, "TrainingAbort": 1, "OSError": 3}
+
+
+@pytest.mark.parametrize("error", QNN_ERRORS + [OSError], ids=lambda kind: kind.__name__)
+def test_each_error_type_ends_a_command_in_one_line_and_its_exit_code(capsys, monkeypatch, error):
+    def fail(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "cmd_params", fail)
+    assert main(["params"]) == getattr(error, "exit_code", 3) == EXIT_CODES[error.__name__]
+    assert capsys.readouterr().err == "error: refused\n"
+
+
 def test_params_matched_ratio(capsys):
     code = main(["params", "--front-end", "r2h", "--r2h-size", "1024",
                  "--stack", "qlstm", "--depth", "4", "--hidden", "1024",
@@ -408,6 +477,12 @@ def test_params_depth_zero(capsys):
     fields = parse_record(record_lines(capsys, "params")[0])
     assert fields["stack"] == "0"
     assert int(fields["total"]) == (40 * 64 + 64) + (64 * 5 + 5)
+
+
+def test_params_without_a_quaternion_counterpart_prints_one_record(capsys):
+    assert main(["params", "--stack", "lstm", "--hidden", "30"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("result=params stack_kind=lstm "), out
 
 
 def test_params_symbolic_matches_built_model():

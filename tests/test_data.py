@@ -144,6 +144,20 @@ def test_csv_label_beyond_int32_is_format_error(tmp_path, label):
         read_features(path)
 
 
+def test_csv_error_names_the_physical_line_after_a_multi_line_field(tmp_path):
+    path = tmp_path / "multi.csv"
+    path.write_text('id,frame,label,f0\n"a\nb",0,0,1.0\nc,0,x,2.0\n')
+    with pytest.raises(FormatError, match=r"multi.csv:4: invalid literal for int\(\)"):
+        read_features(path)
+
+
+def test_csv_field_over_the_csv_module_limit_is_format_error(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("id,frame,label,f0\na,0,0," + "1" * 200000 + "\n")
+    with pytest.raises(FormatError, match=r"big.csv: unreadable CSV \(field larger than field limit"):
+        read_features(path)
+
+
 @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "utf8_bom"])
 def test_csv_header_with_and_without_bom(tmp_path, prefix):
     path = tmp_path / "feats.csv"

@@ -408,8 +408,9 @@ def test_dropout_node_bit_equal_to_mul_graph(dtype, per_component):
     x_data = rng.standard_normal((7, 3, 16)).astype(dtype)
     cotangent = Tensor(rng.standard_normal(x_data.shape).astype(dtype))
     results = []
-    for drop in (lambda x, g: quaternion_dropout(x, 0.3, True, g, 1 if per_component else 4),
-                 lambda x, g: mul_dropout(x, 0.3, g, per_component)):
+    unit = 1 if per_component else 4
+    for drop in (lambda x, g: quaternion_dropout(x, 0.3, True, g, unit),
+                 lambda x, g: mul_dropout(x, 0.3, g, unit)):
         x = Tensor(x_data.copy(), requires_grad=True)
         out = drop(x, np.random.default_rng(32))
         backward(sum_all(mul(out, cotangent)))
@@ -492,7 +493,7 @@ def test_encoder_shapes_and_unit_norm():
     rng = np.random.default_rng(17)
     enc = RealToQuatEncoder(40, 1024, "tanh", normalized=True, rng=rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(6, 40)))
-    out = enc(x).data
+    out = enc.forward(x).data
     assert out.shape == (6, 1024)
     h = 256
     norms = np.sqrt(sum(out[:, c * h:(c + 1) * h] ** 2 for c in range(4)))
@@ -504,7 +505,7 @@ def test_encoder_zero_everything_is_zero():
     enc = RealToQuatEncoder(5, 8, "tanh", normalized=True, rng=rng, dtype=np.float64)
     enc.dense.weight.data[:] = 0.0
     enc.dense.bias.data[:] = 0.0
-    out = enc(Tensor(np.ones((3, 5)))).data
+    out = enc.forward(Tensor(np.ones((3, 5)))).data
     assert np.array_equal(out, np.zeros((3, 8)))
 
 
@@ -514,7 +515,7 @@ def test_encoder_equal_components_normalize_to_half(a):
     enc = RealToQuatEncoder(1, 4, "tanh", normalized=True, rng=rng, dtype=np.float64)
     enc.dense.weight.data[:] = 1.0  # pre-activation quaternion (a, a, a, a)
     enc.dense.bias.data[:] = 0.0
-    out = enc(Tensor(np.array([[a]]))).data[0]
+    out = enc.forward(Tensor(np.array([[a]]))).data[0]
     assert np.abs(out - 0.5).max() < 1e-6
 
 
@@ -524,7 +525,7 @@ def test_encoder_gradients_both_variants():
     for normalized in (False, True):
         enc = RealToQuatEncoder(5, 8, "tanh", normalized=normalized, rng=rng, dtype=np.float64)
         errs = gradient_check(
-            lambda: enc(x).sum(),
+            lambda: enc.forward(x).sum(),
             enc.named_parameters() + [("x", x)],
         )
         assert max(errs.values()) < 1e-6, f"normalized={normalized}"
