@@ -15,9 +15,11 @@ baseline cell runs the identical recurrence with ordinary dense maps, so
 one cell class and one driver handle both. CELLS maps each stack kind to
 its cell; everything that depends on the kind reads it.
 
-Sequences are time-major (T, B, D) with a boolean validity mask; states
-carry across padded frames unchanged and padded outputs are zeroed, so
-appending padding to a batch never changes valid-frame results.
+Sequences are time-major (T, B, D) with a boolean validity mask. On a
+padded frame h and c are zero, so padded outputs are zero and each
+direction starts a sequence from the zero state. Batches are right-padded,
+so appending padding to a batch never changes valid-frame results; a gap
+inside a sequence would restart its state after the gap.
 
 Each layer is one graph node (Appleyard et al., arXiv:1604.01946) fed by
 the sequence and its cells' parameters, which each cell lays out as plain
@@ -171,8 +173,9 @@ def _lockstep(xs, masks, params, record: bool):
     The backward runs once: it writes over the gate cache and the c states.
     Its reversed loop makes per frame one joint [d_c, d_c, d_c, d_h]
     product and one stacked matmul against the N transposed recurrent maps.
-    A frame where any direction is padded (the forward's drops) takes the
-    keep/skip path for all N, which passes a full direction through as is.
+    A frame where any direction is padded has a keep mask: the forward
+    zeroes h and c there and the backward zeroes d_h and d_c, for all N
+    (a multiply by 1 leaves a valid direction as it is).
     """
     for x, (wx, _, _) in zip(xs, params):
         if x.dtype != wx.dtype:
@@ -205,25 +208,25 @@ def _lockstep(xs, masks, params, record: bool):
     # per gate over the whole block: an operand of the block's shape takes numpy's contiguous path
     block_affine = [np.broadcast_to(a[::hidden, None, None, None], block.shape).copy() for a in affine]
     joint = np.stack(masks, axis=1)
-    drops = [None if full else ~m[:, :, None] for m, full in zip(joint, joint.all(axis=(1, 2)))]
-    for t, drop in enumerate(drops):
+    keeps = [None if full else m[:, :, None].astype(dtype) for m, full in zip(joint, joint.all(axis=(1, 2)))]
+    for t, keep in enumerate(keeps):
         np.matmul(h_states[t], wh_scaled, out=recurrent)
         recurrent += gates[:, t]
         np.copyto(block, recurrent_block)
         lstm_gates(block, c_states[t], block_affine, c_states[t + 1], tanh_c, h_states[t + 1])
         if record:
             gate_blocks[t] = block
-        if drop is not None:  # padded sequences carry their state
-            np.copyto(h_states[t + 1], h_states[t], where=drop)
-            np.copyto(c_states[t + 1], c_states[t], where=drop)
-    outs = [h[1:] * m[:, :, None] for h, m in zip(h_dirs, masks)]  # padded frames emit zeros
+        if keep is not None:  # a padded frame's state is zero
+            h_states[t + 1] *= keep
+            c_states[t + 1] *= keep
+    outs = list(h_dirs[:, 1:])
 
     def backward(grads):
         # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t.
         # local, then d_pre, is written over the gate cache, so f is copied
         # first for the loop; tanh(c) and g * i are written over the c states,
         # which nothing reads after local. On padded frames the recomputed
-        # tanh(c) is the carried state's, which only ever meets a zero keep.
+        # tanh(c) is of the zeroed state, and only meets gradients keep zeroed.
         d_pre = gates
         l_f, l_i, l_g, l_o = f, i, g, o = np.split(d_pre, 4, axis=3)
         f = f.copy()
@@ -245,25 +248,18 @@ def _lockstep(xs, masks, params, record: bool):
         l_i *= gi
         del tanh_c, gi
         whT = np.stack([wh for _, wh, _ in params]).swapaxes(1, 2)
-        keeps = [None if drop is None else (~drop).astype(dtype) for drop in drops]
         d_h, d_c = np.zeros((2, n_dir, batch, hidden), dtype=dtype)  # each frame makes new ones
         for t in reversed(range(t_len)):
+            for d, grad in zip(d_h, grads):
+                d += grad[t]
             keep = keeps[t]
-            if keep is None:
-                for d, grad in zip(d_h, grads):
-                    d += grad[t]
-            else:  # state gradients pass unchanged through padded frames
-                for d, grad, k in zip(d_h, grads, keep):
-                    d += grad[t] * k
-                d_h, d_h_skip = d_h * keep, d_h * (1 - keep)
-                d_c, d_c_skip = d_c * keep, d_c * (1 - keep)
+            if keep is not None:  # nothing flows through a zeroed state
+                d_h *= keep
+                d_c *= keep
             d_c = d_c + d_h * through[:, t]
             d_pre[:, t] *= np.concatenate((d_c, d_c, d_c, d_h), axis=2)
             d_c = d_c * f[:, t]
             d_h = np.matmul(d_pre[:, t], whT)
-            if keep is not None:
-                d_c += d_c_skip
-                d_h += d_h_skip
         del f, through
         results = []
         for x, (wx, _, _), d, h in zip(xs, params, d_pre, h_dirs):
@@ -283,10 +279,11 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
     seq is (T, B, input) and mask (T, B) boolean. cells[0] runs forward in
     time; a second cell is handed time-reversed views of the sequence and
     the mask, runs in lockstep with the first, and its output, reversed
-    back, is added frame by frame. State carries through masked frames
-    unchanged and masked outputs are zero. The backward hands each
-    direction the incoming gradient in its own time order and runs the
-    BPTT of all its directions in one joint loop.
+    back, is added frame by frame. On masked frames h and c are zero, so
+    masked outputs are zero and each direction starts every sequence from
+    the zero state; a gap inside a sequence restarts it. The backward
+    hands each direction the incoming gradient in its own time order and
+    runs the BPTT of all its directions in one joint loop.
     """
     if mask.shape != seq.shape[:2]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")

@@ -131,7 +131,7 @@ def gradient_suite(seed: int = 0) -> SuiteResult:
     cell = QLSTMCell(2, 2, rng, dtype=np.float64)
     seq = Tensor(rng.standard_normal((5, 3, 8)), requires_grad=True)
     mask = np.ones((5, 3), dtype=bool)
-    mask[1:3, 1] = mask[3:, 2] = False  # an interior gap and a short sequence: the padding path
+    mask[1:3, 1] = mask[3:, 2] = False  # an interior gap and a short sequence: zero states on padded frames
     check("qlstm_rollout", lambda: run_direction(cell, seq, mask).sum(),
           [("input", seq)] + cell.named_parameters())
     layer = BiRecurrentLayer(QLSTMCell(2, 2, rng, dtype=np.float64), QLSTMCell(2, 2, rng, dtype=np.float64))
