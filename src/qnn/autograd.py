@@ -10,10 +10,11 @@ backward on two graphs over the same leaves without zeroing adds the leaf
 gradients: accumulation is explicit, never overwrite.
 
 There is no broadcasting: mul takes two operands of one shape. The ops here
-are the ones the model and its checks compose (mul, sum, the activations,
-reverse_time); the dense and recurrent layers, dropout, the quaternion
-normalization and the loss are each one op_result node with a hand-written
-backward.
+are mul, sum_all, reverse_time and the R2H encoder's three split activations
+(tanh, hardtanh, relu, each built by _elementwise); the dense and recurrent
+layers, dropout, the quaternion normalization and the loss are each one
+op_result node with a hand-written backward; the LSTM gates are computed
+inside the recurrent kernel.
 Sequences are time-major (T, B, D) so recurrent code slices axis 0.
 """
 
@@ -123,18 +124,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return op_result(out, (a, b), "mul", backward)
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function on a plain array via sigma(x) = tanh(x/2)/2 + 1/2.
-
-    tanh saturates, so nothing overflows for large |x| and no branch is
-    needed. The absolute error stays within about eps/2, but relative
-    precision in the far negative tail is lost: sigma(-50) is 0, not 2e-22.
-    Scaling by a power of two is exact, which lets the fused LSTM kernel fold
-    the 1/2 into its weights and still match this function bit for bit.
-    """
-    return np.tanh(0.5 * x) * 0.5 + 0.5
-
-
 def _elementwise(op: str, fn, grad):
     """A one-input elementwise op named op: out = fn(x) on the plain array,
     and its backward returns grad(g, x, out)."""
@@ -147,7 +136,6 @@ def _elementwise(op: str, fn, grad):
     return apply
 
 
-sigmoid = _elementwise("sigmoid", stable_sigmoid, lambda g, x, out: g * out * (1.0 - out))
 tanh = _elementwise("tanh", np.tanh, lambda g, x, out: g * (1.0 - out * out))
 relu = _elementwise("relu", lambda x: np.maximum(x, 0.0), lambda g, x, out: g * (x > 0))
 # clamp to [-1, 1]; slope 1 strictly inside, 0 outside and at the kinks

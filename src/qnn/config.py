@@ -125,8 +125,10 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read `key = value` lines (UTF-8, # comments, blank lines ignored)."""
+    """Read `key = value` lines (UTF-8, # comments, blank lines ignored).
+    A key set on two lines is refused, naming both."""
     values = {}
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         try:
             lines = list(fh)
@@ -139,6 +141,9 @@ def parse_config_file(path: str) -> dict:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{stripped}'")
             key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: config key '{key}' already set on line {first_line[key]}")
+            first_line[key] = lineno
             values[key] = _coerce(key, raw)
     return values
 

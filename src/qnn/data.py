@@ -234,23 +234,6 @@ def read_features(path: str) -> list:
     raise FormatError(f"{path}: bad magic {head!r} at byte offset 0 (expected {QFEA_MAGIC!r} or a CSV header)")
 
 
-def naive_quat_compose(features: np.ndarray) -> np.ndarray:
-    """Reinterpret each frame of D reals as ceil(D/4) quaternions.
-
-    Coefficients (4k, 4k+1, 4k+2, 4k+3) become quaternion k = (r, x, y, z),
-    repacked to the quarter-block layout. Widths not divisible by 4 are
-    zero-padded on the right first. Works on any leading shape (..., D).
-    """
-    dim = features.shape[-1]
-    pad = (-dim) % 4
-    if pad:
-        widths = [(0, 0)] * (features.ndim - 1) + [(0, pad)]
-        features = np.pad(features, widths)
-    quats = (dim + pad) // 4
-    grouped = features.reshape(features.shape[:-1] + (quats, 4))
-    return np.ascontiguousarray(grouped.swapaxes(-1, -2)).reshape(features.shape[:-1] + (4 * quats,))
-
-
 @dataclass
 class SynthSpec:
     classes: int = 4

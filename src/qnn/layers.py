@@ -12,11 +12,18 @@ matrix, for several maps side by side, from a table of block places derived
 from quat.to_matrix; a real matrix is its 1x1 case, so quaternion and real
 LSTM gates share one builder. The only dense layer, RealLinear, is real (the
 R2H front end and the output layer) and is one graph node: x @ W + b, with
-a backward of at most two GEMMs and a bias sum. Split activations apply a real
-nonlinearity to every component independently. Dropout drops whole units
+a backward of at most two GEMMs and a bias sum. Dropout drops whole units
 of the cell that reads its output (a quaternion, or a real for the real
 stack), and is one graph node that keeps its boolean draw, one flag per
 unit, and multiplies by the per-unit float mask forward and backward.
+
+Every front end lives here. RealToQuatEncoder (R2H) is a RealLinear, then
+one split activation, then optionally quat_normalize. ACTIVATIONS holds the
+split activations, exactly the config's r2h_activation choices; each applies
+a real nonlinearity to every component independently. The parameter-free
+front ends are FixedFrontEnd instances, each holding a transform from
+FIXED_FRONT_ENDS: the features unchanged, or naive_quat_compose's repack of
+each four coefficients into one quaternion.
 """
 
 from __future__ import annotations
@@ -28,24 +35,11 @@ import numpy as np
 
 from qnn import autograd, quat
 from qnn.autograd import Tensor, op_result
-from qnn.config import CHOICES
 from qnn.errors import ConfigError, ContractError, DimensionError
 
-ACTIVATIONS = {
-    "sigmoid": autograd.sigmoid,
-    "tanh": autograd.tanh,
-    "hardtanh": autograd.hardtanh,
-    "relu": autograd.relu,
-}
-
-
-def split_activation(kind: str, x: Tensor) -> Tensor:
-    """Apply a real activation componentwise (layout-independent)."""
-    try:
-        fn = ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation '{kind}', expected one of {sorted(ACTIVATIONS)}")
-    return fn(x)
+# The R2H encoder's split activations, in config.CHOICES["r2h_activation"]
+# order: each applies a real nonlinearity to every component independently.
+ACTIVATIONS = {"tanh": autograd.tanh, "hardtanh": autograd.hardtanh, "relu": autograd.relu}
 
 
 def chi4_init(fan_in: int, fan_out: int, rng: np.random.Generator, dtype=np.float32):
@@ -251,9 +245,8 @@ class RealToQuatEncoder:
     ):
         if width % 4 != 0:
             raise ConfigError(f"encoder width must be a multiple of 4, got {width}")
-        allowed = CHOICES["r2h_activation"]
-        if activation not in allowed:
-            raise ConfigError(f"encoder activation must be {'/'.join(allowed)}, got '{activation}'")
+        if activation not in ACTIVATIONS:
+            raise ConfigError(f"encoder activation must be {'/'.join(ACTIVATIONS)}, got '{activation}'")
         self.dense = RealLinear(input_dim, width, rng, dtype=dtype)
         self.activation = activation
         self.normalized = normalized
@@ -261,10 +254,46 @@ class RealToQuatEncoder:
     def forward(self, x) -> Tensor:
         if isinstance(x, np.ndarray):
             x = Tensor(x.astype(self.dense.weight.dtype, copy=False))
-        out = split_activation(self.activation, self.dense(x))
+        out = ACTIVATIONS[self.activation](self.dense(x))
         if self.normalized:
             out = quat_normalize(out)
         return out
 
     def named_parameters(self, prefix: str = ""):
         return self.dense.named_parameters(prefix + "dense.")
+
+
+def naive_quat_compose(features: np.ndarray) -> np.ndarray:
+    """Reinterpret each frame of D reals as ceil(D/4) quaternions.
+
+    Coefficients (4k, 4k+1, 4k+2, 4k+3) become quaternion k = (r, x, y, z),
+    repacked to the quarter-block layout. Widths not divisible by 4 are
+    zero-padded on the right first. Works on any leading shape (..., D).
+    """
+    dim = features.shape[-1]
+    pad = (-dim) % 4
+    if pad:
+        widths = [(0, 0)] * (features.ndim - 1) + [(0, pad)]
+        features = np.pad(features, widths)
+    quats = (dim + pad) // 4
+    grouped = features.reshape(features.shape[:-1] + (quats, 4))
+    return np.ascontiguousarray(grouped.swapaxes(-1, -2)).reshape(features.shape[:-1] + (4 * quats,))
+
+
+class FixedFrontEnd:
+    """A parameter-free front end: transform(features) cast to dtype."""
+
+    def __init__(self, transform, dtype=np.float32):
+        self.transform = transform
+        self.dtype = dtype
+
+    def forward(self, features: np.ndarray) -> Tensor:
+        return Tensor(self.transform(features).astype(self.dtype, copy=False))
+
+    def named_parameters(self, prefix: str = ""):
+        return []
+
+
+# The transform of each parameter-free front end: the features unchanged, or
+# each four consecutive coefficients as one quaternion (zero-padded to 4k).
+FIXED_FRONT_ENDS = {"identity": lambda features: features, "naive-quat": naive_quat_compose}

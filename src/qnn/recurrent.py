@@ -57,10 +57,10 @@ import numpy as np
 
 from qnn.autograd import Tensor, op_result, recording
 from qnn.config import ModelConfig, seed_streams
-from qnn.data import UtteranceBatch, naive_quat_compose
+from qnn.data import UtteranceBatch
 from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn import layers
-from qnn.layers import RealLinear, RealToQuatEncoder, quaternion_dropout
+from qnn.layers import FIXED_FRONT_ENDS, FixedFrontEnd, RealLinear, RealToQuatEncoder, quaternion_dropout
 
 GATES = ("f", "i", "c", "o")
 
@@ -324,25 +324,6 @@ class BiRecurrentLayer:
 
     def named_parameters(self, prefix: str = ""):
         return self.fwd.named_parameters(prefix + "fwd.") + self.bwd.named_parameters(prefix + "bwd.")
-
-
-class FixedFrontEnd:
-    """A parameter-free front end: transform(features) cast to dtype."""
-
-    def __init__(self, transform, dtype=np.float32):
-        self.transform = transform
-        self.dtype = dtype
-
-    def forward(self, features: np.ndarray) -> Tensor:
-        return Tensor(self.transform(features).astype(self.dtype, copy=False))
-
-    def named_parameters(self, prefix: str = ""):
-        return []
-
-
-# The transform of each parameter-free front end: the features unchanged, or
-# each four consecutive coefficients as one quaternion (zero-padded to 4k).
-FIXED_FRONT_ENDS = {"identity": lambda features: features, "naive-quat": naive_quat_compose}
 
 
 class AcousticModel:

@@ -8,16 +8,24 @@ those small nodes; none of them broadcasts, apart from add_bias's bias over
 the trailing axis.
 neg_concat_quat_weight writes the structured quaternion matrix out with its
 sign table by hand, so a reference built from it shares no code with
-block_matrix. linear_graph, two_direction_graph and mul_dropout are the
-dense layer, the bidirectional layer and dropout as they were built before
-each became one node.
+block_matrix. sigmoid is the logistic function as its own node, so a
+reference LSTM unroll computes its gates apart from the kernel.
+linear_graph, two_direction_graph and mul_dropout are the dense layer, the
+bidirectional layer and dropout as they were built before each became one
+node.
 """
 
 import numpy as np
 
-from qnn.autograd import Tensor, mul, op_result, reverse_time
+from qnn.autograd import Tensor, _elementwise, mul, op_result, reverse_time
 from qnn.errors import ContractError, DimensionError
 from qnn.recurrent import run_direction
+
+
+# sigma(x) = tanh(x/2)/2 + 1/2: tanh saturates, so nothing overflows for large
+# |x|; sigma(-50) is 0, not 2e-22
+sigmoid = _elementwise("sigmoid", lambda x: np.tanh(0.5 * x) * 0.5 + 0.5,
+                       lambda g, x, out: g * out * (1.0 - out))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

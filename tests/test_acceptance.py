@@ -18,7 +18,7 @@ from qnn.checkpoint import load_checkpoint, save_checkpoint
 from qnn.cli import main
 from qnn.config import ModelConfig
 from qnn.data import SynthSpec, generate_synthetic, read_features, write_features
-from qnn.layers import RealLinear, RealToQuatEncoder, chi4_init, quat_normalize, split_activation
+from qnn.layers import ACTIVATIONS, RealLinear, RealToQuatEncoder, chi4_init
 from qnn.recurrent import build_model, count_params, symbolic_param_counts
 from qnn.selfcheck import algebra_suite, gradient_suite
 from qnn.training import Adam, LRSchedule, cross_entropy_framewise, train
@@ -54,7 +54,7 @@ def test_criterion_2_unit_quaternion_contract():
             enc = RealToQuatEncoder(12, 4 * quats, activation, normalized=True,
                                     rng=rng, dtype=np.float64)
             x = Tensor(rng.standard_normal((1000, 12)))
-            pre = split_activation(activation, enc.dense(x)).data
+            pre = ACTIVATIONS[activation](enc.dense(x)).data
             pre_norms = np.sqrt((pre.reshape(-1, 4, quats) ** 2).sum(axis=1))
             out = enc.forward(x).data
             out_norms = np.sqrt((out.reshape(-1, 4, quats) ** 2).sum(axis=1))

@@ -1,8 +1,9 @@
 """Forward semantics and finite-difference gradient checks for the tape.
 
-add, neg, matmul, add_bias, reshape and concat come from reference_graphs:
-the bit-equality tests build their reference graphs from them, so their
-gradients are checked here beside the library's own ops.
+add, neg, matmul, add_bias, reshape, concat and sigmoid come from
+reference_graphs: the bit-equality tests and the reference LSTM unroll build
+their graphs from them, so their gradients are checked here beside the
+library's own ops.
 """
 
 import sys
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 from qnn import autograd
-from qnn.autograd import Tensor, backward, hardtanh, mul, relu, reverse_time, sigmoid, tanh
+from qnn.autograd import Tensor, backward, hardtanh, mul, relu, reverse_time, tanh
 from qnn.errors import ContractError, DimensionError
 from qnn.gradcheck import fd_grad, gradient_check, rel_err
-from reference_graphs import add, add_bias, concat, matmul, neg, reshape
+from reference_graphs import add, add_bias, concat, matmul, neg, reshape, sigmoid
 
 
 def leaf(rng, shape, scale=1.0):

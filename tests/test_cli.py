@@ -505,7 +505,7 @@ def test_selfcheck_clean_passes(capsys):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["suite=algebra passed=30016 failed=0",
-                                "suite=gradients passed=268 failed=0"]
+                                "suite=gradients passed=267 failed=0"]
 
 
 def test_selfcheck_injected_sign_flip_fails(capsys):

@@ -88,6 +88,16 @@ def test_config_file_errors(tmp_path):
         parse_config_file(str(bad_line))
 
 
+def test_config_file_repeated_key_is_refused(tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("depth = 2\nseed = 1\n\ndepth = 4\n")
+    with pytest.raises(ConfigError, match=r"twice.txt:4: config key 'depth' already set on line 1"):
+        parse_config_file(str(path))
+    path.write_text("seed = 1\nseed = 1\n")  # refused even when both lines agree
+    with pytest.raises(ConfigError, match=r"twice.txt:2: config key 'seed' already set on line 1"):
+        parse_config_file(str(path))
+
+
 def test_config_file_not_utf8(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"depth = 1\n# caf\xe9\n")

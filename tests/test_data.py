@@ -12,12 +12,12 @@ from qnn.data import (
     class_templates,
     generate_synthetic,
     make_batches,
-    naive_quat_compose,
     read_features,
     total_frames,
     write_features,
 )
 from qnn.errors import ConfigError, DataError, FormatError
+from qnn.layers import naive_quat_compose
 
 
 def random_utts(rng, count=5, dim=6):

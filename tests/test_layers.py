@@ -5,11 +5,12 @@ import pytest
 
 from qnn import quat
 from qnn.autograd import Tape, Tensor, backward, mul, op_result, sum_all
-from qnn.config import ModelConfig
+from qnn.config import CHOICES, ModelConfig
 from qnn.data import SynthSpec, generate_synthetic, make_batches
 from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn.gradcheck import gradient_check
 from qnn.layers import (
+    ACTIVATIONS,
     QUAT_PLACES,
     RealLinear,
     RealToQuatEncoder,
@@ -18,7 +19,6 @@ from qnn.layers import (
     chi4_init,
     quat_normalize,
     quaternion_dropout,
-    split_activation,
 )
 from qnn import recurrent
 from qnn.recurrent import GATES, QLSTMCell, RealLSTMCell, build_model, lstm_layer
@@ -226,26 +226,25 @@ def test_training_step_feeds_cell_parameters_to_layer_nodes():
     assert fed == {tuple(id(p) for _, p in layer.named_parameters()) for layer in model.stack}
 
 
+def test_activation_table_is_the_configs():
+    assert tuple(ACTIVATIONS) == CHOICES["r2h_activation"]
+
+
 def test_split_activation_values():
-    z = split_activation("tanh", Tensor(np.zeros(8)))
+    z = ACTIVATIONS["tanh"](Tensor(np.zeros(8)))
     assert np.array_equal(z.data, np.zeros(8))
     # quaternion (-1, 2, -3, 4) in quarter-block layout with H=1
     v = Tensor(np.array([-1.0, 2.0, -3.0, 4.0]))
-    out = split_activation("relu", v)
+    out = ACTIVATIONS["relu"](v)
     assert np.array_equal(out.data, np.array([0.0, 2.0, 0.0, 4.0]))
 
 
 def test_split_activation_is_layoutwise_flat():
     rng = np.random.default_rng(7)
     v = rng.normal(size=(3, 8))
-    out = split_activation("sigmoid", Tensor(v)).data
-    expected = 1.0 / (1.0 + np.exp(-v))
+    out = ACTIVATIONS["tanh"](Tensor(v)).data
+    expected = np.tanh(v)
     assert np.allclose(out, expected, atol=1e-12)
-
-
-def test_split_activation_unknown_kind():
-    with pytest.raises(ConfigError):
-        split_activation("gelu", Tensor(np.zeros(4)))
 
 
 def test_chi4_biases_zero_and_determinism():
@@ -351,7 +350,7 @@ def test_quat_normalize_bit_equal_to_graph_reference(dtype, activation, shape):
     results = []
     for normalize in (quat_normalize, graph_quat_normalize):
         x = Tensor(pre.copy(), requires_grad=True)
-        out = normalize(split_activation(activation, x))
+        out = normalize(ACTIVATIONS[activation](x))
         backward(sum_all(mul(out, cotangent)))
         results.append((out.data, x.grad))
     for got, want in zip(*results):

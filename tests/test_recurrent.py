@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 from qnn import autograd
-from qnn.autograd import Tape, Tensor, mul, op_result, sigmoid, tanh
+from qnn.autograd import Tape, Tensor, mul, op_result, tanh
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
 from qnn.errors import ConfigError, ContractError, DimensionError
 from qnn.gradcheck import gradient_check
+from qnn.layers import FIXED_FRONT_ENDS, FixedFrontEnd
 from qnn.recurrent import (
     GATES,
-    FIXED_FRONT_ENDS,
     BiRecurrentLayer,
-    FixedFrontEnd,
     QLSTMCell,
     RealLSTMCell,
     build_model,
@@ -31,7 +30,7 @@ from qnn.recurrent import (
 )
 from qnn.training import cross_entropy_framewise
 from reference_graphs import (add, add_bias, concat, matmul, narrow, neg_concat_quat_weight, reshape,
-                              two_direction_graph)
+                              sigmoid, two_direction_graph)
 
 
 def zero_cell(cell):
