@@ -23,7 +23,9 @@ split activations, exactly the config's r2h_activation choices; each applies
 a real nonlinearity to every component independently. The parameter-free
 front ends are FixedFrontEnd instances, each holding a transform from
 FIXED_FRONT_ENDS: the features unchanged, or naive_quat_compose's repack of
-each four coefficients into one quaternion.
+each four coefficients into one quaternion. Beside each transform the table
+states the width it makes of D features, which the model's layer plan reads
+without running the transform.
 """
 
 from __future__ import annotations
@@ -268,16 +270,15 @@ def naive_quat_compose(features: np.ndarray) -> np.ndarray:
 
     Coefficients (4k, 4k+1, 4k+2, 4k+3) become quaternion k = (r, x, y, z),
     repacked to the quarter-block layout. Widths not divisible by 4 are
-    zero-padded on the right first. Works on any leading shape (..., D).
+    zero-padded on the right first, to FIXED_FRONT_ENDS' naive-quat width.
+    Works on any leading shape (..., D).
     """
     dim = features.shape[-1]
-    pad = (-dim) % 4
-    if pad:
-        widths = [(0, 0)] * (features.ndim - 1) + [(0, pad)]
-        features = np.pad(features, widths)
-    quats = (dim + pad) // 4
-    grouped = features.reshape(features.shape[:-1] + (quats, 4))
-    return np.ascontiguousarray(grouped.swapaxes(-1, -2)).reshape(features.shape[:-1] + (4 * quats,))
+    width = FIXED_FRONT_ENDS["naive-quat"][1](dim)
+    if width > dim:
+        features = np.pad(features, [(0, 0)] * (features.ndim - 1) + [(0, width - dim)])
+    grouped = features.reshape(features.shape[:-1] + (width // 4, 4))
+    return np.ascontiguousarray(grouped.swapaxes(-1, -2)).reshape(features.shape[:-1] + (width,))
 
 
 class FixedFrontEnd:
@@ -294,6 +295,9 @@ class FixedFrontEnd:
         return []
 
 
-# The transform of each parameter-free front end: the features unchanged, or
-# each four consecutive coefficients as one quaternion (zero-padded to 4k).
-FIXED_FRONT_ENDS = {"identity": lambda features: features, "naive-quat": naive_quat_compose}
+# Each parameter-free front end as (transform, width): the transform of
+# (..., D) features and, in closed form, the width D becomes. The features
+# unchanged, or each four consecutive coefficients as one quaternion,
+# zero-padded to a whole number of quaternions.
+FIXED_FRONT_ENDS = {"identity": (lambda features: features, lambda dim: dim),
+                    "naive-quat": (naive_quat_compose, lambda dim: 4 * ((dim + 3) // 4))}

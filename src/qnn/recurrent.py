@@ -13,42 +13,17 @@ the input, realised as structured real matmuls), the activations are split
 (componentwise), and * is the componentwise product. The real-valued
 baseline cell runs the identical recurrence with ordinary dense maps, so
 one cell class and one driver handle both. CELLS maps each stack kind to
-its cell; everything that depends on the kind reads it.
+its cell; layer_plan reads it, and build_model and symbolic_param_counts
+read layer_plan.
 
-Sequences are time-major (T, B, D) with a boolean validity mask. On a
-padded frame h and c are zero, so padded outputs are zero and each
-direction starts a sequence from the zero state. Batches are right-padded,
-so appending padding to a batch never changes valid-frame results; a gap
-inside a sequence would restart its state after the gap.
-
-Each layer is one graph node (Appleyard et al., arXiv:1604.01946) fed by
-the sequence and its cells' parameters, which each cell lays out as plain
-W, R and bias arrays with layers.block_matrix. One numpy kernel runs the N
-directions of a layer together over one (N, T, B, 4H) gate array, laid out
-like the (N, T + 1, B, H) h and c states. Per direction one matmul projects
-all frames into its slice of that array. One loop then runs the recurrence
-of all directions in lockstep: per frame one stacked matmul of the N hidden
-states against the N recurrent maps, the frame's projected rows added, one
-transposed copy into a contiguous gate-major (4, N, B, H) frame block, and
-one tanh over that block, using sigmoid(x) = tanh(x/2)/2 + 1/2 with the
-halving folded into W, the bias and R once per call; the cell-state and
-output arithmetic then runs on the block's contiguous (N, B, H) gate
-slices. Only while a graph is being recorded is each frame's activated
-block copied back into the gate array, which becomes the gate cache;
-evaluation skips the copy. The backward is full BPTT of all N directions in
-one reversed per-frame loop over the gate cache and the states; the cell
-splits the W, bias and R gradients back per component.
-
-What a step holds is kept small without changing a bit: tanh(c) goes to a
-per-frame scratch and the backward recomputes it for all frames at once
-over the c states, and the backward writes its gate gradients over the gate
-cache.
-
-The loop never knows which way a direction runs: each walks the arrays it
-is given in their own time order. The layer hands the second cell
-time-reversed views of the sequence, the mask and the incoming gradient,
-reverses that pass's output and input gradient back, and returns the
-componentwise sum of the two directions.
+Sequences are time-major (T, B, D) with a boolean validity mask, and
+batches are right-padded. Each bidirectional layer is one fused graph node
+(lstm_layer) with hand-written backpropagation through time, fed by the
+sequence and both cells' parameters, that returns the sum of its two
+directions. On a padded frame h and c are zero, so padded outputs are zero
+and each direction starts a sequence from the zero state. _lockstep's
+docstring describes the kernel: the gate layout, the lockstep loop and the
+padding rule.
 """
 
 from __future__ import annotations
@@ -159,23 +134,43 @@ def _lockstep(xs, masks, params, record: bool):
     the (H, 4H) recurrent map and the (4H,) bias, gates side by side as
     [f | i | c | o]. Returns the N (T, B, H) outputs and one closure
     backward(grads) -> N tuples (d_x, d_wx, d_wh, d_bias), grads being the
-    N output gradients, each in its direction's time order.
+    N output gradients, each in its direction's time order. The loops never
+    know which way a direction runs: lstm_layer hands a reverse direction
+    time-reversed views.
 
-    The gates, h and c states are (N, T, B, 4H) and (N, T + 1, B, H) arrays:
-    each direction's slice is contiguous in its own time order, so its
-    projection and closing GEMMs and its bias sum run over time in that
-    order, and each frame's are N contiguous blocks for the stacked
-    per-frame matmuls. A time-reversed view is projected from a contiguous
-    copy (reshape copies a reversed view). Only when record is set (a graph
-    node will hold the backward) is each frame's activated gate-major block
-    copied back into the gate array, which becomes the gate cache.
+    Layout. The gates, h and c states are (N, T, B, 4H) and
+    (N, T + 1, B, H) arrays: each direction's slice is contiguous in its
+    own time order, so its projection and closing GEMMs and its bias sum
+    run over time in that order, and each frame's are N contiguous blocks
+    for the stacked per-frame matmuls. A time-reversed view is projected
+    from a contiguous copy (reshape copies a reversed view).
 
-    The backward runs once: it writes over the gate cache and the c states.
-    Its reversed loop makes per frame one joint [d_c, d_c, d_c, d_h]
-    product and one stacked matmul against the N transposed recurrent maps.
-    A frame where any direction is padded has a keep mask: the forward
-    zeroes h and c there and the backward zeroes d_h and d_c, for all N
-    (a multiply by 1 leaves a valid direction as it is).
+    Forward. Per direction one matmul projects all frames into its slice of
+    the gate array. Then per frame: one stacked matmul of the N hidden
+    states against the N recurrent maps, the frame's projected rows added,
+    one transposed copy into a contiguous gate-major (4, N, B, H) block,
+    and one tanh over that block, using sigmoid(x) = tanh(x/2)/2 + 1/2 with
+    the halving folded into W, the bias and R once per call (gate_affine);
+    the cell-state and output arithmetic (lstm_gates) then runs on the
+    block's contiguous (N, B, H) gate slices, with tanh(c) in a per-frame
+    scratch. Only when record is set (a graph node will hold the backward)
+    is each frame's activated block copied back into the gate array, which
+    becomes the gate cache; evaluation skips the copy.
+
+    Padding. A frame where any direction is padded has a keep mask: the
+    forward zeroes h and c there and the backward zeroes d_h and d_c, for
+    all N (a multiply by 1 leaves a valid direction as it is). Each
+    direction thus starts every sequence from the zero state. In a
+    right-padded batch the forward direction's padding follows its sequence
+    and the reverse direction's precedes it, so appending padding never
+    changes valid-frame results; a gap inside a sequence restarts the state.
+
+    Backward. Full BPTT of all N directions, run once. It recomputes tanh(c)
+    for all frames over the c states and writes over the gate cache and the
+    c states, keeping a copy of the forget gate. Its one reversed loop makes
+    per frame one joint [d_c, d_c, d_c, d_h] product and one stacked matmul
+    against the N transposed recurrent maps; each cell splits the W, bias
+    and R gradients back per component (split_grads).
     """
     for x, (wx, _, _) in zip(xs, params):
         if x.dtype != wx.dtype:
@@ -277,13 +272,11 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
     parameters (Appleyard et al., arXiv:1604.01946).
 
     seq is (T, B, input) and mask (T, B) boolean. cells[0] runs forward in
-    time; a second cell is handed time-reversed views of the sequence and
-    the mask, runs in lockstep with the first, and its output, reversed
-    back, is added frame by frame. On masked frames h and c are zero, so
-    masked outputs are zero and each direction starts every sequence from
-    the zero state; a gap inside a sequence restarts it. The backward
-    hands each direction the incoming gradient in its own time order and
-    runs the BPTT of all its directions in one joint loop.
+    time; a second cell runs backward in time, in lockstep with the first,
+    and its output is added frame by frame. _lockstep runs and describes
+    the kernel. This node hands the second cell time-reversed views of the
+    sequence, the mask and the incoming gradient, and reverses its output
+    and input gradient back.
     """
     if mask.shape != seq.shape[:2]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")
@@ -382,20 +375,23 @@ def param_breakdown(model: AcousticModel) -> dict:
                       sum(p.size for p in stack if p.data.ndim == 2))
 
 
-def layer_plan(config: ModelConfig) -> tuple[int, int]:
-    """Real widths along the model, read by both build_model and
-    symbolic_param_counts: the front-end output and every stack layer's
-    output. The first stack layer maps the one to the other, the remaining
-    depth - 1 layers map the stack width to itself; the front-end output
-    must be a whole number of the stack kind's units (CELLS)."""
+def layer_plan(config: ModelConfig) -> tuple[int, type, int]:
+    """The model's shape, read by both build_model and symbolic_param_counts:
+    the front-end output width, the stack cell (CELLS) and the stack output
+    width. The first stack layer maps the front-end width to the stack
+    width, the remaining depth - 1 layers map the stack width to itself, and
+    the output layer reads the stack width, which a depth-0 stack leaves at
+    the front-end width. The front-end output must be a whole number of the
+    cell's units."""
     config.validate()
-    dim = config.input_dim
-    width = {"identity": dim, "naive-quat": 4 * ((dim + 3) // 4)}.get(config.front_end, config.r2h_size)
-    unit = len(CELLS[config.stack_kind].places)
+    fixed = FIXED_FRONT_ENDS.get(config.front_end)
+    width = fixed[1](config.input_dim) if fixed else config.r2h_size
+    cell = CELLS[config.stack_kind]
+    unit = len(cell.places)
     if width % unit != 0:
         raise ConfigError(f"{config.stack_kind} stack needs an input width divisible by {unit}, "
                           f"front end provides {width}")
-    return width, config.hidden_real_width
+    return width, cell, config.hidden_real_width if config.depth else width
 
 
 def symbolic_param_counts(config: ModelConfig) -> dict:
@@ -403,18 +399,20 @@ def symbolic_param_counts(config: ModelConfig) -> dict:
     closed form over the depth, without allocating any buffers. Matches
     param_breakdown(build_model(c)) exactly; used by the params command and
     the memory budget so large configs stay cheap."""
-    front_width, hidden = layer_plan(config)
+    front_width, cell, hidden = layer_plan(config)
     depth = config.depth
-    front = 0 if config.front_end in FIXED_FRONT_ENDS else config.input_dim * front_width + front_width
-    unit = len(CELLS[config.stack_kind].places)  # real matrix entries per weight scalar
+    unit = len(cell.places)  # real matrix entries per weight scalar
+
+    def dense(n_in, n_out):  # RealLinear: weight and bias
+        return n_in * n_out + n_out
 
     def layer_weights(n_in):  # two directions, each gate an input map W and a recurrent map R
         return 2 * len(GATES) * (n_in * hidden + hidden * hidden) // unit
 
+    front = 0 if config.front_end in FIXED_FRONT_ENDS else dense(config.input_dim, front_width)
     stack_weights = layer_weights(front_width) + (depth - 1) * layer_weights(hidden) if depth else 0
     stack = stack_weights + depth * 2 * len(GATES) * hidden  # plus one bias per gate
-    out_in = hidden if depth else front_width
-    return _breakdown(front, stack, out_in * config.classes + config.classes, stack_weights)
+    return _breakdown(front, stack, dense(hidden, config.classes), stack_weights)
 
 
 def build_model(config: ModelConfig) -> AcousticModel:
@@ -425,24 +423,21 @@ def build_model(config: ModelConfig) -> AcousticModel:
     models: the front end draws first, then per layer the forward cell and
     the backward cell, then the output layer.
     """
-    front_width, hidden = layer_plan(config)
+    front_width, cell, hidden = layer_plan(config)
     dtype = config.dtype
     rng, dropout_rng, _ = seed_streams(config.seed)
 
     if config.front_end in FIXED_FRONT_ENDS:
-        front = FixedFrontEnd(FIXED_FRONT_ENDS[config.front_end], dtype=dtype)
+        front = FixedFrontEnd(FIXED_FRONT_ENDS[config.front_end][0], dtype=dtype)
     else:
         front = RealToQuatEncoder(config.input_dim, front_width, config.r2h_activation,
                                   normalized=(config.front_end == "r2h-norm"), rng=rng, dtype=dtype)
 
-    cell = CELLS[config.stack_kind]
     unit = len(cell.places)
     stack = []
-    n_in = front_width
-    for _ in range(config.depth):
-        stack.append(BiRecurrentLayer(cell(n_in // unit, hidden // unit, rng, dtype=dtype),
-                                      cell(n_in // unit, hidden // unit, rng, dtype=dtype)))
-        n_in = hidden
+    for k in range(config.depth):
+        n_in, n_out = (hidden if k else front_width) // unit, hidden // unit
+        stack.append(BiRecurrentLayer(*(cell(n_in, n_out, rng, dtype=dtype) for _ in range(2))))
 
-    output = RealLinear(n_in, config.classes, rng, dtype=dtype)
+    output = RealLinear(hidden, config.classes, rng, dtype=dtype)
     return AcousticModel(front, stack, output, config.dropout, dropout_rng, unit)

@@ -19,7 +19,7 @@ from qnn.data import UtteranceBatch
 from qnn.gradcheck import gradient_check
 from qnn.layers import ACTIVATIONS, RealToQuatEncoder, quaternion_dropout
 from qnn.quat import Quaternion
-from qnn.recurrent import BiRecurrentLayer, QLSTMCell, build_model, run_direction
+from qnn.recurrent import BiRecurrentLayer, QLSTMCell, build_model, lstm_layer
 from qnn.training import cross_entropy_framewise
 
 ABS_TOL_MATRIX = 1e-12
@@ -132,7 +132,7 @@ def gradient_suite(seed: int = 0) -> SuiteResult:
     seq = Tensor(rng.standard_normal((5, 3, 8)), requires_grad=True)
     mask = np.ones((5, 3), dtype=bool)
     mask[1:3, 1] = mask[3:, 2] = False  # an interior gap and a short sequence: zero states on padded frames
-    check("qlstm_rollout", lambda: run_direction(cell, seq, mask).sum(),
+    check("qlstm_rollout", lambda: lstm_layer(seq, mask, (cell,)).sum(),
           [("input", seq)] + cell.named_parameters())
     layer = BiRecurrentLayer(QLSTMCell(2, 2, rng, dtype=np.float64), QLSTMCell(2, 2, rng, dtype=np.float64))
     weights = Tensor(rng.standard_normal((5, 3, 8)))  # uneven per-frame weights, so time order shows

@@ -168,7 +168,9 @@ def test_hostile_config_values_exit_2_without_traceback(tmp_path, capsys, flags)
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("flags", [["--hidden", "4000000000"], ["--r2h-size", "4000000000"],
-                                   ["--classes", "4000000000"]], ids=["hidden", "r2h_size", "classes"])
+                                   ["--classes", "4000000000"],
+                                   ["--front-end", "naive-quat", "--input-dim", "4000000001"]],
+                         ids=["hidden", "r2h_size", "classes", "naive_quat_input_dim"])
 def test_model_beyond_physical_memory_exits_2_without_allocating(tmp_path, capsys, command, flags):
     main(synth_args(tmp_path / "data"))
     (tmp_path / "config.txt").write_text(ModelConfig(input_dim=8).to_file_text())
@@ -189,6 +191,24 @@ def test_model_beyond_physical_memory_exits_2_without_allocating(tmp_path, capsy
     assert code == 2, err
     assert "Traceback" not in err and "physical memory" in err
     assert peak < 2**26 and not out.exists()
+
+
+def test_params_counts_any_naive_quat_input_width_without_allocating(capsys):
+    """The front end's width comes from its closed form, never from running
+    its transform on a frame of that width."""
+    tracemalloc.start()
+    try:
+        code = main(["params", "--front-end", "naive-quat", "--input-dim", str(10**20)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 0 and peak < 2**26, captured.err
+    assert captured.out.splitlines() == [
+        "result=params stack_kind=qlstm front_end=0 stack=204800000000000014712832 output=2050 "
+        "total=204800000000000014714882 stack_weight_scalars=204800000000000014680064",
+        "result=params_matched qlstm_total=204800000000000014714882 lstm_total=819200000000000058755074 "
+        "stack_weight_ratio=4.0 total_ratio=4.0"]
 
 
 @pytest.mark.parametrize("command", ["params", "train", "eval"])
@@ -486,13 +506,13 @@ def test_params_without_a_quaternion_counterpart_prints_one_record(capsys):
 
 
 def test_params_symbolic_matches_built_model():
-    grid = itertools.product(CHOICES["front_end"], CHOICES["stack_kind"], (0, 1, 3), (6, 8))
+    grid = itertools.product(CHOICES["front_end"], CHOICES["stack_kind"], (0, 1, 3), (5, 6, 7, 8))
     for front_end, stack_kind, depth, input_dim in grid:
         cfg = ModelConfig(front_end=front_end, r2h_size=16, stack_kind=stack_kind, depth=depth,
                           hidden_real_width=16, classes=5, input_dim=input_dim, dropout=0.0)
         try:
             counts = symbolic_param_counts(cfg)
-        except ConfigError:  # identity into qlstm with 6 features: neither may build it
+        except ConfigError:  # identity into qlstm with 5-7 features: neither may build it
             with pytest.raises(ConfigError):
                 build_model(cfg)
             continue

@@ -534,10 +534,11 @@ def test_bidirectional_gradients():
 
 
 def test_naive_quat_front_layout():
-    front = FixedFrontEnd(FIXED_FRONT_ENDS["naive-quat"], dtype=np.float64)
+    transform, width = FIXED_FRONT_ENDS["naive-quat"]
+    front = FixedFrontEnd(transform, dtype=np.float64)
     frame = np.arange(40.0).reshape(1, 1, 40)
     out = front.forward(frame).data[0, 0]
-    assert out.shape == (40,)
+    assert out.shape == (width(40),) == (40,)
     # quaternion k comes from coefficients (4k..4k+3); quarter-block layout
     for k in range(10):
         assert out[k] == frame[0, 0, 4 * k]          # r block
@@ -546,15 +547,22 @@ def test_naive_quat_front_layout():
         assert out[30 + k] == frame[0, 0, 4 * k + 3]  # z block
 
 
+@pytest.mark.parametrize("front_end", sorted(FIXED_FRONT_ENDS))
+def test_fixed_front_end_width_is_its_transforms(front_end):
+    transform, width = FIXED_FRONT_ENDS[front_end]
+    for dim in range(1, 10):
+        assert transform(np.zeros((2, 3, dim))).shape == (2, 3, width(dim)), dim
+
+
 def test_naive_quat_front_pads_to_multiple_of_four():
-    front = FixedFrontEnd(FIXED_FRONT_ENDS["naive-quat"])
+    front = FixedFrontEnd(FIXED_FRONT_ENDS["naive-quat"][0])
     out = front.forward(np.ones((2, 1, 6), dtype=np.float32))
     assert out.shape == (2, 1, 8)
     assert np.array_equal(out.data[1, 0], [1, 1, 1, 1, 1, 0, 1, 0])  # y and z of quaternion 1 are padding
 
 
 def test_identity_front_is_passthrough():
-    front = FixedFrontEnd(FIXED_FRONT_ENDS["identity"], dtype=np.float64)
+    front = FixedFrontEnd(FIXED_FRONT_ENDS["identity"][0], dtype=np.float64)
     x = np.random.default_rng(14).standard_normal((3, 2, 5))
     assert np.array_equal(front.forward(x).data, x)
     assert front.named_parameters() == []
@@ -677,14 +685,18 @@ def test_full_toy_model_gradient_check():
 @pytest.mark.parametrize("front_end,stack_kind", [("r2h-norm", "qlstm"), ("naive-quat", "qlstm"),
                                                    ("identity", "lstm")])
 def test_layer_plan_is_the_built_width_chain(front_end, stack_kind):
-    cfg = toy_config(front_end=front_end, stack_kind=stack_kind, input_dim=6, r2h_size=12, depth=3)
-    model = build_model(cfg)
-    front_width, hidden = layer_plan(cfg)
-    features = np.zeros((2, 1, cfg.input_dim), dtype=cfg.dtype)
-    built = [model.front_end.forward(features).shape[-1]] + [layer.fwd.hidden_size for layer in model.stack]
-    assert [front_width] + [hidden] * cfg.depth == built
-    assert built == [layer.fwd.input_size for layer in model.stack] + [model.output.n_in]
-    assert all(layer.bwd.input_size == layer.fwd.input_size for layer in model.stack)
+    for depth in (0, 3):
+        cfg = toy_config(front_end=front_end, stack_kind=stack_kind, input_dim=6, r2h_size=12, depth=depth)
+        model = build_model(cfg)
+        front_width, cell, hidden = layer_plan(cfg)
+        features = np.zeros((2, 1, cfg.input_dim), dtype=cfg.dtype)
+        built = [model.front_end.forward(features).shape[-1]] + [layer.fwd.hidden_size for layer in model.stack]
+        assert [front_width] + [hidden] * depth == built
+        assert built == [layer.fwd.input_size for layer in model.stack] + [model.output.n_in]
+        assert hidden == built[-1]  # the output layer's input
+        assert all(type(c) is cell and c.input_size == layer.fwd.input_size
+                   for layer in model.stack for c in (layer.fwd, layer.bwd))
+        assert model.unit == len(cell.places)
 
 
 def test_model_construction_errors():

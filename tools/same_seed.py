@@ -1,0 +1,106 @@
+"""Same-seed byte matrix: does this checkout produce the same bytes as REV?
+
+    python tools/same_seed.py --base REV
+
+Unpacks REV (`git archive REV | tar -x`) into a temporary directory and runs
+the same commands on both sides, each side's `qnn` as a subprocess with
+PYTHONPATH set to that side's src:
+
+- `qnn synth` of a small dataset (dim 12, 16/8/4 utterances, seed 5);
+- a 3-epoch `qnn train` for every front end x qlstm/lstm x f32/f64;
+- `qnn eval` of each run's best.qnn and `qnn params` of each run's config;
+- `qnn selfcheck`, with and without --inject-sign-flip.
+
+Every file the commands write is compared byte for byte, and every output
+record (exit code, stdout and stderr) with the side's directory and
+`seconds=` fields stripped. Prints one line per difference and a summary;
+exits 1 if anything differs. The temporary directory is deleted afterwards.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FRONT_ENDS = ("r2h-norm", "r2h", "naive-quat", "identity")
+SYNTH = ["--dim", "12", "--train-utts", "16", "--valid-utts", "8", "--test-utts", "4",
+         "--segments", "4", "--seed", "5"]
+TRAIN = ["--epochs", "3", "--r2h-size", "32", "--depth", "2", "--hidden", "16", "--dropout", "0.2",
+         "--batch-size", "4", "--seed", "5"]
+SECONDS = re.compile(r"seconds=\S+")
+
+
+def commands():
+    """(record name, qnn arguments) in run order; paths are relative to the side's work directory."""
+    yield "synth", ["synth", "--out", "data", *SYNTH]
+    runs = [f"{fe}.{stack}.{precision}" for fe, stack, precision
+            in itertools.product(FRONT_ENDS, ("qlstm", "lstm"), ("f32", "f64"))]
+    for run in runs:
+        fe, stack, precision = run.split(".")
+        yield f"train {run}", ["train", "--train", "data/train.qfea", "--valid", "data/valid.qfea",
+                               "--out", f"runs/{run}", "--front-end", fe, "--stack", stack,
+                               "--precision", precision, *TRAIN]
+    for run in runs:
+        yield f"eval {run}", ["eval", f"runs/{run}/best.qnn", "--test", "data/test.qfea"]
+        yield f"params {run}", ["params", "--config", f"runs/{run}/config.txt"]
+    yield "selfcheck", ["selfcheck"]
+    yield "selfcheck sign-flip", ["selfcheck", "--inject-sign-flip"]
+
+
+def run_side(src: Path, work: Path) -> dict:
+    """Run every command with src on PYTHONPATH inside work; returns the
+    stripped record of each, by name."""
+    work.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    records = {}
+    for name, args in commands():
+        done = subprocess.run([sys.executable, "-m", "qnn.cli", *args], cwd=work, env=env,
+                              capture_output=True, text=True)
+        text = f"exit={done.returncode}\n{done.stdout}--- stderr\n{done.stderr}"
+        records[name] = SECONDS.sub("seconds=", text.replace(str(work), "<work>"))
+    return records
+
+
+def files(work: Path) -> dict:
+    return {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+
+
+def differences(base: dict, head: dict, kind: str) -> list:
+    return [f"differ: {kind} {name}" + ("" if name in base and name in head else " (one side only)")
+            for name in sorted(base.keys() | head.keys()) if base.get(name) != head.get(name)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare this checkout against")
+    args = parser.parse_args(argv)
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{args.base}^{{commit}}"],
+                         capture_output=True, text=True)
+    if rev.returncode:
+        print(f"error: {args.base!r} is not a revision: {rev.stderr.strip()}", file=sys.stderr)
+        return 2
+    sha = rev.stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="same-seed-") as tmp:
+        tree = Path(tmp, "base-tree")
+        tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        base_records = run_side(tree / "src", Path(tmp, "base"))
+        head_records = run_side(ROOT / "src", Path(tmp, "head"))
+        base_files, head_files = files(Path(tmp, "base")), files(Path(tmp, "head"))
+    diffs = differences(base_files, head_files, "file") + differences(base_records, head_records, "record")
+    print("\n".join(diffs + [f"same_seed base={args.base} ({sha[:12]}) head=working tree: "
+                             f"{len(head_files)} files, {len(head_records)} records, {len(diffs)} differ"]))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
