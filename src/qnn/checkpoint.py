@@ -8,6 +8,9 @@ Container layout (all integers little-endian):
     per parameter: name length u32 | name UTF-8 | dtype tag u8
                    | rank u32 | dims u32 each | raw little-endian data
 
+Fields are written and read with qnn.data's codec (write_u32, write_text,
+ByteReader), the one statement of the binary containers' layout.
+
 The digest ties a checkpoint to the exact configuration that produced it;
 loading refuses on mismatch so weights are never silently poured into a
 different architecture. Loading also refuses a parameter name stored twice
@@ -16,12 +19,9 @@ and any byte after the last parameter. Round-trips are bit-exact.
 
 from __future__ import annotations
 
-import math
-import struct
-
 import numpy as np
 
-from qnn.data import ByteReader, atomic_write
+from qnn.data import ByteReader, atomic_write, write_text, write_u32
 from qnn.errors import ContractError, FormatError
 
 MAGIC = b"QNN1"
@@ -34,22 +34,16 @@ def save_checkpoint(path: str, named_params, digest: str) -> None:
     params = list(named_params)
     with atomic_write(path) as fh:
         fh.write(MAGIC)
-        raw_digest = digest.encode("utf-8")
-        fh.write(struct.pack("<I", len(raw_digest)))
-        fh.write(raw_digest)
-        fh.write(struct.pack("<I", len(params)))
+        write_text(fh, digest)
+        write_u32(fh, len(params))
         for name, tensor in params:
             data = np.ascontiguousarray(tensor.data)
             dtype = data.dtype.newbyteorder("<")
-            if np.dtype(dtype) not in _DTYPE_TAGS:
+            if dtype not in _DTYPE_TAGS:
                 raise ContractError(f"parameter '{name}' has unsupported dtype {data.dtype}")
-            raw_name = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw_name)))
-            fh.write(raw_name)
-            fh.write(struct.pack("<B", _DTYPE_TAGS[np.dtype(dtype)]))
-            fh.write(struct.pack("<I", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
+            write_text(fh, name)
+            fh.write(bytes([_DTYPE_TAGS[dtype]]))
+            write_u32(fh, data.ndim, *data.shape)
             fh.write(data.astype(dtype, copy=False).tobytes())
 
 
@@ -72,12 +66,7 @@ def load_checkpoint(path: str):
                 raise FormatError(f"unknown dtype tag {tag} for parameter '{name}'")
             rank = reader.u32(f"rank of '{name}'")
             shape = tuple(reader.u32(f"dim {d} of '{name}'") for d in range(rank))
-            dtype = _TAG_DTYPES[tag]
-            raw = reader.take(math.prod(shape) * dtype.itemsize, f"data of '{name}'")
-            try:
-                params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            except ValueError as exc:  # e.g. more dimensions than numpy allows
-                raise FormatError(f"parameter '{name}' has unsupported shape: {exc}") from None
+            params[name] = reader.array(shape, _TAG_DTYPES[tag], f"data of '{name}'")
         reader.end()
         return digest, params
 

@@ -7,7 +7,9 @@ external dependencies):
     per utterance: id length u32 | id bytes UTF-8 | T u32 | D u32
                    | T*D float32 row-major | T int32 labels
 
-All integers and floats are little-endian. A CSV fallback
+All integers and floats are little-endian. The codec beside ByteReader
+(write_u32, write_text, ByteReader) is the one statement of how these fields
+and the checkpoints' are written and read. A CSV fallback
 (`id,frame,label,f0..f{D-1}` header, one row per frame) covers hand-written
 fixtures.
 
@@ -89,19 +91,21 @@ def atomic_write(path: str, text: bool = False):
         raise
 
 
-def write_features(path: str, utterances: list) -> None:
-    with atomic_write(path) as fh:
-        fh.write(QFEA_MAGIC)
-        fh.write(struct.pack("<II", QFEA_VERSION, len(utterances)))
-        for utt in utterances:
-            utt.validate()
-            ident = utt.id.encode("utf-8")
-            t_len, dim = utt.features.shape
-            fh.write(struct.pack("<I", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<II", t_len, dim))
-            fh.write(np.ascontiguousarray(utt.features, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(utt.labels, dtype="<i4").tobytes())
+# The codec of the binary containers (QFEA files and QNN1 checkpoints):
+# write_u32, write_text and ByteReader are the one statement of how their
+# fields are laid out, for writing and for reading.
+
+
+def write_u32(fh, *values: int) -> None:
+    """Each value as a little-endian u32."""
+    fh.write(struct.pack(f"<{len(values)}I", *values))
+
+
+def write_text(fh, text: str) -> None:
+    """A u32 byte length, then the text's UTF-8 bytes."""
+    raw = text.encode("utf-8")
+    write_u32(fh, len(raw))
+    fh.write(raw)
 
 
 class ByteReader:
@@ -134,6 +138,15 @@ class ByteReader:
             raise FormatError(f"{self.container}: {what} at byte offset {self.offset - n} "
                               f"is not UTF-8 ({exc.reason})") from None
 
+    def array(self, shape: tuple, dtype, what: str) -> np.ndarray:
+        """The next prod(shape) little-endian items of dtype, as a native-order copy."""
+        dtype = np.dtype(dtype)
+        raw = self.take(math.prod(shape) * dtype.itemsize, what)
+        try:
+            return np.frombuffer(raw, dtype.newbyteorder("<")).reshape(shape).astype(dtype.newbyteorder("="))
+        except ValueError as exc:  # e.g. more dimensions than numpy allows
+            raise FormatError(f"{self.container}: {what} has an unsupported shape: {exc}") from None
+
     def end(self) -> None:
         """Refuse bytes after the container's declared content."""
         left = self.size - self.offset
@@ -142,11 +155,21 @@ class ByteReader:
                               f"after the declared content")
 
 
+def write_features(path: str, utterances: list) -> None:
+    with atomic_write(path) as fh:
+        fh.write(QFEA_MAGIC)
+        write_u32(fh, QFEA_VERSION, len(utterances))
+        for utt in utterances:
+            utt.validate()
+            write_text(fh, utt.id)
+            write_u32(fh, *utt.features.shape)
+            fh.write(np.ascontiguousarray(utt.features, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(utt.labels, dtype="<i4").tobytes())
+
+
 def _read_qfea(fh) -> list:
     reader = ByteReader(fh, "QFEA file")
-    magic = reader.take(4, "magic")
-    if magic != QFEA_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte offset 0 (expected {QFEA_MAGIC!r})")
+    reader.take(4, "magic")  # read_features matched it
     version = reader.u32("version")
     if version != QFEA_VERSION:
         raise FormatError(f"unsupported QFEA version {version} at byte offset 4")
@@ -161,10 +184,8 @@ def _read_qfea(fh) -> list:
         seen.add(ident)
         t_len = reader.u32(f"frame count of '{ident}'")
         dim = reader.u32(f"feature dim of '{ident}'")
-        feat_bytes = reader.take(4 * t_len * dim, f"features of '{ident}'")
-        label_bytes = reader.take(4 * t_len, f"labels of '{ident}'")
-        features = np.frombuffer(feat_bytes, dtype="<f4").reshape(t_len, dim).astype(np.float32)
-        labels = np.frombuffer(label_bytes, dtype="<i4").astype(np.int32)
+        features = reader.array((t_len, dim), np.float32, f"features of '{ident}'")
+        labels = reader.array((t_len,), np.int32, f"labels of '{ident}'")
         utt = Utterance(ident, features, labels)
         utt.validate()
         utterances.append(utt)

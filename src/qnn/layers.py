@@ -255,7 +255,7 @@ class RealToQuatEncoder:
 
     def forward(self, x) -> Tensor:
         if isinstance(x, np.ndarray):
-            x = Tensor(x.astype(self.dense.weight.dtype, copy=False))
+            x = Tensor(x)
         out = ACTIVATIONS[self.activation](self.dense(x))
         if self.normalized:
             out = quat_normalize(out)
@@ -282,14 +282,13 @@ def naive_quat_compose(features: np.ndarray) -> np.ndarray:
 
 
 class FixedFrontEnd:
-    """A parameter-free front end: transform(features) cast to dtype."""
+    """A parameter-free front end: transform(features), in their dtype."""
 
-    def __init__(self, transform, dtype=np.float32):
+    def __init__(self, transform):
         self.transform = transform
-        self.dtype = dtype
 
     def forward(self, features: np.ndarray) -> Tensor:
-        return Tensor(self.transform(features).astype(self.dtype, copy=False))
+        return Tensor(self.transform(features))
 
     def named_parameters(self, prefix: str = ""):
         return []

@@ -342,8 +342,9 @@ class AcousticModel:
 
     def forward(self, batch: UtteranceBatch, training: bool = False) -> Tensor:
         """Logits (T, B, C); padded frames carry meaningless values and must
-        be excluded from losses/metrics via the batch mask."""
-        x = self.front_end.forward(batch.features)
+        be excluded from losses/metrics via the batch mask. The features are
+        cast to the parameters' dtype here, once, before any front end."""
+        x = self.front_end.forward(batch.features.astype(self.output.weight.dtype, copy=False))
         x = self._drop(x, training)
         for layer in self.stack:
             x = self._drop(layer.forward(x, batch.mask), training)
@@ -428,7 +429,7 @@ def build_model(config: ModelConfig) -> AcousticModel:
     rng, dropout_rng, _ = seed_streams(config.seed)
 
     if config.front_end in FIXED_FRONT_ENDS:
-        front = FixedFrontEnd(FIXED_FRONT_ENDS[config.front_end][0], dtype=dtype)
+        front = FixedFrontEnd(FIXED_FRONT_ENDS[config.front_end][0])
     else:
         front = RealToQuatEncoder(config.input_dim, front_width, config.r2h_activation,
                                   normalized=(config.front_end == "r2h-norm"), rng=rng, dtype=dtype)

@@ -187,10 +187,11 @@ def evaluate(model, utterances, batch_size: int = 8):
     """(mean loss, frame error rate %) over valid frames. Padded frames never
     count, so the batch size changes the result only by rounding: a frame's
     logits move in their last bits with the shapes BLAS is handed (up to
-    5e-7 at f32 and 1e-15 at f64 against single-utterance batches)."""
+    5e-7 at f32 and 1e-15 at f64 against single-utterance batches). An empty
+    set is a DataError."""
     batches = make_batches(utterances, batch_size)
     if not batches:
-        return 0.0, 0.0
+        raise DataError("evaluation set is empty")
     loss_sum, errors, frames = map(sum, zip(*(_batch_metrics(model, b) for b in batches)))
     return loss_sum / frames, 100.0 * errors / frames
 
@@ -205,8 +206,12 @@ def train(model, train_utts, valid_utts, config: ModelConfig, out_dir: str = Non
     when out_dir is given. A non-finite training loss or parameter gradient
     aborts immediately, before the optimizer step; a non-finite weight after
     an epoch's last step aborts before that epoch is validated or recorded.
+    An empty split is refused before anything is written.
     """
     config.validate()
+    for name, utterances in (("training", train_utts), ("validation", valid_utts)):
+        if not utterances:
+            raise DataError(f"{name} set is empty")
     keep_freed_pages()
     digest = config.digest()
     params = model.named_parameters()

@@ -352,6 +352,18 @@ def with_dtype_tag(data, tag=7):
     return data[:tag_at] + bytes([tag]) + data[tag_at + 1:]
 
 
+def with_rank_65(data):
+    """A checkpoint's bytes with its first parameter stored as rank 65, every
+    dim 1, and one element of data: more dimensions than numpy allows."""
+    name_at = 12 + u32_at(data, 4)
+    rank_at = name_at + 4 + u32_at(data, name_at) + 1
+    itemsize = 4 if data[rank_at - 1] == 0 else 8
+    dims = [u32_at(data, rank_at + 4 + 4 * d) for d in range(u32_at(data, rank_at))]
+    data_at = rank_at + 4 + 4 * len(dims)
+    return (data[:rank_at] + struct.pack("<66I", 65, *[1] * 65) + data[data_at:data_at + itemsize]
+            + data[data_at + itemsize * math.prod(dims):])
+
+
 EMPTY_QFEA = b"QFEA" + struct.pack("<II", 1, 0)
 DIM_5_QFEA = b"QFEA" + struct.pack("<III", 1, 1, 1) + b"u" + struct.pack("<II5fi", 1, 5, *[1.0] * 5, 0)
 CSV_HEAD = b"id,frame,label,f0\n"
@@ -370,6 +382,8 @@ REFUSED_INPUTS = {  # case -> (input replaced, its new path, its bytes or a map 
                              "utterance 'a': non-finite feature at frame 0, dim 0"),
     "checkpoint_dtype_tag": ("checkpoint", "run/bad.qnn", with_dtype_tag, 3,
                              "unknown dtype tag 7 for parameter 'front_end.dense.weight'"),
+    "checkpoint_rank_65": ("checkpoint", "run/bad.qnn", with_rank_65, 3,
+                           "unsupported shape: maximum supported dimension"),
     "eval_without_config": ("checkpoint", "alone/initial.qnn", lambda data: data, 2, "no config file at"),
 }
 

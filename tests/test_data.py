@@ -50,6 +50,17 @@ def test_qfea_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a.labels, b.labels)
 
 
+def test_qfea_non_ascii_id_round_trips_byte_exactly(tmp_path):
+    utts = random_utts(np.random.default_rng(1), count=2)
+    utts[0].id, utts[1].id = "énoncé-1", "発話/🎙"
+    first, second = tmp_path / "a.qfea", tmp_path / "b.qfea"
+    write_features(first, utts)
+    back = read_features(first)
+    assert [u.id for u in back] == ["énoncé-1", "発話/🎙"]
+    write_features(second, back)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_qfea_empty_list(tmp_path):
     path = tmp_path / "empty.qfea"
     write_features(path, [])

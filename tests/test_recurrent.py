@@ -28,7 +28,7 @@ from qnn.recurrent import (
     param_breakdown,
     run_direction,
 )
-from qnn.training import cross_entropy_framewise
+from qnn.training import Adam, cross_entropy_framewise
 from reference_graphs import (add, add_bias, concat, matmul, narrow, neg_concat_quat_weight, reshape,
                               sigmoid, two_direction_graph)
 
@@ -535,7 +535,7 @@ def test_bidirectional_gradients():
 
 def test_naive_quat_front_layout():
     transform, width = FIXED_FRONT_ENDS["naive-quat"]
-    front = FixedFrontEnd(transform, dtype=np.float64)
+    front = FixedFrontEnd(transform)
     frame = np.arange(40.0).reshape(1, 1, 40)
     out = front.forward(frame).data[0, 0]
     assert out.shape == (width(40),) == (40,)
@@ -562,10 +562,27 @@ def test_naive_quat_front_pads_to_multiple_of_four():
 
 
 def test_identity_front_is_passthrough():
-    front = FixedFrontEnd(FIXED_FRONT_ENDS["identity"][0], dtype=np.float64)
+    front = FixedFrontEnd(FIXED_FRONT_ENDS["identity"][0])
     x = np.random.default_rng(14).standard_normal((3, 2, 5))
     assert np.array_equal(front.forward(x).data, x)
     assert front.named_parameters() == []
+
+
+@pytest.mark.parametrize("front_end", sorted(FIXED_FRONT_ENDS))
+def test_f64_model_casts_a_float32_batch_and_trains(front_end):
+    """The model casts the batch to its parameters' dtype before any front
+    end, so a parameter-free front end feeds float64 to an f64 stack."""
+    model = build_model(toy_config(front_end=front_end, dropout=0.2))
+    batch = make_batch(np.random.default_rng(23).standard_normal((4, 2, 8)), [4, 3])
+    assert batch.features.dtype == np.float32
+    logits = model.forward(batch, training=True)
+    assert logits.dtype == np.float64
+    autograd.backward(cross_entropy_framewise(logits, batch.labels, batch.mask))
+    params = model.named_parameters()
+    assert all(p.grad.dtype == np.float64 and np.isfinite(p.grad).all() for _, p in params)
+    before = model.output.weight.data.copy()
+    Adam(params, lr=1e-3).step()
+    assert model.output.weight.dtype == np.float64 and not np.array_equal(model.output.weight.data, before)
 
 
 # --- full model ----------------------------------------------------------

@@ -291,6 +291,21 @@ def test_train_zero_epochs_initial_checkpoint_only(tmp_path):
     assert (tmp_path / "metrics.txt").read_text() == ""
 
 
+@pytest.mark.parametrize("empty", ["training", "validation"])
+def test_train_refuses_an_empty_split_before_writing(tmp_path, empty):
+    cfg = tiny_config()
+    train_utts, valid_utts, _ = synth_utts()
+    splits = {"training": train_utts, "validation": valid_utts, empty: []}
+    with pytest.raises(DataError, match=f"{empty} set is empty"):
+        train(build_model(cfg), splits["training"], splits["validation"], cfg, out_dir=str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_refuses_an_empty_set():
+    with pytest.raises(DataError, match="evaluation set is empty"):
+        evaluate(build_model(tiny_config()), [])
+
+
 def test_train_metrics_byte_identical_across_runs(tmp_path):
     cfg = tiny_config()
     train_utts, valid_utts, _ = synth_utts()
@@ -459,6 +474,18 @@ def test_failed_checkpoint_save_keeps_earlier_file(tmp_path):
         save_checkpoint(str(path), bad, "other digest")
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.qnn"]
+
+
+def test_checkpoint_non_ascii_name_round_trips_byte_exactly(tmp_path):
+    cfg = tiny_config()
+    named = [("stack.0.poids_é", Tensor(np.arange(6.0).reshape(2, 3))),
+             ("重み.bias", Tensor(np.ones(3, dtype=np.float32)))]
+    first, second = tmp_path / "a.qnn", tmp_path / "b.qnn"
+    save_checkpoint(str(first), named, cfg.digest())
+    digest, params = load_checkpoint(str(first))
+    assert digest == cfg.digest() and list(params) == [name for name, _ in named]
+    save_checkpoint(str(second), [(name, Tensor(data)) for name, data in params.items()], digest)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_checkpoint_load_restores_evaluation(tmp_path):

@@ -77,22 +77,31 @@ def differences(base: dict, head: dict, kind: str) -> list:
             for name in sorted(base.keys() | head.keys()) if base.get(name) != head.get(name)]
 
 
+def resolve(rev: str) -> str:
+    """The commit sha that rev names; exits 2 with one error line if it names none."""
+    done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True)
+    if done.returncode:
+        print(f"error: {rev!r} is not a revision: {done.stderr.strip()}", file=sys.stderr)
+        raise SystemExit(2)
+    return done.stdout.strip()
+
+
+def unpack(sha: str, tree: Path) -> None:
+    """Write commit sha's files into the new directory tree (`git archive | tar -x`)."""
+    tree.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha], capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare this checkout against")
     args = parser.parse_args(argv)
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{args.base}^{{commit}}"],
-                         capture_output=True, text=True)
-    if rev.returncode:
-        print(f"error: {args.base!r} is not a revision: {rev.stderr.strip()}", file=sys.stderr)
-        return 2
-    sha = rev.stdout.strip()
+    sha = resolve(args.base)
     with tempfile.TemporaryDirectory(prefix="same-seed-") as tmp:
         tree = Path(tmp, "base-tree")
-        tree.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", sha],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        unpack(sha, tree)
         base_records = run_side(tree / "src", Path(tmp, "base"))
         head_records = run_side(ROOT / "src", Path(tmp, "head"))
         base_files, head_files = files(Path(tmp, "base")), files(Path(tmp, "head"))
