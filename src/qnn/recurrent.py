@@ -21,9 +21,11 @@ batches are right-padded. Each bidirectional layer is one fused graph node
 (lstm_layer) with hand-written backpropagation through time, fed by the
 sequence and both cells' parameters, that returns the sum of its two
 directions. On a padded frame h and c are zero, so padded outputs are zero
-and each direction starts a sequence from the zero state. _lockstep's
-docstring describes the kernel: the gate layout, the lockstep loop and the
-padding rule.
+and each direction starts a sequence from the zero state. _direction's
+docstring describes the one-direction kernel: the gate layout, the
+per-frame loop and the padding rule. lstm_layer runs a two-cell layer's
+reverse direction in a helper process (qnn.worker) while the forward
+direction runs in this one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from qnn.autograd import Tensor, op_result, recording
 from qnn.config import ModelConfig, seed_streams
 from qnn.data import UtteranceBatch
 from qnn.errors import ConfigError, ContractError, DimensionError
-from qnn import layers
+from qnn import layers, worker
 from qnn.layers import FIXED_FRONT_ENDS, FixedFrontEnd, RealLinear, RealToQuatEncoder, quaternion_dropout
 
 GATES = ("f", "i", "c", "o")
@@ -126,87 +128,76 @@ def lstm_gates(block: np.ndarray, c_prev: np.ndarray, affine, c_out, tanh_out, h
     np.multiply(o, tanh_out, out=h_out)
 
 
-def _lockstep(xs, masks, params, record: bool):
-    """The LSTM recurrence of N = len(params) independent directions on
-    plain arrays, advanced together frame by frame. Direction n walks the
-    (T, B, input) array xs[n] and the (T, B) mask masks[n] in their own
-    time order with params[n] = (wx, wh, bias): the (input, 4H) input map,
-    the (H, 4H) recurrent map and the (4H,) bias, gates side by side as
-    [f | i | c | o]. Returns the N (T, B, H) outputs and one closure
-    backward(grads) -> N tuples (d_x, d_wx, d_wh, d_bias), grads being the
-    N output gradients, each in its direction's time order. The loops never
-    know which way a direction runs: lstm_layer hands a reverse direction
-    time-reversed views.
+def _direction(x, mask, params, record: bool):
+    """The LSTM recurrence of one direction on plain arrays, walking the
+    (T, B, input) array x and the (T, B) mask in their time order with
+    params = (wx, wh, bias): the (input, 4H) input map, the (H, 4H)
+    recurrent map and the (4H,) bias, gates side by side as [f | i | c | o].
+    Returns the (T, B, H) output and a closure backward(grad, input_grad)
+    -> (d_x, d_wx, d_wh, d_bias), d_x being None unless input_grad is set.
+    The kernel never knows which way it runs: lstm_layer hands a reverse
+    direction time-reversed arrays.
 
-    Layout. The gates, h and c states are (N, T, B, 4H) and
-    (N, T + 1, B, H) arrays: each direction's slice is contiguous in its
-    own time order, so its projection and closing GEMMs and its bias sum
-    run over time in that order, and each frame's are N contiguous blocks
-    for the stacked per-frame matmuls. A time-reversed view is projected
-    from a contiguous copy (reshape copies a reversed view).
+    Layout. The gates, h and c states are (T, B, 4H) and (T + 1, B, H)
+    arrays, contiguous in the direction's time order, so its projection and
+    closing GEMMs and its bias sum run over time in that order. A
+    time-reversed view is projected from a contiguous copy (reshape copies
+    a reversed view).
 
-    Forward. Per direction one matmul projects all frames into its slice of
-    the gate array. Then per frame: one stacked matmul of the N hidden
-    states against the N recurrent maps, the frame's projected rows added,
-    one transposed copy into a contiguous gate-major (4, N, B, H) block,
-    and one tanh over that block, using sigmoid(x) = tanh(x/2)/2 + 1/2 with
-    the halving folded into W, the bias and R once per call (gate_affine);
-    the cell-state and output arithmetic (lstm_gates) then runs on the
-    block's contiguous (N, B, H) gate slices, with tanh(c) in a per-frame
-    scratch. Only when record is set (a graph node will hold the backward)
-    is each frame's activated block copied back into the gate array, which
-    becomes the gate cache; evaluation skips the copy.
+    Forward. One matmul projects all frames into the gate array. Then per
+    frame: one matmul of the hidden state against the recurrent map, the
+    frame's projected rows added, one transposed copy into a contiguous
+    gate-major (4, B, H) block, and one tanh over that block, using
+    sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded into W, the bias
+    and R once per call (gate_affine); the cell-state and output arithmetic
+    (lstm_gates) then runs on the block's contiguous (B, H) gate slices,
+    with tanh(c) in a per-frame scratch. Only when record is set (a graph
+    node will hold the backward) is each frame's activated block copied
+    back into the gate array, which becomes the gate cache; evaluation
+    skips the copy.
 
-    Padding. A frame where any direction is padded has a keep mask: the
-    forward zeroes h and c there and the backward zeroes d_h and d_c, for
-    all N (a multiply by 1 leaves a valid direction as it is). Each
-    direction thus starts every sequence from the zero state. In a
-    right-padded batch the forward direction's padding follows its sequence
-    and the reverse direction's precedes it, so appending padding never
-    changes valid-frame results; a gap inside a sequence restarts the state.
+    Padding. On a padded frame the forward zeroes h and c and the backward
+    zeroes d_h and d_c, so the direction starts every sequence from the
+    zero state. In a right-padded batch the forward direction's padding
+    follows its sequence and the reverse direction's precedes it, so
+    appending padding never changes valid-frame results; a gap inside a
+    sequence restarts the state.
 
-    Backward. Full BPTT of all N directions, run once. It recomputes tanh(c)
-    for all frames over the c states and writes over the gate cache and the
-    c states, keeping a copy of the forget gate. Its one reversed loop makes
-    per frame one joint [d_c, d_c, d_c, d_h] product and one stacked matmul
-    against the N transposed recurrent maps; each cell splits the W, bias
-    and R gradients back per component (split_grads).
+    Backward. Full BPTT. It recomputes tanh(c) for all frames over the c
+    states and writes over the gate cache and the c states, keeping a copy
+    of the forget gate. Its one reversed loop makes per frame one joint
+    [d_c, d_c, d_c, d_h] product and one matmul against the transposed
+    recurrent map; the input-gradient GEMM runs only for input_grad, and
+    each cell splits the W, bias and R gradients back per component
+    (split_grads).
     """
-    for x, (wx, _, _) in zip(xs, params):
-        if x.dtype != wx.dtype:
-            raise ContractError(f"lstm_layer: dtype mismatch {x.dtype} vs cell {wx.dtype}")
-        if x.shape[2] != wx.shape[0]:
-            raise DimensionError(f"sequence width {x.shape[2]} does not match cell input {wx.shape[0]}")
-    t_len, batch, n_in = xs[0].shape
-    n_dir = len(params)
-    hidden = params[0][1].shape[0]
+    wx, wh, bias = params
+    t_len, batch, n_in = x.shape
+    hidden = wh.shape[0]
     width = 4 * hidden
-    dtype = xs[0].dtype
+    dtype = x.dtype
     affine = gate_affine(hidden, dtype)
     # the pre-activations scaled by gate_affine; power-of-two scaling is exact
-    gates = np.empty((n_dir, t_len, batch, width), dtype=dtype)
-    for x, (wx, _, bias), projected in zip(xs, params, gates):
-        np.matmul(x.reshape(t_len * batch, n_in), wx * affine[0], out=projected.reshape(t_len * batch, width))
-        projected += bias * affine[0]
-    wh_scaled = np.stack([wh * affine[0] for _, wh, _ in params])
-    recurrent = np.empty((n_dir, batch, width), dtype=dtype)
-    block = np.empty((4, n_dir, batch, hidden), dtype=dtype)
-    tanh_c = np.empty((n_dir, batch, hidden), dtype=dtype)  # per-frame scratch, recomputed by the backward
+    gates = np.empty((t_len, batch, width), dtype=dtype)
+    np.matmul(x.reshape(t_len * batch, n_in), wx * affine[0], out=gates.reshape(t_len * batch, width))
+    gates += bias * affine[0]
+    wh_scaled = wh * affine[0]
+    recurrent = np.empty((batch, width), dtype=dtype)
+    block = np.empty((4, batch, hidden), dtype=dtype)
+    tanh_c = np.empty((batch, hidden), dtype=dtype)  # per-frame scratch, recomputed by the backward
     # the loop writes every frame after the first
-    h_dirs = np.empty((n_dir, t_len + 1, batch, hidden), dtype=dtype)
-    c_dirs = np.empty((n_dir, t_len + 1, batch, hidden), dtype=dtype)
-    h_dirs[:, 0] = c_dirs[:, 0] = 0
-    h_states, c_states = h_dirs.swapaxes(0, 1), c_dirs.swapaxes(0, 1)  # h_states[t] is the N h_{t-1}
-    # gate-major views: the recurrent term as (4, N, B, H), the gate array as (T, 4, N, B, H)
-    recurrent_block = recurrent.reshape(n_dir, batch, 4, hidden).transpose(2, 0, 1, 3)
-    gate_blocks = gates.reshape(n_dir, t_len, batch, 4, hidden).transpose(1, 3, 0, 2, 4)
+    h_states = np.empty((t_len + 1, batch, hidden), dtype=dtype)
+    c_states = np.empty((t_len + 1, batch, hidden), dtype=dtype)
+    h_states[0] = c_states[0] = 0
+    # gate-major views: the recurrent term as (4, B, H), the gate array as (T, 4, B, H)
+    recurrent_block = recurrent.reshape(batch, 4, hidden).transpose(1, 0, 2)
+    gate_blocks = gates.reshape(t_len, batch, 4, hidden).transpose(0, 2, 1, 3)
     # per gate over the whole block: an operand of the block's shape takes numpy's contiguous path
-    block_affine = [np.broadcast_to(a[::hidden, None, None, None], block.shape).copy() for a in affine]
-    joint = np.stack(masks, axis=1)
-    keeps = [None if full else m[:, :, None].astype(dtype) for m, full in zip(joint, joint.all(axis=(1, 2)))]
+    block_affine = [np.broadcast_to(a[::hidden, None, None], block.shape).copy() for a in affine]
+    keeps = [None if m.all() else m[:, None].astype(dtype) for m in mask]
     for t, keep in enumerate(keeps):
         np.matmul(h_states[t], wh_scaled, out=recurrent)
-        recurrent += gates[:, t]
+        recurrent += gates[t]
         np.copyto(block, recurrent_block)
         lstm_gates(block, c_states[t], block_affine, c_states[t + 1], tanh_c, h_states[t + 1])
         if record:
@@ -214,19 +205,18 @@ def _lockstep(xs, masks, params, record: bool):
         if keep is not None:  # a padded frame's state is zero
             h_states[t + 1] *= keep
             c_states[t + 1] *= keep
-    outs = list(h_dirs[:, 1:])
 
-    def backward(grads):
+    def backward(grad, input_grad: bool):
         # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t.
         # local, then d_pre, is written over the gate cache, so f is copied
         # first for the loop; tanh(c) and g * i are written over the c states,
         # which nothing reads after local. On padded frames the recomputed
         # tanh(c) is of the zeroed state, and only meets gradients keep zeroed.
         d_pre = gates
-        l_f, l_i, l_g, l_o = f, i, g, o = np.split(d_pre, 4, axis=3)
+        l_f, l_i, l_g, l_o = f, i, g, o = np.split(d_pre, 4, axis=2)
         f = f.copy()
-        np.multiply(c_dirs[:, :-1], f, out=l_f)
-        tanh_c = np.tanh(c_dirs, out=c_dirs)[:, 1:]
+        np.multiply(c_states[:-1], f, out=l_f)
+        tanh_c = np.tanh(c_states, out=c_states)[1:]
         through = np.subtract(1, f)  # 1 - f first, then through_t in the same buffer
         l_f *= through
         np.multiply(tanh_c, tanh_c, out=through)
@@ -242,29 +232,35 @@ def _lockstep(xs, masks, params, record: bool):
         np.subtract(1, i, out=l_i)
         l_i *= gi
         del tanh_c, gi
-        whT = np.stack([wh for _, wh, _ in params]).swapaxes(1, 2)
-        d_h, d_c = np.zeros((2, n_dir, batch, hidden), dtype=dtype)  # each frame makes new ones
+        d_h, d_c = np.zeros((2, batch, hidden), dtype=dtype)  # each frame makes new ones
         for t in reversed(range(t_len)):
-            for d, grad in zip(d_h, grads):
-                d += grad[t]
+            d_h += grad[t]
             keep = keeps[t]
             if keep is not None:  # nothing flows through a zeroed state
                 d_h *= keep
                 d_c *= keep
-            d_c = d_c + d_h * through[:, t]
-            d_pre[:, t] *= np.concatenate((d_c, d_c, d_c, d_h), axis=2)
-            d_c = d_c * f[:, t]
-            d_h = np.matmul(d_pre[:, t], whT)
+            d_c = d_c + d_h * through[t]
+            d_pre[t] *= np.concatenate((d_c, d_c, d_c, d_h), axis=1)
+            d_c = d_c * f[t]
+            d_h = np.matmul(d_pre[t], wh.T)
         del f, through
-        results = []
-        for x, (wx, _, _), d, h in zip(xs, params, d_pre, h_dirs):
-            d = d.reshape(-1, width)
-            d_wx = x.reshape(-1, n_in).T @ d
-            d_wh = h[:-1].reshape(-1, hidden).T @ d
-            results.append(((d @ wx.T).reshape(x.shape), d_wx, d_wh, d.sum(axis=0)))
-        return results
+        d = d_pre.reshape(-1, width)
+        d_x = (d @ wx.T).reshape(x.shape) if input_grad else None
+        return d_x, x.reshape(-1, n_in).T @ d, h_states[:-1].reshape(-1, hidden).T @ d, d.sum(axis=0)
 
-    return outs, backward
+    return h_states[1:], backward
+
+
+def _reverse(x, mask, wx, wh, bias, record: bool):
+    """A reverse direction as Helper.start runs it, and as lstm_layer runs
+    it where no helper runs: ([output], backward or None)."""
+    h, backward = _direction(x, mask, (wx, wh, bias), record)
+    return [h], backward if record else None
+
+
+# the helper process that runs each two-cell layer's reverse direction; None
+# where none can run, and then lstm_layer runs both directions here
+_helper = worker.helper(_reverse)
 
 
 def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
@@ -272,28 +268,68 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
     parameters (Appleyard et al., arXiv:1604.01946).
 
     seq is (T, B, input) and mask (T, B) boolean. cells[0] runs forward in
-    time; a second cell runs backward in time, in lockstep with the first,
-    and its output is added frame by frame. _lockstep runs and describes
-    the kernel. This node hands the second cell time-reversed views of the
-    sequence, the mask and the incoming gradient, and reverses its output
-    and input gradient back.
+    time; a second cell runs backward in time, and its output is added
+    frame by frame. _direction runs and describes the kernel of each. The
+    second cell gets the sequence, the mask and the incoming gradient
+    reversed in time, and its output and input gradient are reversed back.
+    It runs in the helper process (qnn.worker) while the first runs here,
+    forward and backward, so the two directions take the host's two cores;
+    where no helper can run, both run here, one after the other.
     """
     if mask.shape != seq.shape[:2]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")
+    params = [cell.prepared() for cell in cells]
+    for wx, _, _ in params:
+        if seq.dtype != wx.dtype:
+            raise ContractError(f"lstm_layer: dtype mismatch {seq.dtype} vs cell {wx.dtype}")
+        if seq.shape[2] != wx.shape[0]:
+            raise DimensionError(f"sequence width {seq.shape[2]} does not match cell input {wx.shape[0]}")
     inputs = [seq] + [p for cell in cells for _, p in cell.named_parameters()]
-    steps = (1, -1)[:len(cells)]
-    ys, joint_backward = _lockstep([seq.data[::step] for step in steps], [mask[::step] for step in steps],
-                                   [cell.prepared() for cell in cells], recording(inputs))
-    out = None
-    for y, step in zip(ys, steps):
-        out = y if out is None else out + y[::step]
+    record = recording(inputs)
+    helper = _helper if len(cells) == 2 else None
+
+    def forward_cell():
+        return _direction(seq.data, mask, params[0], record)
+
+    def add_reverse(mine, theirs):
+        (h, backward), (h_reverse,) = mine, theirs
+        return h + h_reverse[::-1], backward
+
+    if len(cells) == 1:
+        (out, forward_backward), reverse = forward_cell(), None
+    elif helper is None:
+        theirs, reverse = _reverse(seq.data[::-1], mask[::-1], *params[1], record=record)
+        out, forward_backward = add_reverse(forward_cell(), theirs)
+    else:
+        (out, forward_backward), reverse = helper.start(
+            [seq.data[::-1], mask[::-1], *params[1]], {"record": record}, forward_cell, add_reverse)
 
     def backward(grad):
-        d_seq, grads = None, []
-        for cell, step, (d_x, *d_w) in zip(cells, steps, joint_backward([grad[::step] for step in steps])):
-            d_seq = d_x if d_seq is None else d_seq + d_x[::step]
-            grads += cell.split_grads(*d_w)
-        return [d_seq] + grads
+        input_grad = seq.requires_grad
+
+        def forward_cell_backward():
+            return forward_backward(grad, input_grad)
+
+        def add_reverse_grads(mine, theirs):
+            d_seq, *d_w = mine
+            grads = cells[0].split_grads(*d_w)
+            if theirs is not None:
+                d_x, *d_w = theirs
+                d_seq = None if d_x is None else d_seq + d_x[::-1]
+                grads += cells[1].split_grads(*d_w)
+            return [d_seq] + grads
+
+        def add_helper_grads(mine, theirs):
+            # the helper's arrays are views of its buffer, and split_grads
+            # returns a real cell's block itself, so the weight gradients are copied
+            return add_reverse_grads(mine, theirs[:1] + [d.copy() for d in theirs[1:]])
+
+        if len(cells) == 1:
+            return add_reverse_grads(forward_cell_backward(), None)
+        if helper is None:
+            return add_reverse_grads(forward_cell_backward(), reverse(grad[::-1], input_grad=input_grad))
+        return helper.resume(reverse, [grad[::-1]], {"input_grad": input_grad},
+                             forward_cell_backward, add_helper_grads)
 
     return op_result(out, inputs, "lstm_layer", backward)
 
