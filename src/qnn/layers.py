@@ -30,9 +30,6 @@ without running the transform.
 
 from __future__ import annotations
 
-import functools
-import operator
-
 import numpy as np
 
 from qnn import autograd, quat
@@ -88,14 +85,19 @@ def block_matrix(maps, places) -> np.ndarray:
     c fills the blocks (i, j, positive) of places[c] on an n x n grid,
     n = len(places). Every block is a copy or a negation of one component:
     nothing is multiplied, so an inf or NaN stays in its component's blocks.
+    It is built per component across all maps at once: the maps' copies of
+    a component are stacked, and each block is one assignment of the stack
+    or of its negation. The negation is a fresh array, not np.negative into
+    the block: numpy 2.4.6's np.negative writes wrong values into some
+    strided outputs.
     """
     n = len(places)
     fan_in, fan_out = maps[0][0].shape
     out = np.empty((n, fan_in, len(maps), n, fan_out), dtype=maps[0][0].dtype)
-    for k, comps in enumerate(maps):
-        for comp, blocks in zip(comps, places):
-            for i, j, positive in blocks:
-                out[i, :, k, j] = comp if positive else -comp
+    for comps, blocks in zip(zip(*maps), places):
+        comp = np.stack(comps, axis=1)  # (fan_in, maps, fan_out)
+        for i, j, positive in blocks:
+            out[i, :, :, j] = comp if positive else -comp
     return out.reshape(n * fan_in, len(maps) * n * fan_out)
 
 
@@ -103,12 +105,23 @@ def block_grads(g, places, count: int) -> list:
     """Component gradients of block_matrix for `count` maps, map by map, from
     the gradient g of its output. Each sums its signed blocks left to right
     by ascending column block: another order, or sum()'s 0 + start (-0.0
-    becomes +0.0), can change the last bit, and with it same-seed results."""
+    becomes +0.0), can change the last bit, and with it same-seed results.
+    Each component is summed for all maps at once, into one contiguous
+    (count, fan_in, fan_out) array whose rows are the maps' gradients; a
+    negative block after the first is subtracted, which IEEE 754 defines
+    as adding its negation. A component with one positive block (a real
+    map) returns views of g itself."""
     n = len(places)
-    g = g.reshape(n, g.shape[0] // n, count, n, -1)
-    return [functools.reduce(operator.add, [g[i, :, k, j] if positive else -g[i, :, k, j]
-                                            for i, j, positive in blocks])
-            for k in range(count) for blocks in places]
+    g = g.reshape(n, g.shape[0] // n, count, n, -1).transpose(0, 3, 2, 1, 4)  # g[i, j]: (count, fan_in, fan_out)
+    sums = []
+    for blocks in places:
+        (i, j, positive), *rest = blocks
+        total = g[i, j] if positive else -g[i, j]
+        out = np.empty(g.shape[2:], dtype=g.dtype)
+        for i, j, positive in rest:
+            total = (np.add if positive else np.subtract)(total, g[i, j], out=out)
+        sums.append(total)
+    return [total[k] for k in range(count) for total in sums]
 
 
 class RealLinear:

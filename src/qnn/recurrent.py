@@ -110,17 +110,19 @@ def gate_affine(hidden: int, dtype):
     return scale, 1 - scale
 
 
-def lstm_gates(block: np.ndarray, c_prev: np.ndarray, affine, c_out, tanh_out, h_out) -> None:
+def lstm_gates(block: np.ndarray, gates, c_prev: np.ndarray, affine, c_out, tanh_out, h_out) -> None:
     """Gate arithmetic on plain arrays, in place: block is the gate-major
     (4, ..., hidden) pre-activation [f, i, c, o] already multiplied by
-    affine's scale, and on return holds the activated gates; affine is
-    gate_affine's (scale, shift) per gate, shaped to broadcast over block.
-    c_t, tanh(c_t) and h_t are written into c_out, tanh_out and h_out."""
+    affine's scale, and on return holds the activated gates; gates is
+    tuple(block), its four gate slices, which a caller running many frames
+    makes once; affine is gate_affine's (scale, shift) per gate, shaped to
+    broadcast over block. c_t, tanh(c_t) and h_t are written into c_out,
+    tanh_out and h_out."""
     scale, shift = affine
     np.tanh(block, out=block)
     block *= scale
     block += shift
-    f, i, g, o = block
+    f, i, g, o = gates
     np.multiply(f, c_prev, out=c_out)
     np.multiply(i, g, out=tanh_out)
     c_out += tanh_out
@@ -161,7 +163,8 @@ def _direction(x, mask, params, record: bool):
     zero state. In a right-padded batch the forward direction's padding
     follows its sequence and the reverse direction's precedes it, so
     appending padding never changes valid-frame results; a gap inside a
-    sequence restarts the state.
+    sequence restarts the state. One mask.all(axis=1) finds the frames
+    with a padded row, and only those get a (B, 1) keep column.
 
     Backward. Full BPTT. It recomputes tanh(c) for all frames over the c
     states and writes over the gate cache and the c states, keeping a copy
@@ -170,6 +173,13 @@ def _direction(x, mask, params, record: bool):
     recurrent map; the input-gradient GEMM runs only for input_grad, and
     each cell splits the W, bias and R gradients back per component
     (split_grads).
+
+    Both loops walk their arrays' frames by iteration, not by index: the
+    forward zips the gate rows, h and c states and cache frames and hands
+    lstm_gates the block's four gate slices made once; the backward zips
+    the reversed incoming gradient, keep columns, through, gate-gradient
+    and forget-gate frames, and drops that zip and its last frames before
+    the closing GEMMs, since their views would keep f and through alive.
     """
     wx, wh, bias = params
     t_len, batch, n_in = x.shape
@@ -194,17 +204,22 @@ def _direction(x, mask, params, record: bool):
     gate_blocks = gates.reshape(t_len, batch, 4, hidden).transpose(0, 2, 1, 3)
     # per gate over the whole block: an operand of the block's shape takes numpy's contiguous path
     block_affine = [np.broadcast_to(a[::hidden, None, None], block.shape).copy() for a in affine]
-    keeps = [None if m.all() else m[:, None].astype(dtype) for m in mask]
-    for t, keep in enumerate(keeps):
-        np.matmul(h_states[t], wh_scaled, out=recurrent)
-        recurrent += gates[t]
+    # a padded frame's state is zeroed by its (B, 1) keep column; None where every row is valid
+    keeps = [None] * t_len
+    for t in np.flatnonzero(~mask.all(axis=1)).tolist():
+        keeps[t] = mask[t, :, None].astype(dtype)
+    block_gates = tuple(block)
+    frames = zip(gates, h_states[:-1], h_states[1:], c_states[:-1], c_states[1:], gate_blocks, keeps)
+    for projected, h_prev, h, c_prev, c, cache, keep in frames:
+        np.matmul(h_prev, wh_scaled, out=recurrent)
+        recurrent += projected
         np.copyto(block, recurrent_block)
-        lstm_gates(block, c_states[t], block_affine, c_states[t + 1], tanh_c, h_states[t + 1])
+        lstm_gates(block, block_gates, c_prev, block_affine, c, tanh_c, h)
         if record:
-            gate_blocks[t] = block
-        if keep is not None:  # a padded frame's state is zero
-            h_states[t + 1] *= keep
-            c_states[t + 1] *= keep
+            cache[...] = block
+        if keep is not None:
+            h *= keep
+            c *= keep
 
     def backward(grad, input_grad: bool):
         # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t.
@@ -233,17 +248,18 @@ def _direction(x, mask, params, record: bool):
         l_i *= gi
         del tanh_c, gi
         d_h, d_c = np.zeros((2, batch, hidden), dtype=dtype)  # each frame makes new ones
-        for t in reversed(range(t_len)):
-            d_h += grad[t]
-            keep = keeps[t]
+        wh_t = wh.T
+        frames = zip(grad[::-1], reversed(keeps), through[::-1], d_pre[::-1], f[::-1])
+        for grad_t, keep, through_t, d_pre_t, f_t in frames:
+            d_h += grad_t
             if keep is not None:  # nothing flows through a zeroed state
                 d_h *= keep
                 d_c *= keep
-            d_c = d_c + d_h * through[t]
-            d_pre[t] *= np.concatenate((d_c, d_c, d_c, d_h), axis=1)
-            d_c = d_c * f[t]
-            d_h = np.matmul(d_pre[t], wh.T)
-        del f, through
+            d_c = d_c + d_h * through_t
+            d_pre_t *= np.concatenate((d_c, d_c, d_c, d_h), axis=1)
+            d_c = d_c * f_t
+            d_h = np.matmul(d_pre_t, wh_t)
+        f = through = frames = f_t = through_t = None  # the frame views would keep f and through alive
         d = d_pre.reshape(-1, width)
         d_x = (d @ wx.T).reshape(x.shape) if input_grad else None
         return d_x, x.reshape(-1, n_in).T @ d, h_states[:-1].reshape(-1, hidden).T @ d, d.sum(axis=0)
@@ -252,15 +268,24 @@ def _direction(x, mask, params, record: bool):
 
 
 def _reverse(x, mask, wx, wh, bias, record: bool):
-    """A reverse direction as Helper.start runs it, and as lstm_layer runs
-    it where no helper runs: ([output], backward or None)."""
+    """A reverse direction as lstm_layer runs it where no helper runs:
+    ([output], backward or None)."""
     h, backward = _direction(x, mask, (wx, wh, bias), record)
     return [h], backward if record else None
 
 
+def _helper_reverse(x, mask, wx, wh, bias, record: bool):
+    """_reverse as Helper.start runs it, on views of the shared buffer that
+    the next request overwrites: a recorded forward copies the arrays its
+    backward reads, x, wx and wh, and nothing else is copied."""
+    if record:
+        x, wx, wh = x.copy(), wx.copy(), wh.copy()
+    return _reverse(x, mask, wx, wh, bias, record)
+
+
 # the helper process that runs each two-cell layer's reverse direction; None
 # where none can run, and then lstm_layer runs both directions here
-_helper = worker.helper(_reverse)
+_helper = worker.helper(_helper_reverse)
 
 
 def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:

@@ -77,17 +77,34 @@ def cross_entropy_framewise(logits: Tensor, labels: np.ndarray, mask: np.ndarray
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_GROUP = 1 << 14  # most scalars in one group of the moment state
 
 
 class Adam:
-    """Bias-corrected Adam with (beta1, beta2, eps) = (0.9, 0.999, 1e-8)."""
+    """Bias-corrected Adam with (beta1, beta2, eps) = (0.9, 0.999, 1e-8).
+
+    The moments are kept flat per group of consecutive parameters of one
+    dtype and at most ADAM_GROUP scalars together (a larger parameter makes
+    a group alone), and each group runs the update elementwise in one pass:
+    its gradients are gathered with one concatenate, and each parameter then
+    subtracts its slice of the group's update. Elementwise, every value is
+    the per-parameter formula's, in its operation order, so the bits are
+    too; the step's temporaries are one group's size, not the model's.
+    """
 
     def __init__(self, named_params, lr: float = 1e-3):
         self.params = list(named_params)
         self.lr = lr
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        runs = []  # (params, offsets into the group's flat state) per group
+        for _, p in self.params:
+            if not runs or runs[-1][0][0].dtype != p.dtype or runs[-1][1][-1] + p.size > ADAM_GROUP:
+                runs.append(([], [0]))
+            runs[-1][0].append(p)
+            runs[-1][1].append(runs[-1][1][-1] + p.size)
+        # (params, offsets, m, v) per group
+        self.groups = [(params, offsets, np.zeros(offsets[-1], params[0].dtype),
+                        np.zeros(offsets[-1], params[0].dtype)) for params, offsets in runs]
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -97,16 +114,17 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
+        missing = next((name for name, p in self.params if p.grad is None), None)
+        if missing is not None:
+            raise ContractError(f"missing gradient for parameter '{missing}'")
         with np.errstate(over="ignore"):  # a huge lr overflows quietly; train() then aborts
-            for name, p in self.params:
-                if p.grad is None:
-                    raise ContractError(f"missing gradient for parameter '{name}'")
-                g = p.grad
-                m = self.m[name]
-                v = self.v[name]
+            for params, offsets, m, v in self.groups:
+                g = np.concatenate([p.grad.reshape(-1) for p in params])
                 m += (1.0 - ADAM_BETA1) * (g - m)
                 v += (1.0 - ADAM_BETA2) * (g * g - v)
-                p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+                update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+                for p, start, end in zip(params, offsets, offsets[1:]):
+                    p.data -= update[start:end].reshape(p.shape)
 
 
 LR_THRESHOLD = 0.001

@@ -16,9 +16,11 @@ this process closes the pipe or dies. An atexit handler kills and reaps it.
 One request at a time crosses, under a lock. Its arrays cross through one
 shared buffer that both processes map, a memfd that whichever side writes
 past its end grows with ftruncate; control messages are pickles on a pipe
-pair. The helper copies a request's arrays out of the buffer before it
-calls start or resumes a kept state, and writes its results after the
-request's arrays. It runs each request under this process's np.geterr(),
+pair. The helper hands start, or the kept state it resumes, views of the
+request's arrays in the buffer, and writes its results after them. The
+next request overwrites those views, so a start that keeps a state copies
+what the state will read; nothing else is copied. It runs each request
+under this process's np.geterr(),
 and hands back the warnings it raised, which this process then warns. An
 error in the helper, or its death, raises QnnError here, with its message.
 """
@@ -123,7 +125,7 @@ def _serve(start, reader, writer, buffer) -> None:
             try:
                 with np.errstate(**errstate), warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    arrays = [None if a is None else a.copy() for a in buffer.get(layout)]
+                    arrays = buffer.get(layout)
                     if resume:
                         outputs, state = states.pop(call_id)(*arrays, **meta), None
                     else:
@@ -152,7 +154,9 @@ class Call:
 class Helper:
     """One helper process: start(*arrays, **meta) -> (outputs, state or None)
     runs in it, and a kept state is resumed as state(*arrays, **meta) ->
-    outputs. Outputs are lists of arrays or None."""
+    outputs. Outputs are lists of arrays or None. The arrays either gets are
+    views of the shared buffer, valid until its reply: a state must not
+    keep one."""
 
     def __init__(self, start):
         self._start = start

@@ -82,3 +82,39 @@ def test_main_rotates_the_sides_and_writes_the_summary(tmp_path, monkeypatch):
     assert out["base"] == {"rev": "HEAD~1", "commit": "sha-of-HEAD~1"} and out["seconds"] == 50
     assert [r["position"] for r in out["runs"]] == [0, 1, 2] * 3
     assert out["metrics"]["train_frames_per_s"]["head_vs_base"]["ratio"]["values"] == [1.0, 1.0, 1.0]
+
+
+def test_summary_lines_give_each_sides_ratio_to_the_base_with_its_quartiles(tmp_path, monkeypatch, capsys):
+    runs = [canned(seed, side, fps, 50.0) for seed, side, fps in
+            [(1, "base", 100.0), (1, "control", 101.0), (1, "head", 112.0),
+             (2, "base", 100.0), (2, "control", 99.0), (2, "head", 109.0),
+             (3, "base", 100.0), (3, "control", 100.0), (3, "head", 115.0)]]
+    entry = compare.summary(runs, DECLARED)["metrics"]["train_frames_per_s"]
+    assert compare.summary_line("train_frames_per_s", entry) == (
+        "train_frames_per_s: base=100 control=100 head=112 "
+        "control_wins=1/3 control/base=1.000 [0.990, 1.010] head_wins=3/3 head/base=1.120 [1.090, 1.150]")
+    two_sided = compare.summary([r for r in runs if r["side"] != "control"], DECLARED)["metrics"]["peak_rss_mb"]
+    assert compare.summary_line("peak_rss_mb", two_sided) == (
+        "peak_rss_mb: base=50 head=50 head_wins=0/3 head/base=1.000 [1.000, 1.000]")
+    no_pairs = {"base": entry["base"], "head": None}
+    assert compare.summary_line("train_frames_per_s", no_pairs) == "train_frames_per_s: base=100"
+
+    # main prints one such line per declared metric after the per-run lines
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 50, "end_to_end": [dict(name=name, **spec) for name, spec in DECLARED.items()]}))
+    fps = {"base": 100.0, "control": 100.0}  # the head runs in tmp_path itself
+
+    def fake_bench_run(tree, workload, seed, seconds):
+        return canned(seed, "", fps.get(Path(tree).name, 110.0), 50.0)
+
+    monkeypatch.setattr(compare, "ROOT", tmp_path)
+    monkeypatch.setattr(compare, "resolve", lambda rev: rev)
+    monkeypatch.setattr(compare, "unpack", lambda sha, tree: tree.mkdir())
+    monkeypatch.setattr(compare, "bench_run", fake_bench_run)
+    assert compare.main(["--base", "HEAD~1", "--workload", "train_short", "--seeds", "1-2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "train_frames_per_s: base=100 control=100 head=110 control_wins=0/2 control/base=1.000 [1.000, 1.000] "
+        "head_wins=2/2 head/base=1.100 [1.100, 1.100]",
+        "peak_rss_mb: base=50 control=50 head=50 control_wins=0/2 control/base=1.000 [1.000, 1.000] "
+        "head_wins=0/2 head/base=1.000 [1.000, 1.000]"]

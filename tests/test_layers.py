@@ -1,5 +1,8 @@
 """Quaternion layer semantics, checked against the exact scalar algebra."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from qnn.gradcheck import gradient_check
 from qnn.layers import (
     ACTIVATIONS,
     QUAT_PLACES,
+    REAL_PLACES,
     RealLinear,
     RealToQuatEncoder,
     block_grads,
@@ -157,6 +161,70 @@ def test_quat_weight_keeps_non_finite_entries_in_their_blocks():
     w = block_matrix([comps], QUAT_PLACES)
     assert not np.isnan(w).any()
     assert sorted(w[~np.isfinite(w)].tolist()) == [-np.inf, -np.inf, np.inf, np.inf]
+
+
+def per_map_block_matrix(maps, places):
+    """block_matrix one map and one block at a time: each block a copy or a
+    negation of its component."""
+    n = len(places)
+    fan_in, fan_out = maps[0][0].shape
+    out = np.empty((n, fan_in, len(maps), n, fan_out), dtype=maps[0][0].dtype)
+    for k, comps in enumerate(maps):
+        for comp, blocks in zip(comps, places):
+            for i, j, positive in blocks:
+                out[i, :, k, j] = comp if positive else -comp
+    return out.reshape(n * fan_in, len(maps) * n * fan_out)
+
+
+def per_map_block_grads(g, places, count):
+    """block_grads one map at a time: each component's signed blocks added
+    left to right, a negative one as the sum with its negation."""
+    n = len(places)
+    g = g.reshape(n, g.shape[0] // n, count, n, -1)
+    return [functools.reduce(operator.add, [g[i, :, k, j] if positive else -g[i, :, k, j]
+                                            for i, j, positive in blocks])
+            for k in range(count) for blocks in places]
+
+
+def same_bits(got, want):
+    """Equal values with NaN equal to NaN, and equal sign bits wherever the
+    value is not NaN (so -0.0 and +0.0 differ)."""
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    numbers = ~np.isnan(want)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers])))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("places", [QUAT_PLACES, REAL_PLACES], ids=["quat", "real"])
+@pytest.mark.parametrize("count", [1, 2, 4])
+@pytest.mark.parametrize("fans", [(1, 1), (2, 1), (3, 5), (16, 8)])
+def test_block_builder_bit_equal_to_a_per_map_reference(dtype, places, count, fans):
+    # every map's components and the output gradient hold signed zeros and
+    # non-finite values; shapes with a fan of 1 give strided blocks
+    rng = np.random.default_rng(24)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)
+
+    def draw(shape):
+        a = rng.standard_normal(shape).astype(dtype)
+        spots = rng.random(shape) < 0.3
+        a[spots] = rng.choice(specials, size=int(spots.sum()))
+        return a
+
+    maps = [[draw(fans) for _ in places] for _ in range(count)]
+    got = block_matrix(maps, places)
+    assert same_bits(got, per_map_block_matrix(maps, places))
+    g = draw(got.shape)
+    # the first input row of every block row holds signed zeros only, so
+    # each component's gradient there is a sum of signed zeros
+    zeros = g.reshape(len(places), -1, g.shape[1])[:, 0]
+    zeros[...] = rng.choice(specials[:2], size=zeros.shape)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        grads, want = block_grads(g, places, count), per_map_block_grads(g, places, count)
+    assert len(grads) == len(want) == count * len(places)
+    for k, (a, b) in enumerate(zip(grads, want)):
+        assert same_bits(a, b), (k // len(places), k % len(places))
 
 
 def weight_build_config(precision):

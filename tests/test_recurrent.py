@@ -62,7 +62,7 @@ def step(cell, x, h_prev, c_prev):
     gates = (x @ wx + bias + h_prev @ wh) * affine[0]
     block = np.ascontiguousarray(gates.reshape(-1, 4, hidden).transpose(1, 0, 2))
     h, c = np.empty_like(c_prev), np.empty_like(c_prev)
-    lstm_gates(block, c_prev, [a[::hidden].reshape(4, 1, 1) for a in affine], c, np.empty_like(c), h)
+    lstm_gates(block, tuple(block), c_prev, [a[::hidden].reshape(4, 1, 1) for a in affine], c, np.empty_like(c), h)
     return h, c
 
 

@@ -152,6 +152,72 @@ def test_adam_converges_on_quadratic_bowl():
     assert np.linalg.norm(w.data) < 1e-3
 
 
+def per_parameter_adam(params, moments, t, lr):
+    """One Adam step parameter by parameter, the formula Adam.step runs per
+    group, in the same operation order."""
+    bc1 = 1.0 - training.ADAM_BETA1 ** t
+    bc2 = 1.0 - training.ADAM_BETA2 ** t
+    for p, (m, v) in zip(params, moments):
+        g = p.grad
+        m += (1.0 - training.ADAM_BETA1) * (g - m)
+        v += (1.0 - training.ADAM_BETA2) * (g * g - v)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + training.ADAM_EPS)
+
+
+# (shape, dtype) runs that straddle a group boundary, exceed a group alone
+# and switch dtype both ways
+ADAM_SHAPES = [((100, 100), np.float32), ((5000,), np.float32), ((3000,), np.float32),
+               ((200, 100), np.float32), ((7,), np.float64), ((4, 4), np.float64),
+               ((16, 1025), np.float64), ((3,), np.float32), ((0,), np.float32)]
+
+
+def test_grouped_adam_matches_the_per_parameter_formula_bit_for_bit():
+    rng = np.random.default_rng(7)
+    params = [Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True) for shape, dtype in ADAM_SHAPES]
+    mirror = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+    opt = Adam([(f"p{k}", p) for k, p in enumerate(params)], lr=1e-2)
+    groups = [[p.shape for p in group[0]] for group in opt.groups]
+    assert groups == [[(100, 100), (5000,)], [(3000,)], [(200, 100)], [(7,), (4, 4)], [(16, 1025)],
+                      [(3,), (0,)]]
+    for t in range(1, 25):
+        if t == 12:
+            opt.lr /= 2  # as an LR halving does
+        for p, q in zip(params, mirror):
+            grad = (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)).astype(p.dtype)
+            grad.flat[::7] = 0.0
+            if grad.ndim == 2:  # a transposed view, as a matmul's gradient can be
+                grad = np.ascontiguousarray(grad.T).T
+            p.grad, q.grad = grad, grad.copy()
+        opt.step()
+        per_parameter_adam(mirror, moments, t, opt.lr)
+        for k, (p, q) in enumerate(zip(params, mirror)):
+            assert p.data.dtype == q.data.dtype and np.array_equal(p.data, q.data), (t, k)
+
+
+def test_grouped_adam_names_a_missing_gradient_and_updates_nothing():
+    params = [(f"p{k}", Tensor(np.ones(shape, dtype=dtype), requires_grad=True)) for k, (shape, dtype)
+              in enumerate(ADAM_SHAPES)]
+    for _, p in params:
+        p.grad = np.ones(p.shape, dtype=p.dtype)
+    params[4][1].grad = None
+    opt = Adam(params)
+    with pytest.raises(ContractError, match="'p4'"):
+        opt.step()
+    assert all((p.data == 1).all() for _, p in params)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grouped_adam_overflows_a_huge_lr_quietly(dtype, recwarn):
+    params = [(f"p{k}", Tensor(np.ones(shape, dtype=dtype), requires_grad=True)) for k, shape
+              in enumerate([(100, 100), (5000,), (20000,)])]
+    for _, p in params:
+        p.grad = np.full(p.shape, 3.0, dtype=dtype)
+    Adam(params, lr=1e308).step()
+    assert not recwarn.list
+    assert all(np.isneginf(p.data).all() for _, p in params)
+
+
 # --- learning-rate schedule ---------------------------------------------
 
 

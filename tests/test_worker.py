@@ -71,6 +71,24 @@ def test_helper_path_bit_equal_to_in_process_path(case, kind, dtype, monkeypatch
         assert got.dtype == dtype and np.array_equal(got, want), name
 
 
+@needs_helper
+@pytest.mark.parametrize("kind", ["qlstm", "lstm"])
+def test_a_recorded_layer_keeps_its_inputs_past_a_later_request(kind, monkeypatch):
+    # the helper runs a request on views of the shared buffer; the second
+    # layer's forward writes its own input and maps over the first's before
+    # the first layer's backward runs
+    layer, seq, mask, cotangent = layer_case(kind, np.float32, 66)
+    other, other_seq, other_mask, _ = layer_case(kind, np.float32, 67)
+    out = layer.forward(Tensor(seq, requires_grad=True), mask)
+    other.forward(Tensor(other_seq, requires_grad=True), other_mask)
+    grads = out.node.backward(cotangent)
+    in_process(monkeypatch)
+    want = layer.forward(Tensor(seq, requires_grad=True), mask).node.backward(cotangent)
+    names = ["input"] + [name for name, _ in layer.named_parameters()]
+    for name, got, ref in zip(names, grads, want, strict=True):
+        assert np.array_equal(got, ref), name
+
+
 @pytest.mark.parametrize("kind", ["qlstm", "lstm"])
 def test_layer_input_gradient_is_skipped_when_the_input_needs_none(kind):
     # stack 0 under a fixed front end: the layer's backward skips d @ wx.T

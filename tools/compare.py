@@ -17,7 +17,9 @@ metric BENCHMARK.json declares, it holds each side's median and [Q1, Q3]
 ratios, and how many seeds each of head and control beat the base in the
 metric's `better` direction (ties count for neither). It also holds each
 side's stamp and every run's correct and failed counts. Exits 1 if any run
-is not correct.
+is not correct. Its closing lines print per metric each side's median and,
+per side beside the base, its wins and its median ratio to the base with
+[Q1, Q3], e.g. `head_wins=9/10 head/base=1.120 [1.090, 1.150]`.
 
 With --tier1 it times the Tier-1 suite instead (ROADMAP.md's command, with
 each side's own src), 5 rounds of base and head alternating which goes
@@ -117,6 +119,21 @@ def summary(runs: list, declared: dict) -> dict:
     }
 
 
+def summary_line(metric: str, entry: dict) -> str:
+    """One closing line per metric: each side's median, then per side beside
+    the base its wins and its median per-pair ratio to the base with [Q1, Q3],
+    so a claim reads against the A/A control's ratio at a glance."""
+    sides = [side for side in SIDES if entry.get(side)]
+    parts = [f"{side}={entry[side]['median']:.6g}" for side in sides]
+    for side in sides[1:]:
+        versus = entry[f"{side}_vs_base"]
+        parts.append(f"{side}_wins={versus['wins']}/{versus['pairs']}")
+        ratio = versus["ratio"]
+        if ratio is not None:
+            parts.append(f"{side}/base={ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]")
+    return f"{metric}: " + " ".join(parts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare this checkout against")
@@ -151,10 +168,7 @@ def main(argv=None) -> int:
                seconds=None if args.tier1 else declared["run_seconds"])
     (ROOT / f"BENCH_{name}.json").write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for metric, entry in out["metrics"].items():
-        sides = [side for side in SIDES if entry.get(side)]
-        print(f"{metric}: " + " ".join(f"{side}={entry[side]['median']:.6g}" for side in sides)
-              + "".join(f" {side}_wins={entry[f'{side}_vs_base']['wins']}/{entry[f'{side}_vs_base']['pairs']}"
-                        for side in sides[1:]))
+        print(summary_line(metric, entry))
     return 0 if out["correct"] else 1
 
 
