@@ -24,8 +24,9 @@ directions. On a padded frame h and c are zero, so padded outputs are zero
 and each direction starts a sequence from the zero state. _direction's
 docstring describes the one-direction kernel: the gate layout, the
 per-frame loop and the padding rule. lstm_layer runs a two-cell layer's
-reverse direction in a helper process (qnn.worker) while the forward
-direction runs in this one.
+reverse direction through _helper: a helper process (qnn.worker) while the
+forward direction runs in this one, or where none can run its in-process
+stand-in, with the same interface.
 """
 
 from __future__ import annotations
@@ -130,15 +131,16 @@ def lstm_gates(block: np.ndarray, gates, c_prev: np.ndarray, affine, c_out, tanh
     np.multiply(o, tanh_out, out=h_out)
 
 
-def _direction(x, mask, params, record: bool):
+def _direction(x, mask, wx, wh, bias, record: bool):
     """The LSTM recurrence of one direction on plain arrays, walking the
-    (T, B, input) array x and the (T, B) mask in their time order with
-    params = (wx, wh, bias): the (input, 4H) input map, the (H, 4H)
-    recurrent map and the (4H,) bias, gates side by side as [f | i | c | o].
-    Returns the (T, B, H) output and a closure backward(grad, input_grad)
-    -> (d_x, d_wx, d_wh, d_bias), d_x being None unless input_grad is set.
-    The kernel never knows which way it runs: lstm_layer hands a reverse
-    direction time-reversed arrays.
+    (T, B, input) array x and the (T, B) mask in their time order with the
+    (input, 4H) input map wx, the (H, 4H) recurrent map wh and the (4H,)
+    bias, gates side by side as [f | i | c | o]. Returns ([the (T, B, H)
+    output], backward), the form worker.Helper's start returns, backward
+    being None unless record is set and otherwise a closure
+    backward(grad, input_grad) -> (d_x, d_wx, d_wh, d_bias), d_x being None
+    unless input_grad is set. The kernel never knows which way it runs:
+    lstm_layer hands a reverse direction time-reversed arrays.
 
     Layout. The gates, h and c states are (T, B, 4H) and (T + 1, B, H)
     arrays, contiguous in the direction's time order, so its projection and
@@ -181,7 +183,6 @@ def _direction(x, mask, params, record: bool):
     and forget-gate frames, and drops that zip and its last frames before
     the closing GEMMs, since their views would keep f and through alive.
     """
-    wx, wh, bias = params
     t_len, batch, n_in = x.shape
     hidden = wh.shape[0]
     width = 4 * hidden
@@ -264,28 +265,21 @@ def _direction(x, mask, params, record: bool):
         d_x = (d @ wx.T).reshape(x.shape) if input_grad else None
         return d_x, x.reshape(-1, n_in).T @ d, h_states[:-1].reshape(-1, hidden).T @ d, d.sum(axis=0)
 
-    return h_states[1:], backward
-
-
-def _reverse(x, mask, wx, wh, bias, record: bool):
-    """A reverse direction as lstm_layer runs it where no helper runs:
-    ([output], backward or None)."""
-    h, backward = _direction(x, mask, (wx, wh, bias), record)
-    return [h], backward if record else None
+    return [h_states[1:]], backward if record else None
 
 
 def _helper_reverse(x, mask, wx, wh, bias, record: bool):
-    """_reverse as Helper.start runs it, on views of the shared buffer that
-    the next request overwrites: a recorded forward copies the arrays its
-    backward reads, x, wx and wh, and nothing else is copied."""
+    """_direction as the helper process runs it, on views of the shared
+    buffer that the next request overwrites: a recorded forward copies the
+    arrays its backward reads, x, wx and wh, and nothing else is copied."""
     if record:
         x, wx, wh = x.copy(), wx.copy(), wh.copy()
-    return _reverse(x, mask, wx, wh, bias, record)
+    return _direction(x, mask, wx, wh, bias, record)
 
 
-# the helper process that runs each two-cell layer's reverse direction; None
-# where none can run, and then lstm_layer runs both directions here
-_helper = worker.helper(_helper_reverse)
+# what runs each two-cell layer's reverse direction: the helper process, or
+# where none can run its in-process stand-in, which runs _direction here
+_helper = worker.helper(_helper_reverse, _direction)
 
 
 def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
@@ -297,9 +291,10 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
     frame by frame. _direction runs and describes the kernel of each. The
     second cell gets the sequence, the mask and the incoming gradient
     reversed in time, and its output and input gradient are reversed back.
-    It runs in the helper process (qnn.worker) while the first runs here,
-    forward and backward, so the two directions take the host's two cores;
-    where no helper can run, both run here, one after the other.
+    It runs through recurrent._helper, bound once at the forward: in the
+    helper process (qnn.worker) while the first runs here, forward and
+    backward, so the two directions take the host's two cores, or where no
+    helper can run in its in-process stand-in, after the first.
     """
     if mask.shape != seq.shape[:2]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")
@@ -311,20 +306,17 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
             raise DimensionError(f"sequence width {seq.shape[2]} does not match cell input {wx.shape[0]}")
     inputs = [seq] + [p for cell in cells for _, p in cell.named_parameters()]
     record = recording(inputs)
-    helper = _helper if len(cells) == 2 else None
+    helper = _helper
 
     def forward_cell():
-        return _direction(seq.data, mask, params[0], record)
+        return _direction(seq.data, mask, *params[0], record)
 
     def add_reverse(mine, theirs):
-        (h, backward), (h_reverse,) = mine, theirs
+        ((h,), backward), (h_reverse,) = mine, theirs
         return h + h_reverse[::-1], backward
 
     if len(cells) == 1:
-        (out, forward_backward), reverse = forward_cell(), None
-    elif helper is None:
-        theirs, reverse = _reverse(seq.data[::-1], mask[::-1], *params[1], record=record)
-        out, forward_backward = add_reverse(forward_cell(), theirs)
+        ((out,), forward_backward), reverse = forward_cell(), None
     else:
         (out, forward_backward), reverse = helper.start(
             [seq.data[::-1], mask[::-1], *params[1]], {"record": record}, forward_cell, add_reverse)
@@ -333,28 +325,20 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
         input_grad = seq.requires_grad
 
         def forward_cell_backward():
-            return forward_backward(grad, input_grad)
+            d_seq, *d_w = forward_backward(grad, input_grad)
+            return [d_seq] + cells[0].split_grads(*d_w)
 
         def add_reverse_grads(mine, theirs):
-            d_seq, *d_w = mine
-            grads = cells[0].split_grads(*d_w)
-            if theirs is not None:
-                d_x, *d_w = theirs
-                d_seq = None if d_x is None else d_seq + d_x[::-1]
-                grads += cells[1].split_grads(*d_w)
-            return [d_seq] + grads
-
-        def add_helper_grads(mine, theirs):
-            # the helper's arrays are views of its buffer, and split_grads
-            # returns a real cell's block itself, so the weight gradients are copied
-            return add_reverse_grads(mine, theirs[:1] + [d.copy() for d in theirs[1:]])
+            # the helper's arrays are views of its buffer, and split_grads returns views
+            # of the bias gradient and a real cell's blocks, so the reverse cell's are copied
+            (d_seq, *grads), (d_x, *d_w) = mine, theirs
+            grads += [d.copy() for d in cells[1].split_grads(*d_w)]
+            return [None if d_x is None else d_seq + d_x[::-1]] + grads
 
         if len(cells) == 1:
-            return add_reverse_grads(forward_cell_backward(), None)
-        if helper is None:
-            return add_reverse_grads(forward_cell_backward(), reverse(grad[::-1], input_grad=input_grad))
+            return forward_cell_backward()
         return helper.resume(reverse, [grad[::-1]], {"input_grad": input_grad},
-                             forward_cell_backward, add_helper_grads)
+                             forward_cell_backward, add_reverse_grads)
 
     return op_result(out, inputs, "lstm_layer", backward)
 

@@ -1,12 +1,14 @@
 """A helper process that runs work beside this one, on the host's other core.
 
 Python threads cannot run two recurrent loops at once, because the GIL
-serialises their many small numpy calls; a second process can. helper(start)
-pins BLAS to one thread in this process and returns a Helper, or returns None
-where no helper can run: no fork (Windows), no memfd_create (Linux only), or
-no thread setter in the loaded OpenBLAS. The pin comes first, before any
-GEMM, so a process's GEMMs all run at the same thread count, whatever the
-environment asks for, and their bits do not depend on it.
+serialises their many small numpy calls; a second process can.
+helper(start, start_here) pins BLAS to one thread in this process and
+returns a Helper running start. Where no helper can run (no fork on
+Windows, no memfd_create off Linux, or no thread setter in the loaded
+OpenBLAS) it pins nothing and returns an InProcess stand-in with the same
+interface, which runs start_here in this process. The pin comes first,
+before any GEMM, so a process's GEMMs all run at the same thread count,
+whatever the environment asks for, and their bits do not depend on it.
 
 The helper is forked on first use, from whichever thread first needs it, and
 runs only numpy and pickle after the fork: it imports nothing, ignores
@@ -20,9 +22,9 @@ pair. The helper hands start, or the kept state it resumes, views of the
 request's arrays in the buffer, and writes its results after them. The
 next request overwrites those views, so a start that keeps a state copies
 what the state will read; nothing else is copied. It runs each request
-under this process's np.geterr(),
-and hands back the warnings it raised, which this process then warns. An
-error in the helper, or its death, raises QnnError here, with its message.
+under this process's np.geterr(), and hands back the warnings it raised,
+which this process then warns. An error in the helper, or its death,
+raises QnnError here, with its message.
 """
 
 from __future__ import annotations
@@ -49,14 +51,21 @@ _ALIGN = 64  # byte alignment of each array in the shared buffer
 
 
 def _blas_thread_setter():
-    """The set-threads function of the OpenBLAS library loaded in this process, or None."""
+    """The set-threads function of the OpenBLAS library loaded in this
+    process, or None; a library that cannot be opened by its path has none."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()})
+            # a line's pathname is all that follows its fifth field, spaces included,
+            # and ends in " (deleted)" if the file was deleted since it was mapped
+            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh if not line.endswith(" (deleted)\n")}
+            libs = sorted(p for p in paths if "openblas" in os.path.basename(p).lower())
     except OSError:
         return None
     for path in libs:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                        "openblas_set_num_threads"):
             setter = getattr(lib, symbol, None)
@@ -265,11 +274,29 @@ class Helper:
         return "status unknown" if status is None else f"signal {-status}" if status < 0 else f"exit {status}"
 
 
-def helper(start) -> Helper | None:
+class InProcess:
+    """Helper's interface where no helper can run: local() runs, then start
+    or the kept state, here, on the caller's own arrays, which are not
+    copied."""
+
+    def __init__(self, start):
+        self._start = start
+
+    def start(self, arrays, meta: dict, local, combine):
+        mine = local()
+        outputs, state = self._start(*arrays, **meta)
+        return combine(mine, outputs), state
+
+    def resume(self, state, arrays, meta: dict, local, combine):
+        return combine(local(), state(*arrays, **meta))
+
+
+def helper(start, start_here) -> Helper | InProcess:
     """A Helper running start, with this process's BLAS pinned to one
-    thread; None, and nothing pinned, where no helper can run."""
+    thread; where no helper can run, an InProcess running start_here, and
+    nothing pinned."""
     setter = _blas_thread_setter() if hasattr(os, "fork") and hasattr(os, "memfd_create") else None
     if setter is None:
-        return None
+        return InProcess(start_here)
     setter(1)
     return Helper(start)

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qnn import autograd, recurrent
+from qnn import autograd, recurrent, worker
 from qnn.autograd import Tape, Tensor, mul, op_result, tanh
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
@@ -463,15 +463,17 @@ def test_layer_output_survives_its_backward(n_cells):
 
 
 def test_training_step_memory_stays_within_bounds(monkeypatch):
-    """One ragged training step's forward-graph bytes and traced peak, on
-    the in-process path: tracemalloc sees neither the helper process nor
-    the buffer it shares. The bounds sit above the measured 5.97 MB and
-    6.78 MB, with both directions' caches held through the layer's
-    backward. Caching tanh(c) per frame, a separate (T, B, 4H)
-    gate-gradient buffer or float dropout masks each push one over. A
-    backward that held tanh(c), its square and the forget-gate copy at
-    once, instead of writing tanh(c) over the c states, peaked at 7.13 MB."""
-    monkeypatch.setattr(recurrent, "_helper", None)
+    """One ragged training step's forward-graph bytes and traced peak, run
+    through the in-process stand-in: tracemalloc sees neither the helper
+    process nor the buffer it shares. The bounds sit above the measured
+    5,970,775 and 6,675,115 bytes, with both directions' caches held
+    through the layer's backward. Caching tanh(c) per frame, a separate
+    (T, B, 4H) gate-gradient buffer or float dropout masks each push one
+    over. So did the copies of x, wx and wh that only the helper process
+    needs, made on this path too (7.12 MB), and a backward that held
+    tanh(c), its square and the forget-gate copy at once, instead of
+    writing tanh(c) over the c states (7.13 MB)."""
+    monkeypatch.setattr(recurrent, "_helper", worker.InProcess(recurrent._direction))
     cfg = ModelConfig(front_end="r2h-norm", r2h_size=64, stack_kind="qlstm", depth=2,
                       hidden_real_width=64, classes=4, dropout=0.2, input_dim=40, seed=3, precision="f32")
     rng = np.random.default_rng(40)

@@ -1,7 +1,10 @@
 """The helper process that runs a two-cell layer's reverse direction: bit
-equality with the in-process path, threads, failure, process lifetime, and
-bytes that no longer depend on the BLAS thread count."""
+equality with the in-process stand-in that runs where no helper can, which
+of the two runs and whether BLAS is pinned, finding the BLAS thread setter,
+threads, failure, process lifetime, and bytes that no longer depend on the
+BLAS thread count."""
 
+import io
 import os
 import signal
 import subprocess
@@ -13,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnn import recurrent
+from qnn import recurrent, worker
 from qnn.autograd import Tensor
 from qnn.errors import QnnError
 from qnn.recurrent import BiRecurrentLayer
@@ -21,7 +24,8 @@ from test_recurrent import RAGGED_MASKS, direction_grads, make_cell
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-needs_helper = pytest.mark.skipif(recurrent._helper is None, reason="no helper process can run here")
+needs_helper = pytest.mark.skipif(not isinstance(recurrent._helper, worker.Helper),
+                                  reason="no helper process can run here")
 
 
 def layer_case(kind, dtype, seed, case="mid_batch_padding"):
@@ -34,7 +38,8 @@ def layer_case(kind, dtype, seed, case="mid_batch_padding"):
 
 
 def in_process(monkeypatch):
-    monkeypatch.setattr(recurrent, "_helper", None)
+    """Run two-cell layers through the stand-in used where no helper can run."""
+    monkeypatch.setattr(recurrent, "_helper", worker.InProcess(recurrent._direction))
 
 
 def alive(pid: int) -> bool:
@@ -169,7 +174,7 @@ def test_helper_warnings_reach_the_caller_under_its_errstate():
 
 TWO_CELL_FORWARD = """
 import sys, numpy as np
-from qnn import recurrent
+from qnn import recurrent, worker
 from qnn.autograd import Tensor
 from qnn.recurrent import QLSTMCell, lstm_layer
 rng = np.random.default_rng(0)
@@ -201,21 +206,95 @@ def test_no_helper_outlives_its_process(ending):
     assert wait_gone(pid)
 
 
+# 150-frame utterances in batches of 4: T*B = 600, a size at which
+# OpenBLAS's weight-gradient GEMMs reduce in a thread-count order
+SYNTH_ARGS = ["synth", "--out", "data", "--dim", "12", "--train-utts", "8", "--valid-utts", "4",
+              "--test-utts", "4", "--seg-min", "25", "--seg-max", "25", "--segments", "6", "--seed", "5"]
+TRAIN_ARGS = ["train", "--train", "data/train.qfea", "--valid", "data/valid.qfea", "--out", "run",
+              "--r2h-size", "32", "--depth", "1", "--hidden", "16", "--batch-size", "4", "--epochs", "2",
+              "--seed", "5"]
+# runs qnn.cli as python -m does, in a process where no helper can run
+NO_HELPER = """
+import os, runpy
+del os.memfd_create
+from qnn import recurrent, worker
+assert isinstance(recurrent._helper, worker.InProcess)
+runpy.run_module("qnn.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def training_bytes(work: Path, threads: str, run=("-m", "qnn.cli")) -> list:
+    """metrics.txt, last.qnn and best.qnn of a qnn synth and 2-epoch qnn
+    train in work, run as python *run at OPENBLAS_NUM_THREADS=threads."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+    work.mkdir()
+    for args in (SYNTH_ARGS, TRAIN_ARGS):
+        subprocess.run([sys.executable, *run, *args], cwd=work, env=env, check=True, capture_output=True)
+    return [(work / "run" / name).read_bytes() for name in ("metrics.txt", "last.qnn", "best.qnn")]
+
+
 @needs_helper
 def test_training_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # 150-frame utterances in batches of 4: T*B = 600, a size at which
-    # OpenBLAS's weight-gradient GEMMs reduce in a thread-count order
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
-        work = tmp_path / threads
-        for args in (["synth", "--out", "data", "--dim", "12", "--train-utts", "8", "--valid-utts", "4",
-                      "--test-utts", "4", "--seg-min", "25", "--seg-max", "25", "--segments", "6", "--seed", "5"],
-                     ["train", "--train", "data/train.qfea", "--valid", "data/valid.qfea", "--out", "run",
-                      "--r2h-size", "32", "--depth", "1", "--hidden", "16", "--batch-size", "4",
-                      "--epochs", "2", "--seed", "5"]):
-            work.mkdir(exist_ok=True)
-            subprocess.run([sys.executable, "-m", "qnn.cli", *args], cwd=work, env=env, check=True,
-                           capture_output=True)
-        runs.append([(work / "run" / name).read_bytes() for name in ("metrics.txt", "last.qnn")])
-    assert runs[0] == runs[1]
+    assert training_bytes(tmp_path / "1", "1") == training_bytes(tmp_path / "2", "2")
+
+
+@needs_helper
+def test_training_bytes_equal_with_and_without_the_helper(tmp_path):
+    # one thread on both sides: unpinned, the stand-in's bytes at T*B = 600
+    # depend on the thread count, which this test does not cover
+    helper = training_bytes(tmp_path / "helper", "1")
+    assert training_bytes(tmp_path / "in_process", "1", ("-c", NO_HELPER)) == helper
+
+
+@pytest.mark.parametrize("missing", ["fork", "memfd_create", "setter"])
+def test_where_no_helper_can_run_the_stand_in_runs_and_nothing_is_pinned(missing, monkeypatch):
+    pins = []
+    monkeypatch.setattr(worker, "_blas_thread_setter", lambda: None if missing == "setter" else pins.append)
+    if missing != "setter":
+        monkeypatch.delattr(os, missing, raising=False)
+    assert isinstance(worker.helper(recurrent._helper_reverse, recurrent._direction), worker.InProcess)
+    assert pins == []
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "memfd_create")), reason="no fork or memfd_create")
+def test_where_a_helper_can_run_blas_is_pinned_to_one_thread_once(monkeypatch):
+    pins = []
+    monkeypatch.setattr(worker, "_blas_thread_setter", lambda: pins.append)
+    assert isinstance(worker.helper(recurrent._helper_reverse, recurrent._direction), worker.Helper)
+    assert pins == [1]
+
+
+def loaded_openblas() -> Path:
+    """The path of the OpenBLAS library this process has loaded; skips the test if none."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh}
+    libs = sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1].lower() and Path(p).is_file())
+    if not libs:
+        pytest.skip("no OpenBLAS library is loaded")
+    return Path(libs[0])
+
+
+def setter_from_maps(path: Path, monkeypatch):
+    """_blas_thread_setter reading one maps line that names path."""
+    line = f"7f0000000000-7f0000100000 r-xp 00000000 08:01 123456                     {path}\n"
+    monkeypatch.setattr(worker, "open", lambda *args, **kwargs: io.StringIO(line), raising=False)
+    return worker._blas_thread_setter()
+
+
+def test_blas_setter_is_found_under_a_path_with_a_space(tmp_path, monkeypatch):
+    lib = loaded_openblas()
+    link = tmp_path / "sp ace" / lib.name
+    link.parent.mkdir()
+    link.symlink_to(lib)
+    # found, and not called: calling it would change this process's thread count
+    assert setter_from_maps(link, monkeypatch) is not None
+
+
+@pytest.mark.parametrize("entry", ["missing", "deleted"])
+def test_blas_setter_is_none_for_a_library_it_cannot_open(entry, tmp_path, monkeypatch):
+    lib = loaded_openblas()
+    path = tmp_path / lib.name
+    if entry == "deleted":  # a file of that name exists, so only the " (deleted)" suffix excludes it
+        path = tmp_path / f"{lib.name} (deleted)"
+        path.symlink_to(lib)
+    assert setter_from_maps(path, monkeypatch) is None
