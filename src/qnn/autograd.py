@@ -9,6 +9,12 @@ buffers once its backward has run; a graph is differentiated once. Calling
 backward on two graphs over the same leaves without zeroing adds the leaf
 gradients: accumulation is explicit, never overwrite.
 
+A graph keeps every Tensor, since gradients are routed by Tensor identity,
+but only the arrays some backward reads. Each backward rule captures at
+forward time what it reads (an input array, its own output, a shape), never
+an input Tensor's data, so an op output that no backward reads can be freed
+with release() once every op that reads it has run.
+
 There is no broadcasting: mul takes two operands of one shape. The ops here
 are mul, sum_all, reverse_time and the R2H encoder's three split activations
 (tanh, hardtanh, relu, each built by _elementwise); the dense and recurrent
@@ -115,39 +121,57 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul: incompatible shapes {a.data.shape} vs {b.data.shape}")
     if a.data.dtype != b.data.dtype:
         raise ContractError(f"mul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-    out = a.data * b.data
+    x, y = a.data, b.data
+    out = x * y
 
     def backward(g):  # an operand that needs no gradient (a constant) gets none
-        return (g * b.data if a.requires_grad else None,
-                g * a.data if b.requires_grad else None)
+        return (g * y if a.requires_grad else None,
+                g * x if b.requires_grad else None)
 
     return op_result(out, (a, b), "mul", backward)
 
 
 def _elementwise(op: str, fn, grad):
     """A one-input elementwise op named op: out = fn(x) on the plain array,
-    and its backward returns grad(g, x, out)."""
+    and its backward returns grad(g, out). The derivative is stated from
+    the output alone, so the backward keeps out and not the input, which
+    its producer may then release()."""
 
     def apply(a: Tensor) -> Tensor:
         out = fn(a.data)
-        return op_result(out, (a,), op, lambda g: (grad(g, a.data, out),))
+        return op_result(out, (a,), op, lambda g: (grad(g, out),))
 
     apply.__name__ = op
     return apply
 
 
-tanh = _elementwise("tanh", np.tanh, lambda g, x, out: g * (1.0 - out * out))
-relu = _elementwise("relu", lambda x: np.maximum(x, 0.0), lambda g, x, out: g * (x > 0))
-# clamp to [-1, 1]; slope 1 strictly inside, 0 outside and at the kinks
+# Each derivative from the output, bit-equal to its rule from the input x:
+# tanh's 1 - out^2; relu's x > 0 is out > 0 (a NaN fails both); hardtanh
+# clamps to [-1, 1] with slope 1 strictly inside, 0 outside and at the
+# kinks, and -1 < x < 1 is -1 < out < 1 (a clamped or NaN x fails both).
+tanh = _elementwise("tanh", np.tanh, lambda g, out: g * (1.0 - out * out))
+relu = _elementwise("relu", lambda x: np.maximum(x, 0.0), lambda g, out: g * (out > 0))
 hardtanh = _elementwise("hardtanh", lambda x: np.clip(x, -1.0, 1.0),
-                        lambda g, x, out: g * ((x > -1.0) & (x < 1.0)))
+                        lambda g, out: g * ((out > -1.0) & (out < 1.0)))
+
+
+def release(t: Tensor) -> None:
+    """Free the array of a recorded op output that no backward reads, once
+    every op that reads it has run: t stays in the graph, routing gradients,
+    while its data becomes an empty array of its dtype, so a stray later
+    read fails on the shape instead of quietly keeping the array alive. A
+    tensor with no node (a leaf, a constant, anything made under no_grad)
+    is left as it is."""
+    if t.node is not None:
+        t.data = np.empty(0, dtype=t.data.dtype)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum(), dtype=a.data.dtype)
+    shape, dtype = a.data.shape, a.data.dtype
+    out = np.asarray(a.data.sum(), dtype=dtype)
 
     def backward(g):
-        return (np.full(a.data.shape, g, dtype=a.data.dtype),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return op_result(out, (a,), "sum", backward)
 

@@ -37,7 +37,8 @@ from qnn.autograd import Tensor, op_result
 from qnn.errors import ConfigError, ContractError, DimensionError
 
 # The R2H encoder's split activations, in config.CHOICES["r2h_activation"]
-# order: each applies a real nonlinearity to every component independently.
+# order: each applies a real nonlinearity to every component independently,
+# and its backward reads its output, not its input (autograd._elementwise).
 ACTIVATIONS = {"tanh": autograd.tanh, "hardtanh": autograd.hardtanh, "relu": autograd.relu}
 
 
@@ -139,6 +140,7 @@ class RealLinear:
             raise DimensionError(f"RealLinear: trailing dim {x.shape[-1]} does not match input {self.n_in}")
         if x.dtype != self.weight.dtype:
             raise ContractError(f"RealLinear: input dtype {x.dtype} does not match weight {self.weight.dtype}")
+        shape = x.shape
         flat = x.data.reshape(-1, self.n_in)
         w = self.weight.data
         out = flat @ w
@@ -146,10 +148,10 @@ class RealLinear:
 
         def backward(g):
             g = g.reshape(-1, self.n_out)
-            d_x = (g @ w.T).reshape(x.shape) if x.requires_grad else None
+            d_x = (g @ w.T).reshape(shape) if x.requires_grad else None
             return d_x, flat.T @ g, g.sum(axis=0)
 
-        return op_result(out.reshape(x.shape[:-1] + (self.n_out,)), (x, self.weight, self.bias),
+        return op_result(out.reshape(shape[:-1] + (self.n_out,)), (x, self.weight, self.bias),
                          "linear", backward)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -168,11 +170,12 @@ def quat_normalize(x: Tensor) -> Tensor:
     q / (|q| + eps), with the derivative of the norm at 0 taken as 0 (the
     true one-sided one is +inf and would turn gradients into NaN).
     """
-    width = x.shape[-1]
+    shape = x.shape
+    width = shape[-1]
     if width % 4 != 0:
         raise DimensionError(f"quaternion tensor width must be a multiple of 4, got {width}")
     # (..., 4, h): component c of quaternion k sits at [..., c, k]
-    quats = x.data.reshape(x.shape[:-1] + (4, width // 4))
+    quats = x.data.reshape(shape[:-1] + (4, width // 4))
     eps = x.dtype.type(quat.NORM_EPS)
     squares = quats * quats
     sq = squares[..., 0, :] + squares[..., 1, :]
@@ -197,9 +200,9 @@ def quat_normalize(x: Tensor) -> Tensor:
         grad = g / denom
         grad += through_norm
         grad += through_norm
-        return (grad.reshape(x.shape),)
+        return (grad.reshape(shape),)
 
-    return op_result(out.reshape(x.shape), (x,), "quat_normalize", backward)
+    return op_result(out.reshape(shape), (x,), "quat_normalize", backward)
 
 
 def quaternion_dropout(
@@ -218,10 +221,12 @@ def quaternion_dropout(
     through untouched. unit is the cell's len(places): 4 drops whole
     quaternions, 1 is ordinary real dropout for the real-valued baseline.
 
-    One graph node that keeps only the boolean draw (one flag per unit).
-    Its forward and its backward multiply the (..., unit, width // unit)
-    view of their input by the per-unit float mask, with the same products
-    as x * mask over the full width.
+    One graph node that keeps only the boolean draw (one flag per unit)
+    and its input's shape, not the input: once it has run, the caller may
+    release() a recorded input that nothing else reads. Its forward and its
+    backward multiply the (..., unit, width // unit) view of their input by
+    the per-unit float mask, with the same products as x * mask over the
+    full width.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
@@ -230,13 +235,14 @@ def quaternion_dropout(
     if rng is None:
         raise ConfigError("training-mode dropout needs a seeded generator")
     scale = x.dtype.type(1.0 / (1.0 - p))
-    width = x.shape[-1]
+    shape = x.shape
+    width = shape[-1]
     if width % unit != 0:
         raise DimensionError(f"dropout needs width divisible by its unit {unit}, got {width}")
-    keep = rng.random(size=x.shape[:-1] + (width // unit,)) >= p
+    keep = rng.random(size=shape[:-1] + (width // unit,)) >= p
 
     def drop(a):
-        return (a.reshape(x.shape[:-1] + (unit, -1)) * (keep * scale)[..., None, :]).reshape(x.shape)
+        return (a.reshape(shape[:-1] + (unit, -1)) * (keep * scale)[..., None, :]).reshape(shape)
 
     return op_result(drop(x.data), (x,), "dropout", lambda g: (drop(g),))
 
@@ -267,9 +273,14 @@ class RealToQuatEncoder:
         self.normalized = normalized
 
     def forward(self, x) -> Tensor:
+        """The encoding of x (a Tensor or an ndarray). The dense output's
+        array is released once the activation has read it: the activation's
+        backward reads its own output, the dense layer's backward its input."""
         if isinstance(x, np.ndarray):
             x = Tensor(x)
-        out = ACTIVATIONS[self.activation](self.dense(x))
+        dense = self.dense(x)
+        out = ACTIVATIONS[self.activation](dense)
+        autograd.release(dense)
         if self.normalized:
             out = quat_normalize(out)
         return out

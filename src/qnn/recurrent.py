@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qnn.autograd import Tensor, op_result, recording
+from qnn.autograd import Tensor, op_result, recording, release
 from qnn.config import ModelConfig, seed_streams
 from qnn.data import UtteranceBatch
 from qnn.errors import ConfigError, ContractError, DimensionError
@@ -383,12 +383,23 @@ class AcousticModel:
         self.unit = unit
 
     def _drop(self, x: Tensor, training: bool) -> Tensor:
-        return quaternion_dropout(x, self.dropout, training, self.dropout_rng, self.unit)
+        out = quaternion_dropout(x, self.dropout, training, self.dropout_rng, self.unit)
+        if out is not x:  # dropout's backward keeps its draw, not x
+            release(x)
+        return out
 
     def forward(self, batch: UtteranceBatch, training: bool = False) -> Tensor:
         """Logits (T, B, C); padded frames carry meaningless values and must
         be excluded from losses/metrics via the batch mask. The features are
-        cast to the parameters' dtype here, once, before any front end."""
+        cast to the parameters' dtype here, once, before any front end.
+
+        Dropout reads the front-end output and each stack layer's output and
+        nothing else does, so where it drops (training, p > 0) a recorded one
+        is released (autograd.release) once dropout has run: the graph keeps
+        the tensor, and its array is freed unless a backward holds it (the
+        output of an r2h encoder without normalization, which its
+        activation's backward reads). A fixed front end's output is not
+        recorded, and is left alone."""
         x = self.front_end.forward(batch.features.astype(self.output.weight.dtype, copy=False))
         x = self._drop(x, training)
         for layer in self.stack:

@@ -47,6 +47,7 @@ def cross_entropy_framewise(logits: Tensor, labels: np.ndarray, mask: np.ndarray
     if logits.data.ndim != 3:
         raise ContractError(f"expected (T, B, C) logits, got shape {logits.shape}")
     t_len, batch, classes = logits.shape
+    dtype = logits.dtype
     if labels.shape != (t_len, batch) or mask.shape != (t_len, batch):
         raise ContractError(
             f"labels {labels.shape} / mask {mask.shape} do not match logits {(t_len, batch)}"
@@ -69,9 +70,9 @@ def cross_entropy_framewise(logits: Tensor, labels: np.ndarray, mask: np.ndarray
         grad = np.exp(logp) * (mask[..., None] / n_valid)
         np.subtract.at(grad, (np.arange(t_len)[:, None], np.arange(batch)[None, :], safe_labels),
                        mask / n_valid)
-        return (grad * g).astype(logits.dtype, copy=False),
+        return (grad * g).astype(dtype, copy=False),
 
-    return op_result(np.asarray(value, dtype=logits.dtype), (logits,), "cross_entropy", backward)
+    return op_result(np.asarray(value, dtype=dtype), (logits,), "cross_entropy", backward)
 
 
 ADAM_BETA1 = 0.9

@@ -25,7 +25,7 @@ from qnn.recurrent import run_direction
 # sigma(x) = tanh(x/2)/2 + 1/2: tanh saturates, so nothing overflows for large
 # |x|; sigma(-50) is 0, not 2e-22
 sigmoid = _elementwise("sigmoid", lambda x: np.tanh(0.5 * x) * 0.5 + 0.5,
-                       lambda g, x, out: g * out * (1.0 - out))
+                       lambda g, out: g * out * (1.0 - out))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

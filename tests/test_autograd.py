@@ -97,6 +97,48 @@ def test_elementwise_shape_error():
         mul(Tensor(np.zeros(3)), Tensor(np.asarray(2.0)))
 
 
+# the split activations' derivatives as rules on their input x, as the ops
+# stated them before their backward read only the output
+INPUT_RULES = {
+    "tanh": lambda g, x: g * (1.0 - np.tanh(x) * np.tanh(x)),
+    "relu": lambda g, x: g * (x > 0),
+    "hardtanh": lambda g, x: g * ((x > -1.0) & (x < 1.0)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", [tanh, relu, hardtanh], ids=lambda op: op.__name__)
+def test_activation_derivative_from_output_bit_equal_to_input_rule(op, dtype):
+    rng = np.random.default_rng(31)
+    one = dtype(1)
+    edges = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan, 0.5, -0.5, 2.0, -2.0,
+             np.nextafter(one, 2), np.nextafter(one, 0), -np.nextafter(one, 2), -np.nextafter(one, 0),
+             np.finfo(dtype).tiny, -np.finfo(dtype).tiny, np.finfo(dtype).max, -np.finfo(dtype).max]
+    x = np.concatenate([np.array(edges, dtype=dtype), (3.0 * rng.standard_normal(200)).astype(dtype)])
+    for g in (rng.standard_normal(x.shape).astype(dtype), np.array(edges * 11, dtype=dtype)[:x.size]):
+        with np.errstate(invalid="ignore"):  # an inf gradient times a zero slope
+            (got,) = op(Tensor(x, requires_grad=True)).node.backward(g)
+            want = INPUT_RULES[op.__name__](g, x)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_release_frees_a_recorded_output_only():
+    x = Tensor(np.linspace(-2.0, 2.0, 6, dtype=np.float32), requires_grad=True)
+    mid = tanh(x)
+    out = relu(mid)
+    autograd.release(mid)  # relu's backward reads its own output
+    assert mid.data.shape == (0,) and mid.dtype == np.float32 and out.data.shape == (6,)
+    backward(out.sum())
+    expected = (np.tanh(x.data) > 0) * (1.0 - np.tanh(x.data) ** 2)
+    assert x.grad.tobytes() == expected.astype(np.float32).tobytes()
+    autograd.release(x)  # a leaf keeps its array
+    with autograd.no_grad():
+        plain = tanh(x)
+    autograd.release(plain)  # so does an output made under no_grad
+    assert x.data.shape == plain.data.shape == (6,)
+
+
 def test_unary_fd():
     rng = np.random.default_rng(3)
     for op in (sigmoid, tanh, relu, hardtanh):

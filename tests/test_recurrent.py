@@ -1,5 +1,7 @@
 """Recurrent cell, bidirectional layer, and full-model behavior."""
 
+import copy
+import gc
 import tracemalloc
 import weakref
 from collections import Counter
@@ -7,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qnn import autograd, recurrent, worker
+from qnn import autograd, layers, recurrent, worker
 from qnn.autograd import Tape, Tensor, mul, op_result, tanh
 from qnn.config import ModelConfig
 from qnn.data import UtteranceBatch
@@ -29,8 +31,8 @@ from qnn.recurrent import (
     run_direction,
 )
 from qnn.training import Adam, cross_entropy_framewise
-from reference_graphs import (add, add_bias, concat, matmul, narrow, neg_concat_quat_weight, reshape,
-                              sigmoid, two_direction_graph)
+from reference_graphs import (add, add_bias, concat, linear_graph, matmul, mul_dropout, narrow,
+                              neg_concat_quat_weight, reshape, sigmoid, two_direction_graph)
 
 
 def zero_cell(cell):
@@ -466,13 +468,16 @@ def test_training_step_memory_stays_within_bounds(monkeypatch):
     """One ragged training step's forward-graph bytes and traced peak, run
     through the in-process stand-in: tracemalloc sees neither the helper
     process nor the buffer it shares. The bounds sit above the measured
-    5,970,775 and 6,675,115 bytes, with both directions' caches held
-    through the layer's backward. Caching tanh(c) per frame, a separate
-    (T, B, 4H) gate-gradient buffer or float dropout masks each push one
-    over. So did the copies of x, wx and wh that only the helper process
-    needs, made on this path too (7.12 MB), and a backward that held
-    tanh(c), its square and the forget-gate copy at once, instead of
-    writing tanh(c) over the c states (7.13 MB)."""
+    5,315,240 and 6,021,857 bytes, with both directions' caches held
+    through the layer's backward and, freed, the arrays no backward reads:
+    the R2H dense output and every pre-dropout output. Keeping those, as
+    the model did before (5,970,775 and 6,675,115), fails both bounds.
+    Caching tanh(c) per frame, a separate (T, B, 4H) gate-gradient buffer
+    or float dropout masks each pushed one over the earlier bounds of
+    6,300,000 and 7,000,000. So did the copies of x, wx and wh that only
+    the helper process needs, made on this path too (7.12 MB), and a
+    backward that held tanh(c), its square and the forget-gate copy at
+    once, instead of writing tanh(c) over the c states (7.13 MB)."""
     monkeypatch.setattr(recurrent, "_helper", worker.InProcess(recurrent._direction))
     cfg = ModelConfig(front_end="r2h-norm", r2h_size=64, stack_kind="qlstm", depth=2,
                       hidden_real_width=64, classes=4, dropout=0.2, input_dim=40, seed=3, precision="f32")
@@ -488,8 +493,8 @@ def test_training_step_memory_stays_within_bounds(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert graph < 6_300_000, graph
-    assert peak < 7_000_000, peak
+    assert graph < 5_600_000, graph
+    assert peak < 6_200_000, peak
 
 
 def test_bidirectional_cells_must_share_the_hidden_width():
@@ -658,6 +663,9 @@ def test_model_masking_invariance_logits_and_grads():
 
 
 def test_backward_frees_the_stack_output_while_the_loss_is_held():
+    # in evaluation mode the stack output is the next layer's input, which the
+    # graph holds until the sweep; a training forward frees it at once
+    # (test_training_forward_frees_the_arrays_no_backward_reads)
     model = build_model(toy_config(dropout=0.2))
     batch = make_batch(np.random.default_rng(28).standard_normal((6, 3, 8)), [6, 4, 2])
     seen = {}
@@ -671,7 +679,7 @@ def test_backward_frees_the_stack_output_while_the_loss_is_held():
 
     watch(model.front_end, "front")
     watch(model.stack[0], "stack0")
-    loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
+    loss = cross_entropy_framewise(model.forward(batch), batch.labels, batch.mask)
     stack0_out = weakref.ref(seen.pop("stack0").data)
     front_node = seen.pop("front").node
     front_backward = front_node.backward
@@ -687,6 +695,116 @@ def test_backward_frees_the_stack_output_while_the_loss_is_held():
     autograd.backward(loss)
     assert dead_before_front == [True]
     assert np.isfinite(loss.item())
+
+
+def watch_arrays(monkeypatch):
+    """Record, in call order, each tensor the model hands to its split
+    activation (the R2H dense output) and to dropout (the front-end and
+    stack layer outputs), with weak references to its array and that
+    array's bases. The tensors themselves are held, as the graph holds them."""
+    seen = {"dense": [], "dropped": []}
+
+    def watch(kind, t):
+        arrays, a = [], t.data
+        while a is not None:
+            arrays.append(weakref.ref(a))
+            a = a.base
+        seen[kind].append((t, arrays))
+
+    for name, op in list(layers.ACTIVATIONS.items()):
+        def watched_activation(a, op=op):
+            watch("dense", a)
+            return op(a)
+        monkeypatch.setitem(layers.ACTIVATIONS, name, watched_activation)
+    dropout = recurrent.quaternion_dropout
+
+    def watched_dropout(x, *args):
+        watch("dropped", x)
+        return dropout(x, *args)
+
+    monkeypatch.setattr(recurrent, "quaternion_dropout", watched_dropout)
+    return seen
+
+
+def freed(entry) -> bool:
+    """Whether a watched array and all its bases are gone; the tensor then
+    holds an empty array of its dtype."""
+    t, arrays = entry
+    gone = all(ref() is None for ref in arrays)
+    assert not gone or (t.data.shape == (0,) and t.dtype == np.float32)
+    return gone
+
+
+def reference_forward(model, batch, dropout_rng):
+    """The model's training forward with nothing freed: the dense layers
+    as linear_graph, dropout as mul_dropout drawn from dropout_rng and each
+    layer as two_direction_graph, reference-graph nodes; the activation and
+    quat_normalize are the library's."""
+    x = Tensor(batch.features.astype(model.output.weight.dtype))
+    front = model.front_end
+    if isinstance(front, FixedFrontEnd):
+        x = Tensor(front.transform(x.data))
+    else:
+        x = layers.ACTIVATIONS[front.activation](linear_graph(front.dense, x))
+        x = layers.quat_normalize(x) if front.normalized else x
+    x = mul_dropout(x, model.dropout, dropout_rng, model.unit)
+    for layer in model.stack:
+        x = mul_dropout(two_direction_graph(layer, x, batch.mask), model.dropout, dropout_rng, model.unit)
+    return linear_graph(model.output, x)
+
+
+@pytest.mark.parametrize("front_end,activation", [(fe, act) for fe in ("r2h-norm", "r2h")
+                                                  for act in layers.ACTIVATIONS]
+                         + [(fe, "tanh") for fe in sorted(FIXED_FRONT_ENDS)])
+def test_training_forward_frees_the_arrays_no_backward_reads(front_end, activation, monkeypatch):
+    """A recorded training forward frees the R2H dense output once the
+    activation has read it, and each pre-dropout output once dropout has.
+    Kept: the output of an r2h encoder without normalization, which its
+    activation's backward reads, and a fixed front end's output, which is
+    not in the graph. The backward then gives the reference graph's bits."""
+    cfg = toy_config(front_end=front_end, r2h_activation=activation, dropout=0.3, precision="f32")
+    batch = make_batch(np.random.default_rng(29).standard_normal((7, 3, 8)), [7, 5, 2])
+    model = build_model(cfg)
+    dropout_rng = copy.deepcopy(model.dropout_rng)
+    seen = watch_arrays(monkeypatch)
+    loss = cross_entropy_framewise(model.forward(batch, training=True), batch.labels, batch.mask)
+    gc.collect()
+    assert [freed(e) for e in seen["dense"]] == [True] * (front_end not in FIXED_FRONT_ENDS)
+    front, *stack = seen["dropped"]
+    assert freed(front) == (front_end == "r2h-norm")
+    assert len(stack) == len(model.stack) and all(freed(e) for e in stack)
+    autograd.backward(loss)
+    grads = [p.grad for _, p in model.named_parameters()]
+    for _, p in model.named_parameters():
+        p.zero_grad()
+    monkeypatch.undo()
+    ref_loss = cross_entropy_framewise(reference_forward(model, batch, dropout_rng), batch.labels, batch.mask)
+    assert ref_loss.item() == loss.item()
+    autograd.backward(ref_loss)
+    for (name, p), got in zip(model.named_parameters(), grads):
+        assert np.array_equal(got, p.grad), name
+
+
+@pytest.mark.parametrize("mode", ["eval", "no_grad"])
+def test_forward_without_dropout_or_graph_frees_no_layer_output(mode, monkeypatch):
+    """Evaluation-mode dropout passes its input on, so the front-end and
+    layer outputs are the next layers' inputs and stay; the encoder still
+    frees its recorded dense output, which only its activation reads. Under
+    no_grad nothing is recorded and nothing is released."""
+    model = build_model(toy_config(dropout=0.3, precision="f32"))
+    batch = make_batch(np.random.default_rng(30).standard_normal((7, 3, 8)), [7, 5, 2])
+    seen = watch_arrays(monkeypatch)
+    if mode == "eval":
+        logits = model.forward(batch)
+    else:
+        with autograd.no_grad():
+            logits = model.forward(batch, training=True)
+    gc.collect()
+    assert [freed(e) for e in seen["dense"]] == [mode == "eval"]
+    assert len(seen["dropped"]) == 1 + len(model.stack)
+    assert not any(freed(e) for e in seen["dropped"])
+    assert all(t.data.shape[:2] == (7, 3) for t, _ in seen["dropped"])
+    assert logits.shape == (7, 3, 3)
 
 
 def test_full_toy_model_gradient_check():
