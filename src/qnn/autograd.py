@@ -131,15 +131,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return op_result(out, (a, b), "mul", backward)
 
 
-def _elementwise(op: str, fn, grad):
+def _elementwise(op: str, fn, grad, saved=lambda out: out):
     """A one-input elementwise op named op: out = fn(x) on the plain array,
-    and its backward returns grad(g, out). The derivative is stated from
-    the output alone, so the backward keeps out and not the input, which
-    its producer may then release()."""
+    and its backward returns grad(g, saved(out)). The derivative is stated
+    from the output alone, so the backward keeps saved(out) (by default out
+    itself) and not the input, which its producer may then release()."""
 
     def apply(a: Tensor) -> Tensor:
         out = fn(a.data)
-        return op_result(out, (a,), op, lambda g: (grad(g, out),))
+        if not recording((a,)):
+            return Tensor(out)
+        kept = saved(out)
+        return op_result(out, (a,), op, lambda g: (grad(g, kept),))
 
     apply.__name__ = op
     return apply
@@ -149,10 +152,11 @@ def _elementwise(op: str, fn, grad):
 # tanh's 1 - out^2; relu's x > 0 is out > 0 (a NaN fails both); hardtanh
 # clamps to [-1, 1] with slope 1 strictly inside, 0 outside and at the
 # kinks, and -1 < x < 1 is -1 < out < 1 (a clamped or NaN x fails both).
+# relu and hardtanh keep that boolean slope, not their float output.
 tanh = _elementwise("tanh", np.tanh, lambda g, out: g * (1.0 - out * out))
-relu = _elementwise("relu", lambda x: np.maximum(x, 0.0), lambda g, out: g * (out > 0))
-hardtanh = _elementwise("hardtanh", lambda x: np.clip(x, -1.0, 1.0),
-                        lambda g, out: g * ((out > -1.0) & (out < 1.0)))
+relu = _elementwise("relu", lambda x: np.maximum(x, 0.0), lambda g, slope: g * slope, lambda out: out > 0)
+hardtanh = _elementwise("hardtanh", lambda x: np.clip(x, -1.0, 1.0), lambda g, slope: g * slope,
+                        lambda out: (out > -1.0) & (out < 1.0))
 
 
 def release(t: Tensor) -> None:

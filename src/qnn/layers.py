@@ -38,7 +38,8 @@ from qnn.errors import ConfigError, ContractError, DimensionError
 
 # The R2H encoder's split activations, in config.CHOICES["r2h_activation"]
 # order: each applies a real nonlinearity to every component independently,
-# and its backward reads its output, not its input (autograd._elementwise).
+# and its backward reads its output (relu's and hardtanh's only as a boolean
+# slope), not its input (autograd._elementwise).
 ACTIVATIONS = {"tanh": autograd.tanh, "hardtanh": autograd.hardtanh, "relu": autograd.relu}
 
 

@@ -41,6 +41,9 @@ from qnn import layers, worker
 from qnn.layers import FIXED_FRONT_ENDS, FixedFrontEnd, RealLinear, RealToQuatEncoder, quaternion_dropout
 
 GATES = ("f", "i", "c", "o")
+# frames per step of _direction's backward over the (T, B, H) gate arrays
+# where it needs a scratch; a fixed number keeps that scratch small
+GI_FRAMES = 32
 
 
 class _LSTMCell:
@@ -168,9 +171,13 @@ def _direction(x, mask, wx, wh, bias, record: bool):
     sequence restarts the state. One mask.all(axis=1) finds the frames
     with a padded row, and only those get a (B, 1) keep column.
 
-    Backward. Full BPTT. It recomputes tanh(c) for all frames over the c
-    states and writes over the gate cache and the c states, keeping a copy
-    of the forget gate. Its one reversed loop makes per frame one joint
+    Backward. Full BPTT. It keeps the gate cache and the c states, not the
+    h states, which are only the output. It recomputes tanh(c) for all
+    frames over the c states and multiplies it by o there, which rebuilds
+    the forward's h states bit for bit for the d_wh GEMM; it writes its
+    local derivatives over the gate cache, keeping a copy of the forget
+    gate, with g i in a scratch of GI_FRAMES frames. Its one reversed loop
+    makes per frame one joint
     [d_c, d_c, d_c, d_h] product and one matmul against the transposed
     recurrent map; the input-gradient GEMM runs only for input_grad, and
     each cell splits the W, bias and R gradients back per component
@@ -225,11 +232,14 @@ def _direction(x, mask, wx, wh, bias, record: bool):
     def backward(grad, input_grad: bool):
         # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t.
         # local, then d_pre, is written over the gate cache, so f is copied
-        # first for the loop; tanh(c) and g * i are written over the c states,
-        # which nothing reads after local. On padded frames the recomputed
-        # tanh(c) is of the zeroed state, and only meets gradients keep zeroed.
+        # first for the loop. tanh(c), then o * tanh(c), is written over the
+        # c states, which then hold the forward's h states for the closing
+        # d_wh GEMM: tanh(0) * o is h_0, and on a padded frame the zeroed c
+        # gives h's zero, of the same sign as o >= 0. g * i goes to a scratch
+        # of GI_FRAMES frames. On padded frames the recomputed tanh(c) only
+        # meets gradients keep zeroed.
         d_pre = gates
-        l_f, l_i, l_g, l_o = f, i, g, o = np.split(d_pre, 4, axis=2)
+        l_f, _, _, l_o = f, i, g, o = np.split(d_pre, 4, axis=2)
         f = f.copy()
         np.multiply(c_states[:-1], f, out=l_f)
         tanh_c = np.tanh(c_states, out=c_states)[1:]
@@ -241,13 +251,17 @@ def _direction(x, mask, wx, wh, bias, record: bool):
         tanh_c *= o
         np.subtract(1, o, out=l_o)
         l_o *= tanh_c
-        gi = np.multiply(g, i, out=tanh_c)
-        np.multiply(g, g, out=l_g)
-        np.subtract(1, l_g, out=l_g)
-        l_g *= i
-        np.subtract(1, i, out=l_i)
-        l_i *= gi
-        del tanh_c, gi
+        del tanh_c
+        scratch = np.empty((GI_FRAMES, batch, hidden), dtype=dtype)
+        for start in range(0, t_len, GI_FRAMES):
+            # l_g and l_i are g and i, written over in place
+            g_t, i_t = g[start:start + GI_FRAMES], i[start:start + GI_FRAMES]
+            gi = np.multiply(g_t, i_t, out=scratch[:len(g_t)])
+            np.multiply(g_t, g_t, out=g_t)
+            np.subtract(1, g_t, out=g_t)
+            g_t *= i_t
+            np.subtract(1, i_t, out=i_t)
+            i_t *= gi
         d_h, d_c = np.zeros((2, batch, hidden), dtype=dtype)  # each frame makes new ones
         wh_t = wh.T
         frames = zip(grad[::-1], reversed(keeps), through[::-1], d_pre[::-1], f[::-1])
@@ -263,7 +277,7 @@ def _direction(x, mask, wx, wh, bias, record: bool):
         f = through = frames = f_t = through_t = None  # the frame views would keep f and through alive
         d = d_pre.reshape(-1, width)
         d_x = (d @ wx.T).reshape(x.shape) if input_grad else None
-        return d_x, x.reshape(-1, n_in).T @ d, h_states[:-1].reshape(-1, hidden).T @ d, d.sum(axis=0)
+        return d_x, x.reshape(-1, n_in).T @ d, c_states[:-1].reshape(-1, hidden).T @ d, d.sum(axis=0)
 
     return [h_states[1:]], backward if record else None
 
@@ -397,9 +411,9 @@ class AcousticModel:
         nothing else does, so where it drops (training, p > 0) a recorded one
         is released (autograd.release) once dropout has run: the graph keeps
         the tensor, and its array is freed unless a backward holds it (the
-        output of an r2h encoder without normalization, which its
-        activation's backward reads). A fixed front end's output is not
-        recorded, and is left alone."""
+        output of a tanh r2h encoder without normalization, which tanh's
+        backward reads). A fixed front end's output is not recorded, and is
+        left alone."""
         x = self.front_end.forward(batch.features.astype(self.output.weight.dtype, copy=False))
         x = self._drop(x, training)
         for layer in self.stack:

@@ -19,9 +19,12 @@ One request at a time crosses, under a lock. Its arrays cross through one
 shared buffer that both processes map, a memfd that whichever side writes
 past its end grows with ftruncate; control messages are pickles on a pipe
 pair. The helper hands start, or the kept state it resumes, views of the
-request's arrays in the buffer, and writes its results after them. The
-next request overwrites those views, so a start that keeps a state copies
-what the state will read; nothing else is copied. It runs each request
+request's arrays in the buffer, and writes its results over them, from the
+buffer's start, so the buffer and the pages this process touches grow only
+to the larger of a request and its reply; where a result views the request,
+it writes them after it instead. The next request overwrites those views,
+so a start that keeps a state copies what the state will read; nothing
+else is copied. It runs each request
 under this process's np.geterr(), and hands back the warnings it raised,
 which this process then warns. An error in the helper, or its death,
 raises QnnError here, with its message.
@@ -141,7 +144,9 @@ def _serve(start, reader, writer, buffer) -> None:
                         outputs, state = start(*arrays, **meta)
                     if state is not None:
                         states[call_id] = state
-                    out_layout, _ = buffer.put(outputs, end)
+                    # over the request, unless an output views it
+                    shared = any(a is not None and np.may_share_memory(a, buffer.bytes) for a in outputs)
+                    out_layout, _ = buffer.put(outputs, end if shared else 0)
                 reply = ("ok", out_layout, state is not None, [(w.category, str(w.message)) for w in caught])
             except Exception as exc:
                 reply = ("error", f"{type(exc).__name__}: {exc}")

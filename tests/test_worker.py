@@ -94,6 +94,44 @@ def test_a_recorded_layer_keeps_its_inputs_past_a_later_request(kind, monkeypatc
         assert np.array_equal(got, ref), name
 
 
+@pytest.fixture
+def own_helper():
+    """Helper(start) for a start of the test's own, stopped afterwards."""
+    helpers = []
+
+    def make(start):
+        helpers.append(worker.Helper(start))
+        return helpers[-1]
+
+    yield make
+    for helper in helpers:
+        helper.stop()
+
+
+def copied(mine, theirs):
+    return [a.copy() for a in theirs]
+
+
+@needs_helper
+def test_an_output_that_views_its_request_comes_back_intact(own_helper):
+    # the fresh output, written first, would land on the request's array if
+    # the reply started at the buffer's offset 0
+    helper = own_helper(lambda a: ([a + 1, a, a[::-1]], None))
+    a = np.arange(1000, dtype=np.float64)
+    got, call = helper.start([a], {}, lambda: None, copied)
+    assert call is None
+    assert [g.tolist() for g in got] == [(a + 1).tolist(), a.tolist(), a[::-1].tolist()]
+
+
+@needs_helper
+def test_a_reply_is_written_over_its_request(own_helper):
+    helper = own_helper(lambda a: ([2 * a], None))
+    a = np.ones(2**17, dtype=np.float64)  # 1 MiB
+    (got,), _ = helper.start([a], {}, lambda: None, copied)
+    assert np.array_equal(got, 2 * a)
+    assert os.fstat(helper._buffer.fd).st_size == a.nbytes
+
+
 @pytest.mark.parametrize("kind", ["qlstm", "lstm"])
 def test_layer_input_gradient_is_skipped_when_the_input_needs_none(kind):
     # stack 0 under a fixed front end: the layer's backward skips d @ wx.T

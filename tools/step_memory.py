@@ -11,6 +11,10 @@ peak_rss_mb does. Prints
 
     graph_mib G      traced bytes held after the forward and the loss
     peak_mib P       the step's traced peak, forward and backward
+    shmem_mib S      the calling process's resident shared memory after the
+                     step (RssShmem in /proc/self/status: the pages of the
+                     helper's buffer it touched), or n/a where that file
+                     does not exist
     node  op  shape  before_mib  peak_mib  after_mib
 
 and one row per backward node in sweep order: the traced bytes when its
@@ -84,6 +88,18 @@ def trace_step(model, batch) -> dict:
     return {"graph": graph, "peak": max(peaks), "nodes": rows}
 
 
+def shmem_mib() -> str:
+    """RssShmem from /proc/self/status in MiB, or n/a where it is not there."""
+    try:
+        with open("/proc/self/status", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("RssShmem:"):
+                    return f"{int(line.split()[1]) / 1024:.2f}"  # kB
+    except OSError:
+        pass
+    return "n/a"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
@@ -95,6 +111,7 @@ def main(argv=None) -> int:
     trace = trace_step(build_model(config), batch)
     print(f"graph_mib {trace['graph'] / MIB:.2f}")
     print(f"peak_mib {trace['peak'] / MIB:.2f}")
+    print(f"shmem_mib {shmem_mib()}")
     print("node  op  shape  before_mib  peak_mib  after_mib")
     for k, (op, shape, before, peak, after) in enumerate(trace["nodes"]):
         shape = "released" if shape == (0,) else "x".join(map(str, shape)) or "scalar"
