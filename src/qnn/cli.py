@@ -3,9 +3,10 @@
 Subcommands: train, eval, selfcheck, synth, params. All output goes to
 stdout as self-describing key=value records; an error goes to stderr as
 one error: line, and the exit code (0 on success) is the one qnn.errors
-declares for its type. Config precedence is defaults < --config file <
-flags. train and eval refuse (exit 2) a model whose parameters plus Adam
-state exceed memory. Every field of ModelConfig (train, eval, params) and
+declares for its type; an interrupt (SIGINT, Ctrl-C) ends a command with
+error: interrupted and exit 130. Config precedence is defaults < --config
+file < flags. train and eval refuse (exit 2) a model whose parameters plus
+Adam state exceed memory. Every field of ModelConfig (train, eval, params) and
 SynthSpec (synth) is a flag, named as the field with dashes or as in
 _FLAG_NAMES, typed by the field's default and limited to config.CHOICES.
 """
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
     except (QnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

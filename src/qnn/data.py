@@ -29,7 +29,7 @@ import math
 import os
 import struct
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +79,17 @@ class UtteranceBatch:
 def atomic_write(path: str, text: bool = False):
     """Open a new file beside path for writing; it replaces path only when
     the block completes, and is removed if the block raises, so a failed
-    write never leaves a partial file at path."""
+    write never leaves a partial file at path. An interrupt that lands in
+    the open or the rename still leaves no new file but path, and is
+    raised as it came."""
     tmp_path = f"{path}.{uuid.uuid4().hex[:12]}.tmp"
-    fh = open(tmp_path, "x", encoding="utf-8") if text else open(tmp_path, "xb")
     try:
-        with fh:
+        with open(tmp_path, "x", encoding="utf-8") if text else open(tmp_path, "xb") as fh:
             yield fh
         os.replace(tmp_path, path)
     except BaseException:
-        os.unlink(tmp_path)
+        with suppress(FileNotFoundError):  # not created yet, or already renamed
+            os.unlink(tmp_path)
         raise
 
 

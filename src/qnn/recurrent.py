@@ -41,9 +41,6 @@ from qnn import layers, worker
 from qnn.layers import FIXED_FRONT_ENDS, FixedFrontEnd, RealLinear, RealToQuatEncoder, quaternion_dropout
 
 GATES = ("f", "i", "c", "o")
-# frames per step of _direction's backward over the (T, B, H) gate arrays
-# where it needs a scratch; a fixed number keeps that scratch small
-GI_FRAMES = 32
 
 
 class _LSTMCell:
@@ -114,26 +111,6 @@ def gate_affine(hidden: int, dtype):
     return scale, 1 - scale
 
 
-def lstm_gates(block: np.ndarray, gates, c_prev: np.ndarray, affine, c_out, tanh_out, h_out) -> None:
-    """Gate arithmetic on plain arrays, in place: block is the gate-major
-    (4, ..., hidden) pre-activation [f, i, c, o] already multiplied by
-    affine's scale, and on return holds the activated gates; gates is
-    tuple(block), its four gate slices, which a caller running many frames
-    makes once; affine is gate_affine's (scale, shift) per gate, shaped to
-    broadcast over block. c_t, tanh(c_t) and h_t are written into c_out,
-    tanh_out and h_out."""
-    scale, shift = affine
-    np.tanh(block, out=block)
-    block *= scale
-    block += shift
-    f, i, g, o = gates
-    np.multiply(f, c_prev, out=c_out)
-    np.multiply(i, g, out=tanh_out)
-    c_out += tanh_out
-    np.tanh(c_out, out=tanh_out)
-    np.multiply(o, tanh_out, out=h_out)
-
-
 def _direction(x, mask, wx, wh, bias, record: bool):
     """The LSTM recurrence of one direction on plain arrays, walking the
     (T, B, input) array x and the (T, B) mask in their time order with the
@@ -157,11 +134,10 @@ def _direction(x, mask, wx, wh, bias, record: bool):
     gate-major (4, B, H) block, and one tanh over that block, using
     sigmoid(x) = tanh(x/2)/2 + 1/2 with the halving folded into W, the bias
     and R once per call (gate_affine); the cell-state and output arithmetic
-    (lstm_gates) then runs on the block's contiguous (B, H) gate slices,
-    with tanh(c) in a per-frame scratch. Only when record is set (a graph
-    node will hold the backward) is each frame's activated block copied
-    back into the gate array, which becomes the gate cache; evaluation
-    skips the copy.
+    then runs on the block's contiguous (B, H) gate slices, with tanh(c) in
+    a per-frame scratch. Only when record is set (a graph node will hold the
+    backward) is each frame's activated block copied back into the gate
+    array, which becomes the gate cache; evaluation skips the copy.
 
     Padding. On a padded frame the forward zeroes h and c and the backward
     zeroes d_h and d_c, so the direction starts every sequence from the
@@ -176,19 +152,18 @@ def _direction(x, mask, wx, wh, bias, record: bool):
     frames over the c states and multiplies it by o there, which rebuilds
     the forward's h states bit for bit for the d_wh GEMM; it writes its
     local derivatives over the gate cache, keeping a copy of the forget
-    gate, with g i in a scratch of GI_FRAMES frames. Its one reversed loop
-    makes per frame one joint
-    [d_c, d_c, d_c, d_h] product and one matmul against the transposed
-    recurrent map; the input-gradient GEMM runs only for input_grad, and
-    each cell splits the W, bias and R gradients back per component
-    (split_grads).
+    gate, and holds g i in the buffer that then takes through. Its one
+    reversed loop makes per frame one joint [d_c, d_c, d_c, d_h] product
+    and one matmul against the transposed recurrent map; the input-gradient
+    GEMM runs only for input_grad, and each cell splits the W, bias and R
+    gradients back per component (split_grads).
 
     Both loops walk their arrays' frames by iteration, not by index: the
-    forward zips the gate rows, h and c states and cache frames and hands
-    lstm_gates the block's four gate slices made once; the backward zips
-    the reversed incoming gradient, keep columns, through, gate-gradient
-    and forget-gate frames, and drops that zip and its last frames before
-    the closing GEMMs, since their views would keep f and through alive.
+    forward zips the gate rows, h and c states and cache frames and works on
+    the block's four gate slices, made once; the backward zips the reversed
+    incoming gradient, keep columns, through, gate-gradient and forget-gate
+    frames, and drops that zip and its last frames before the closing
+    GEMMs, since their views would keep f and through alive.
     """
     t_len, batch, n_in = x.shape
     hidden = wh.shape[0]
@@ -211,18 +186,25 @@ def _direction(x, mask, wx, wh, bias, record: bool):
     recurrent_block = recurrent.reshape(batch, 4, hidden).transpose(1, 0, 2)
     gate_blocks = gates.reshape(t_len, batch, 4, hidden).transpose(0, 2, 1, 3)
     # per gate over the whole block: an operand of the block's shape takes numpy's contiguous path
-    block_affine = [np.broadcast_to(a[::hidden, None, None], block.shape).copy() for a in affine]
+    scale, shift = (np.broadcast_to(a[::hidden, None, None], block.shape).copy() for a in affine)
     # a padded frame's state is zeroed by its (B, 1) keep column; None where every row is valid
     keeps = [None] * t_len
     for t in np.flatnonzero(~mask.all(axis=1)).tolist():
         keeps[t] = mask[t, :, None].astype(dtype)
-    block_gates = tuple(block)
+    f, i, g, o = block
     frames = zip(gates, h_states[:-1], h_states[1:], c_states[:-1], c_states[1:], gate_blocks, keeps)
     for projected, h_prev, h, c_prev, c, cache, keep in frames:
         np.matmul(h_prev, wh_scaled, out=recurrent)
         recurrent += projected
         np.copyto(block, recurrent_block)
-        lstm_gates(block, block_gates, c_prev, block_affine, c, tanh_c, h)
+        np.tanh(block, out=block)
+        block *= scale
+        block += shift
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=tanh_c)
+        c += tanh_c
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h)
         if record:
             cache[...] = block
         if keep is not None:
@@ -232,19 +214,26 @@ def _direction(x, mask, wx, wh, bias, record: bool):
     def backward(grad, input_grad: bool):
         # d pre_t = [d_c, d_c, d_c, d_h] * local_t, and d_c picks up d_h * through_t.
         # local, then d_pre, is written over the gate cache, so f is copied
-        # first for the loop. tanh(c), then o * tanh(c), is written over the
-        # c states, which then hold the forward's h states for the closing
-        # d_wh GEMM: tanh(0) * o is h_0, and on a padded frame the zeroed c
-        # gives h's zero, of the same sign as o >= 0. g * i goes to a scratch
-        # of GI_FRAMES frames. On padded frames the recomputed tanh(c) only
+        # first for the loop; l_g and l_i are g and i, written over in place.
+        # The through buffer holds 1 - f, then g * i, then through_t.
+        # tanh(c), then o * tanh(c), is written over the c states, which then
+        # hold the forward's h states for the closing d_wh GEMM: tanh(0) * o
+        # is h_0, and on a padded frame the zeroed c gives h's zero, of the
+        # same sign as o >= 0. On padded frames the recomputed tanh(c) only
         # meets gradients keep zeroed.
         d_pre = gates
         l_f, _, _, l_o = f, i, g, o = np.split(d_pre, 4, axis=2)
         f = f.copy()
         np.multiply(c_states[:-1], f, out=l_f)
         tanh_c = np.tanh(c_states, out=c_states)[1:]
-        through = np.subtract(1, f)  # 1 - f first, then through_t in the same buffer
+        through = np.subtract(1, f)
         l_f *= through
+        np.multiply(g, i, out=through)
+        np.multiply(g, g, out=g)
+        np.subtract(1, g, out=g)
+        g *= i
+        np.subtract(1, i, out=i)
+        i *= through
         np.multiply(tanh_c, tanh_c, out=through)
         np.subtract(1, through, out=through)
         through *= o
@@ -252,16 +241,6 @@ def _direction(x, mask, wx, wh, bias, record: bool):
         np.subtract(1, o, out=l_o)
         l_o *= tanh_c
         del tanh_c
-        scratch = np.empty((GI_FRAMES, batch, hidden), dtype=dtype)
-        for start in range(0, t_len, GI_FRAMES):
-            # l_g and l_i are g and i, written over in place
-            g_t, i_t = g[start:start + GI_FRAMES], i[start:start + GI_FRAMES]
-            gi = np.multiply(g_t, i_t, out=scratch[:len(g_t)])
-            np.multiply(g_t, g_t, out=g_t)
-            np.subtract(1, g_t, out=g_t)
-            g_t *= i_t
-            np.subtract(1, i_t, out=i_t)
-            i_t *= gi
         d_h, d_c = np.zeros((2, batch, hidden), dtype=dtype)  # each frame makes new ones
         wh_t = wh.T
         frames = zip(grad[::-1], reversed(keeps), through[::-1], d_pre[::-1], f[::-1])

@@ -4,9 +4,14 @@ import argparse
 import dataclasses
 import itertools
 import math
+import os
+import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from qnn.config import CHOICES, ModelConfig, parse_config_file, resolve_config
 from qnn.data import SynthSpec, Utterance, read_features, write_features
 from qnn.errors import ConfigError, DataError, FormatError
 from qnn.recurrent import build_model, count_params, param_breakdown, symbolic_param_counts
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def record_lines(capsys, key):
@@ -804,3 +811,28 @@ def test_each_command_accepts_its_options_and_each_flag_sets_its_field(command):
         parsed = vars(parser.parse_args([*required, flag, str(value)]))
         assert {key for key in parsed if parsed[key] != unset[key]} == {name}, flag
         assert type(parsed[name]) is kind and parsed[name] == value, flag
+
+
+def test_sigint_during_train_ends_in_one_error_line_and_exit_130(tmp_path):
+    assert main(synth_args(tmp_path / "data")) == 0
+    out = tmp_path / "run"
+    args = ["train", "--train", str(tmp_path / "data" / "train.qfea"), "--valid",
+            str(tmp_path / "data" / "valid.qfea"), "--out", str(out), *TRAIN_FLAGS, "--epochs", "1000"]
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+    # a process started in the background ignores SIGINT, and its children inherit that
+    proc = subprocess.Popen([sys.executable, "-m", "qnn.cli", *args], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        assert proc.stdout.readline().startswith("epoch=1 ")
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert err == "error: interrupted\n"
+    lines = (out / "metrics.txt").read_text().splitlines(keepends=True)
+    assert lines and all(line.startswith("epoch=") and line.endswith("\n") for line in lines)
+    assert [line.split()[0] for line in lines] == [f"epoch={k}" for k in range(1, len(lines) + 1)]
+    assert not list(out.glob("*.tmp"))

@@ -1,7 +1,9 @@
 """tools/compare.py's summary of paired benchmark runs, fed canned run
-records: no git checkout and no benchmark process is started."""
+records, and the run bound of it and tools/same_seed.py: no git checkout
+and no benchmark process is started."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import compare  # noqa: E402
+import same_seed  # noqa: E402
 
 DECLARED = {"train_frames_per_s": {"unit": "frames/s", "better": "higher", "bound": 0.25},
             "peak_rss_mb": {"unit": "MB", "better": "lower", "bound": 0.2}}
@@ -118,3 +121,50 @@ def test_summary_lines_give_each_sides_ratio_to_the_base_with_its_quartiles(tmp_
         "head_wins=2/2 head/base=1.100 [1.100, 1.100]",
         "peak_rss_mb: base=50 control=50 head=50 control_wins=0/2 control/base=1.000 [1.000, 1.000] "
         "head_wins=0/2 head/base=1.000 [1.000, 1.000]"]
+
+
+def test_a_run_that_times_out_is_not_correct_and_main_exits_1(tmp_path, monkeypatch):
+    timeouts = []
+
+    def hung_run(args, **kwargs):
+        timeouts.append(kwargs["timeout"])
+        raise subprocess.TimeoutExpired(args, kwargs["timeout"], output=b"partial")
+
+    monkeypatch.setattr(subprocess, "run", hung_run)
+    bench = compare.bench_run(tmp_path, "train_short", 1, 50)
+    assert timeouts == [compare.TIMEOUT_RUNS * 50]
+    assert bench["correct"] is False and bench["exit"] is None and "metrics" not in bench
+    assert bench["stderr"] == f"timed out after {compare.TIMEOUT_RUNS * 50} s"
+    tier1 = compare.tier1_run(tmp_path, 120)
+    assert timeouts[-1] == 120
+    assert tier1["correct"] is False and tier1["exit"] is None and "metrics" not in tier1
+    assert tier1["summary"] == "timed out after 120 s"
+
+    # main records the killed runs and exits 1
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 50, "end_to_end": [dict(name=name, **spec) for name, spec in DECLARED.items()]}))
+    monkeypatch.setattr(compare, "ROOT", tmp_path)
+    monkeypatch.setattr(compare, "resolve", lambda rev: rev)
+    monkeypatch.setattr(compare, "unpack", lambda sha, tree: tree.mkdir())
+    assert compare.main(["--base", "HEAD~1", "--workload", "train_short", "--seeds", "1"]) == 1
+    out = json.loads((tmp_path / "BENCH_train_short.json").read_text())
+    assert out["correct"] is False and [r["correct"] for r in out["runs"]] == [False] * 3
+    assert out["metrics"]["train_frames_per_s"]["head"] is None
+
+
+def test_same_seed_reports_a_timed_out_command_and_exits_1(tmp_path, monkeypatch, capsys):
+    def hung_run(args, **kwargs):
+        if args[-1] == "selfcheck":
+            raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+        return subprocess.CompletedProcess(args, 0, "ok\n", "")
+
+    monkeypatch.setattr(subprocess, "run", hung_run)
+    records = same_seed.run_side(tmp_path / "src", tmp_path / "work")
+    assert records["selfcheck"] == f"exit=None\n--- stderr\ntimed out after {same_seed.COMMAND_TIMEOUT_S} s"
+    assert records["synth"] == "exit=0\nok\n--- stderr\n"
+
+    monkeypatch.setattr(same_seed, "run_side", lambda src, work, threads=None: dict(records))
+    assert same_seed.main(["--threads"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["timed out: base selfcheck", "timed out: head selfcheck"]
+    assert lines[-1].endswith(" 0 differ")

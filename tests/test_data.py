@@ -1,11 +1,13 @@
 """Feature files, batching, layout composition, and the synthetic task."""
 
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qnn import data
 from qnn.data import (
     SynthSpec,
     Utterance,
@@ -115,6 +117,30 @@ def test_failed_qfea_write_keeps_earlier_file(tmp_path):
         write_features(path, random_utts(rng, count=2) + [bad])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["feats.qfea"]
+
+
+@pytest.mark.parametrize("where", ["open", "rename"])
+def test_an_interrupt_in_the_open_or_the_rename_leaves_no_temporary_file(tmp_path, monkeypatch, where):
+    # a signal that lands during a call is raised as soon as the call returns
+    path = tmp_path / "f.txt"
+    path.write_text("earlier\n")
+    real = {"open": open, "rename": os.replace}[where]
+
+    def interrupted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if result is not None:
+            result.close()
+        raise KeyboardInterrupt
+
+    if where == "open":
+        monkeypatch.setattr(data, "open", interrupted, raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        with data.atomic_write(str(path), text=True) as fh:
+            fh.write("new\n")
+    assert path.read_text() == ("earlier\n" if where == "open" else "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
 
 # --- CSV fallback --------------------------------------------------------

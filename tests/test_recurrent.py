@@ -25,7 +25,6 @@ from qnn.recurrent import (
     count_params,
     gate_affine,
     layer_plan,
-    lstm_gates,
     lstm_layer,
     param_breakdown,
     run_direction,
@@ -56,15 +55,13 @@ def make_batch(features, lengths):
 
 def step(cell, x, h_prev, c_prev):
     """One frame of run_direction's recurrence from a given state, on plain
-    arrays: the cell's prepared maps, then lstm_gates on the gate-major
-    (4, B, H) block."""
+    arrays: the cell's prepared maps, then this file's parent_lstm_gates on
+    the (B, 4H) block."""
     wx, wh, bias = cell.prepared()
-    hidden = cell.hidden_size
-    affine = gate_affine(hidden, wh.dtype)
+    affine = gate_affine(cell.hidden_size, wh.dtype)
     gates = (x @ wx + bias + h_prev @ wh) * affine[0]
-    block = np.ascontiguousarray(gates.reshape(-1, 4, hidden).transpose(1, 0, 2))
     h, c = np.empty_like(c_prev), np.empty_like(c_prev)
-    lstm_gates(block, tuple(block), c_prev, [a[::hidden].reshape(4, 1, 1) for a in affine], c, np.empty_like(c), h)
+    parent_lstm_gates(gates, c_prev, affine, c, np.empty_like(c), h)
     return h, c
 
 
@@ -265,7 +262,7 @@ def test_ragged_rollout_gradients_match_finite_differences(kind):
 
 
 def parent_lstm_gates(gates, c_prev, affine, c_out, tanh_out, h_out):
-    """lstm_gates as the parent kernel ran it, on the (B, 4*hidden) block
+    """The gate arithmetic as the parent kernel ran it, on the (B, 4*hidden) block
     [f | i | c | o] with gate_affine's per-column (scale, shift)."""
     scale, shift = affine
     np.tanh(gates, out=gates)

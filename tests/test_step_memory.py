@@ -1,10 +1,13 @@
-"""tools/step_memory.py's per-layer trace of one training step, on train_short."""
+"""tools/step_memory.py's per-layer trace of one training step, on train_short,
+and its exit when its stdout closes early."""
 
 import os
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(TOOLS))
 import step_memory  # noqa: E402
 
 
@@ -33,3 +36,19 @@ def test_step_memory_prints_graph_peak_and_a_row_per_backward_node(capsys):
     for f in fields:
         before, node_peak, after = map(float, f[3:])
         assert max(before, after) <= node_peak <= peak_mib
+
+
+def test_a_stdout_closed_early_ends_the_tool_without_a_traceback():
+    proc = subprocess.Popen([sys.executable, str(TOOLS / "step_memory.py"), "--workload", "train_short"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONUNBUFFERED="1"))  # each line reaches the pipe at once
+    try:
+        assert proc.stdout.readline().startswith("workload train_short seed 1 ")
+        proc.stdout.close()  # as `| head -1` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""

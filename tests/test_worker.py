@@ -225,17 +225,19 @@ if sys.argv[1] == "wait":
 
 
 @needs_helper
-@pytest.mark.parametrize("ending", ["exit", "sigkill"])
+@pytest.mark.parametrize("ending", ["exit", "sigkill", "sigint"])
 def test_no_helper_outlives_its_process(ending):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.Popen([sys.executable, "-c", TWO_CELL_FORWARD, "wait" if ending == "sigkill" else "exit"],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True)
+    # a process started in the background ignores SIGINT, and its children inherit that
+    proc = subprocess.Popen([sys.executable, "-c", TWO_CELL_FORWARD, "exit" if ending == "exit" else "wait"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         pid = int(proc.stdout.readline())
-        if ending == "sigkill":
+        if ending != "exit":
             assert alive(pid)
-            proc.kill()
-        assert proc.wait(timeout=30) == (-signal.SIGKILL if ending == "sigkill" else 0)
+            proc.send_signal(signal.SIGKILL if ending == "sigkill" else signal.SIGINT)
+        assert proc.wait(timeout=30) == {"exit": 0, "sigkill": -signal.SIGKILL, "sigint": -signal.SIGINT}[ending]
     finally:
         proc.kill()
         proc.wait()

@@ -16,10 +16,11 @@ metric BENCHMARK.json declares, it holds each side's median and [Q1, Q3]
 (perfbench/sweep.py's summarise), the per-seed head/base and control/base
 ratios, and how many seeds each of head and control beat the base in the
 metric's `better` direction (ties count for neither). It also holds each
-side's stamp and every run's correct and failed counts. Exits 1 if any run
-is not correct. Its closing lines print per metric each side's median and,
-per side beside the base, its wins and its median ratio to the base with
-[Q1, Q3], e.g. `head_wins=9/10 head/base=1.120 [1.090, 1.150]`.
+side's stamp and every run's correct and failed counts. A run still going
+after TIMEOUT_RUNS x run_seconds is killed and is not correct. Exits 1 if
+any run is not correct. Its closing lines print per metric each side's
+median and, per side beside the base, its wins and its median ratio to the
+base with [Q1, Q3], e.g. `head_wins=9/10 head/base=1.120 [1.090, 1.150]`.
 
 With --tier1 it times the Tier-1 suite instead (ROADMAP.md's command, with
 each side's own src), 5 rounds of base and head alternating which goes
@@ -31,13 +32,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from same_seed import ROOT, resolve, unpack
+from same_seed import ROOT, resolve, run_bounded, unpack
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from sweep import _seeds, summarise  # noqa: E402
@@ -46,14 +46,16 @@ SIDES = ("base", "control", "head")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_METRIC = {"tier1_wall_s": {"unit": "s", "better": "lower", "bound": None}}
 TIER1_ROUNDS = 5
+# a benchmark or Tier-1 run is killed after this many times run_seconds: a
+# benchmark run lasts about run_seconds, and Tier-1 took under it
+TIMEOUT_RUNS = 10
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py --trace 0` process in tree: its stamp, verdict and metric values."""
     started = time.monotonic()
-    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, capture_output=True, text=True)
+    done = run_bounded([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                        "--seconds", str(seconds), "--trace", "0"], TIMEOUT_RUNS * seconds, cwd=tree)
     record = {"exit": done.returncode, "wall_s": time.monotonic() - started, "correct": False, "failed": None}
     lines = done.stdout.splitlines()
     try:
@@ -67,15 +69,19 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
-def tier1_run(tree: Path) -> dict:
-    """One Tier-1 run in tree with its src first on PYTHONPATH: wall time and pytest's last line."""
+def tier1_run(tree: Path, timeout: float) -> dict:
+    """One Tier-1 run in tree with its src first on PYTHONPATH, killed after
+    timeout seconds: wall time and pytest's last line."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"),
                                                                     os.environ.get("PYTHONPATH")])))
     started = time.monotonic()
-    done = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    done = run_bounded(TIER1, timeout, cwd=tree, env=env)
     wall = time.monotonic() - started
-    return {"exit": done.returncode, "wall_s": wall, "correct": done.returncode == 0,
-            "summary": (done.stdout.strip().splitlines() or [""])[-1], "metrics": {"tier1_wall_s": wall}}
+    record = {"exit": done.returncode, "wall_s": wall, "correct": done.returncode == 0,
+              "summary": (done.stdout.strip().splitlines() or [done.stderr])[-1]}
+    if done.returncode is not None:  # a killed run's wall time is only its bound
+        record["metrics"] = {"tier1_wall_s": wall}
+    return record
 
 
 def _beats(value: float, base: float, better: str) -> bool:
@@ -156,7 +162,7 @@ def main(argv=None) -> int:
         trees["head"] = ROOT
         for pair, sides in schedule:
             for position, side in enumerate(sides):
-                record = (tier1_run(trees[side]) if args.tier1 else
+                record = (tier1_run(trees[side], TIMEOUT_RUNS * declared["run_seconds"]) if args.tier1 else
                           bench_run(trees[side], args.workload, pair, declared["run_seconds"]))
                 runs.append(dict(record, pair=pair, side=side, position=position))
                 print(f"pair={pair} side={side} wall={record['wall_s']:.1f}s correct={record['correct']} "

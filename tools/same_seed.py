@@ -18,8 +18,10 @@ at =2. The commands are:
 
 Every file the commands write is compared byte for byte, and every output
 record (exit code, stdout and stderr) with the side's directory and
-`seconds=` fields stripped. Prints one line per difference and a summary;
-exits 1 if anything differs. The temporary directory is deleted afterwards.
+`seconds=` fields stripped. A command that runs longer than COMMAND_TIMEOUT_S
+is killed and recorded as timed out. Prints one line per difference and per
+timed-out command, and a summary; exits 1 if anything differs or timed out.
+The temporary directory is deleted afterwards.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ TRAIN = ["--epochs", "3", "--r2h-size", "32", "--depth", "2", "--hidden", "16", 
 LONG = ["--dim", "12", "--train-utts", "8", "--valid-utts", "4", "--test-utts", "4",
         "--seg-min", "25", "--seg-max", "25", "--segments", "6", "--seed", "5"]
 SECONDS = re.compile(r"seconds=\S+")
+# each command takes seconds; a bound far above that stops a hung one
+COMMAND_TIMEOUT_S = 600
 
 
 def commands():
@@ -76,11 +80,20 @@ def run_side(src: Path, work: Path, threads: str | None = None) -> dict:
         env["OPENBLAS_NUM_THREADS"] = threads
     records = {}
     for name, args in commands():
-        done = subprocess.run([sys.executable, "-m", "qnn.cli", *args], cwd=work, env=env,
-                              capture_output=True, text=True)
+        done = run_bounded([sys.executable, "-m", "qnn.cli", *args], COMMAND_TIMEOUT_S, cwd=work, env=env)
         text = f"exit={done.returncode}\n{done.stdout}--- stderr\n{done.stderr}"
         records[name] = SECONDS.sub("seconds=", text.replace(str(work), "<work>"))
     return records
+
+
+def run_bounded(args: list, timeout: float, **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run with text output captured, killed after timeout seconds;
+    a killed run comes back with returncode None, no stdout and a stderr
+    that gives the bound."""
+    try:
+        return subprocess.run(args, capture_output=True, text=True, timeout=timeout, **kwargs)
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(args, None, "", f"timed out after {timeout:g} s")
 
 
 def files(work: Path) -> dict:
@@ -131,11 +144,13 @@ def main(argv=None) -> int:
             head_records = run_side(ROOT / "src", Path(tmp, "head"))
         base_files, head_files = files(Path(tmp, "base")), files(Path(tmp, "head"))
     diffs = differences(base_files, head_files, "file") + differences(base_records, head_records, "record")
+    timed_out = [f"timed out: {side} {name}" for side, records in (("base", base_records), ("head", head_records))
+                 for name, text in records.items() if text.startswith("exit=None\n")]
     tree = f"{args.base} ({sha[:12]})" if sha else "working tree"
     sides = f"{tree} threads=1 vs threads=2" if args.threads else f"base={tree} head=working tree"
-    print("\n".join(diffs + [f"same_seed {sides}: "
-                             f"{len(head_files)} files, {len(head_records)} records, {len(diffs)} differ"]))
-    return 1 if diffs else 0
+    print("\n".join(diffs + timed_out + [f"same_seed {sides}: "
+                                         f"{len(head_files)} files, {len(head_records)} records, {len(diffs)} differ"]))
+    return 1 if diffs or timed_out else 0
 
 
 if __name__ == "__main__":

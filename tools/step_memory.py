@@ -23,12 +23,14 @@ op output whose array the forward released (autograd.release) shows the
 shape `released`.
 Unlike perfbench's autograd.graph_mb, which sums the tape tensors' arrays,
 this counts every array the graph holds, those kept in backward closures
-included.
+included. A stdout closed early, as by `| head`, ends the run quietly with
+exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -120,4 +122,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the Python docs' SIGPIPE note: no more writes, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
