@@ -4,8 +4,10 @@ Subcommands: train, eval, selfcheck, synth, params. All output goes to
 stdout as self-describing key=value records; an error goes to stderr as
 one error: line, and the exit code (0 on success) is the one qnn.errors
 declares for its type; an interrupt (SIGINT, Ctrl-C) ends a command with
-error: interrupted and exit 130. Config precedence is defaults < --config
-file < flags. train and eval refuse (exit 2) a model whose parameters plus
+error: interrupted and exit 130; a stdout closed before the command has
+written all its output (qnn params | head -1) ends it with nothing on
+stderr and exit 141, 128 + SIGPIPE. Config precedence is defaults <
+--config file < flags. train and eval refuse (exit 2) a model whose parameters plus
 Adam state exceed memory. Every field of ModelConfig (train, eval, params) and
 SynthSpec (synth) is a flag, named as the field with dashes or as in
 _FLAG_NAMES, typed by the field's default and limited to config.CHOICES.
@@ -218,7 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed stdout raises inside the try
+        return code
+    except BrokenPipeError:  # the Python docs' SIGPIPE note: no more writes, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (QnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)

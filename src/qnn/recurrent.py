@@ -287,7 +287,10 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
     It runs through recurrent._helper, bound once at the forward: in the
     helper process (qnn.worker) while the first runs here, forward and
     backward, so the two directions take the host's two cores, or where no
-    helper can run in its in-process stand-in, after the first.
+    helper can run in its in-process stand-in, after the first. The forward
+    starts it with helper.call(None, ...), which returns the state the
+    helper keeps for a recorded forward; the backward resumes that state
+    with helper.call(state, ...).
     """
     if mask.shape != seq.shape[:2]:
         raise DimensionError(f"mask shape {mask.shape} does not match sequence {seq.shape[:2]}")
@@ -311,8 +314,8 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
     if len(cells) == 1:
         ((out,), forward_backward), reverse = forward_cell(), None
     else:
-        (out, forward_backward), reverse = helper.start(
-            [seq.data[::-1], mask[::-1], *params[1]], {"record": record}, forward_cell, add_reverse)
+        (out, forward_backward), reverse = helper.call(
+            None, [seq.data[::-1], mask[::-1], *params[1]], {"record": record}, forward_cell, add_reverse)
 
     def backward(grad):
         input_grad = seq.requires_grad
@@ -330,8 +333,8 @@ def lstm_layer(seq: Tensor, mask: np.ndarray, cells) -> Tensor:
 
         if len(cells) == 1:
             return forward_cell_backward()
-        return helper.resume(reverse, [grad[::-1]], {"input_grad": input_grad},
-                             forward_cell_backward, add_reverse_grads)
+        return helper.call(reverse, [grad[::-1]], {"input_grad": input_grad},
+                           forward_cell_backward, add_reverse_grads)[0]
 
     return op_result(out, inputs, "lstm_layer", backward)
 

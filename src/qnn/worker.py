@@ -6,7 +6,9 @@ helper(start, start_here) pins BLAS to one thread in this process and
 returns a Helper running start. Where no helper can run (no fork on
 Windows, no memfd_create off Linux, or no thread setter in the loaded
 OpenBLAS) it pins nothing and returns an InProcess stand-in with the same
-interface, which runs start_here in this process. The pin comes first,
+one entry, call, which runs start_here in this process. A call either
+starts, running start, or resumes a state that an earlier start kept,
+and runs the caller's own work here meanwhile. The pin comes first,
 before any GEMM, so a process's GEMMs all run at the same thread count,
 whatever the environment asks for, and their bits do not depend on it.
 
@@ -18,13 +20,14 @@ this process closes the pipe or dies. An atexit handler kills and reaps it.
 One request at a time crosses, under a lock. Its arrays cross through one
 shared buffer that both processes map, a memfd that whichever side writes
 past its end grows with ftruncate; control messages are pickles on a pipe
-pair. The helper hands start, or the kept state it resumes, views of the
-request's arrays in the buffer, and writes its results over them, from the
-buffer's start, so the buffer and the pages this process touches grow only
-to the larger of a request and its reply; where a result views the request,
-it writes them after it instead. The next request overwrites those views,
-so a start that keeps a state copies what the state will read; nothing
-else is copied. It runs each request
+pair. The helper keeps the states its starts return under numbers it
+gives them, and a request names the one it resumes. It hands start, or
+that state, views of the request's arrays in the buffer, and writes its
+results over them, from the buffer's start, so the buffer and the pages
+this process touches grow only to the larger of a request and its reply;
+where a result views the request, it writes them after it instead. The
+next request overwrites those views, so a start that keeps a state copies
+what the state will read; nothing else is copied. It runs each request
 under this process's np.geterr(), and hands back the warnings it raised,
 which this process then warns. An error in the helper, or its death,
 raises QnnError here, with its message.
@@ -120,16 +123,18 @@ class _Buffer:
 
 
 def _serve(start, reader, writer, buffer) -> None:
-    """The helper's loop; never returns. A request is (call id, resume,
-    layout, end, meta, errstate, freed ids); a reply ("ok", layout, kept,
-    warnings) or ("error", message)."""
+    """The helper's loop; never returns. A request is (the number of the
+    kept state to resume, or None to run start; layout, end, meta, errstate,
+    the numbers of states to drop); a reply ("ok", layout, the number the
+    helper keeps the new state under or None, warnings) or ("error",
+    message). States are numbered in the order they are kept, from 0."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     gc.freeze()  # collections then leave the pages shared at the fork alone
-    states = {}
+    states, numbers = {}, itertools.count()
     try:
         while True:
             try:
-                call_id, resume, layout, end, meta, errstate, freed = pickle.load(reader)
+                number, layout, end, meta, errstate, freed = pickle.load(reader)
             except EOFError:
                 break
             for done in freed:
@@ -138,16 +143,17 @@ def _serve(start, reader, writer, buffer) -> None:
                 with np.errstate(**errstate), warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     arrays = buffer.get(layout)
-                    if resume:
-                        outputs, state = states.pop(call_id)(*arrays, **meta), None
-                    else:
+                    if number is None:
                         outputs, state = start(*arrays, **meta)
-                    if state is not None:
-                        states[call_id] = state
+                    else:
+                        outputs, state = states.pop(number)(*arrays, **meta), None
                     # over the request, unless an output views it
                     shared = any(a is not None and np.may_share_memory(a, buffer.bytes) for a in outputs)
                     out_layout, _ = buffer.put(outputs, end if shared else 0)
-                reply = ("ok", out_layout, state is not None, [(w.category, str(w.message)) for w in caught])
+                    kept = None if state is None else next(numbers)
+                    if state is not None:
+                        states[kept] = state
+                reply = ("ok", out_layout, kept, [(w.category, str(w.message)) for w in caught])
             except Exception as exc:
                 reply = ("error", f"{type(exc).__name__}: {exc}")
             pickle.dump(reply, writer)
@@ -157,53 +163,47 @@ def _serve(start, reader, writer, buffer) -> None:
 
 
 class Call:
-    """A state the helper kept for one start. If this object is collected
-    without being resumed, the next request tells the helper to drop it."""
+    """A state the helper kept for one start, under the number it gave it.
+    If this object is collected without being resumed, the next request to
+    that helper tells it to drop the state."""
 
-    def __init__(self, pid: int, call_id: int, freed: deque):
-        self.pid, self.id = pid, call_id
-        self.release = weakref.finalize(self, freed.append, call_id)
+    def __init__(self, pid: int, number: int, freed: deque):
+        self.pid, self.number = pid, number
+        self.release = weakref.finalize(self, freed.append, (pid, number))
 
 
 class Helper:
-    """One helper process: start(*arrays, **meta) -> (outputs, state or None)
-    runs in it, and a kept state is resumed as state(*arrays, **meta) ->
-    outputs. Outputs are lists of arrays or None. The arrays either gets are
-    views of the shared buffer, valid until its reply: a state must not
-    keep one."""
+    """One helper process, entered through call: start(*arrays, **meta) ->
+    (outputs, state or None) runs in it, and a kept state is resumed as
+    state(*arrays, **meta) -> outputs. Outputs are lists of arrays or None.
+    The arrays either gets are views of the shared buffer, valid until its
+    reply: a state must not keep one."""
 
     def __init__(self, start):
         self._start = start
         self._lock = threading.Lock()
-        self._ids = itertools.count()
         self._freed = deque()
         self._owner = self.pid = None  # the forking process's pid and the helper's
         atexit.register(self.stop)
 
-    def start(self, arrays, meta: dict, local, combine):
-        """Run start(*arrays, **meta) in the helper while local() runs here.
-        Returns combine(local's result, the helper's outputs) and a Call for
-        the kept state, or None; the outputs are views of the shared buffer,
-        valid only inside combine."""
-        return self._run(None, arrays, meta, local, combine)
-
-    def resume(self, call: Call, arrays, meta: dict, local, combine):
-        """As start, but the helper runs call's kept state(*arrays, **meta)
-        and then drops it. Returns combine's result."""
-        if call.pid != self.pid or self._owner != os.getpid():
-            raise QnnError("the helper process that ran this call has ended")
-        call.release.detach()
-        return self._run(call.id, arrays, meta, local, combine)[0]
-
-    def _run(self, resume, arrays, meta, local, combine):
+    def call(self, state: Call | None, arrays, meta: dict, local, combine):
+        """Run start(*arrays, **meta) in the helper, or given a Call, the
+        state it kept, which the helper then drops, while local() runs here.
+        Returns (combine(local's result, the helper's outputs), a Call for
+        the state a start kept, or None); the outputs are views of the shared
+        buffer, valid only inside combine. Only a start forks a helper."""
         with self._lock:
-            if self._owner != os.getpid():
+            if state is not None:
+                if state.pid != self.pid or self._owner != os.getpid():
+                    raise QnnError("the helper process that ran this call has ended")
+                state.release.detach()
+            elif self._owner != os.getpid():
                 self._fork()
-            call_id = next(self._ids) if resume is None else resume
-            freed = [self._freed.popleft() for _ in range(len(self._freed))]
+            # a replacement helper numbers its states from 0 again, so drop only this one's
+            freed = [n for pid, n in (self._freed.popleft() for _ in range(len(self._freed))) if pid == self.pid]
             layout, end = self._buffer.put(arrays)
             try:
-                pickle.dump((call_id, resume is not None, layout, end, meta, np.geterr(), freed), self._writer)
+                pickle.dump((getattr(state, "number", None), layout, end, meta, np.geterr(), freed), self._writer)
                 self._writer.flush()
             except OSError:
                 self._fail()
@@ -215,9 +215,9 @@ class Helper:
                 raise QnnError(f"helper process: {reply[1]}")
             _, out_layout, kept, caught = reply
             for category, message in caught:
-                warnings.warn(message, category, stacklevel=3)
+                warnings.warn(message, category, stacklevel=2)
             result = combine(mine, self._buffer.get(out_layout))
-            return result, Call(self.pid, call_id, self._freed) if kept else None
+            return result, None if kept is None else Call(self.pid, kept, self._freed)
 
     def _receive(self):
         try:
@@ -287,13 +287,10 @@ class InProcess:
     def __init__(self, start):
         self._start = start
 
-    def start(self, arrays, meta: dict, local, combine):
+    def call(self, state, arrays, meta: dict, local, combine):
         mine = local()
-        outputs, state = self._start(*arrays, **meta)
-        return combine(mine, outputs), state
-
-    def resume(self, state, arrays, meta: dict, local, combine):
-        return combine(local(), state(*arrays, **meta))
+        outputs, kept = self._start(*arrays, **meta) if state is None else (state(*arrays, **meta), None)
+        return combine(mine, outputs), kept
 
 
 def helper(start, start_here) -> Helper | InProcess:

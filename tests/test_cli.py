@@ -836,3 +836,18 @@ def test_sigint_during_train_ends_in_one_error_line_and_exit_130(tmp_path):
     assert lines and all(line.startswith("epoch=") and line.endswith("\n") for line in lines)
     assert [line.split()[0] for line in lines] == [f"epoch={k}" for k in range(1, len(lines) + 1)]
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_ends_a_command_with_exit_141_and_nothing_on_stderr(unbuffered):
+    # unbuffered, the first print fails; buffered, the flush at the end does
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the command writes, as `| head -0` may leave it
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qnn.cli", "params"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

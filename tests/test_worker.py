@@ -4,6 +4,8 @@ of the two runs and whether BLAS is pinned, finding the BLAS thread setter,
 threads, failure, process lifetime, and bytes that no longer depend on the
 BLAS thread count."""
 
+import gc
+import inspect
 import io
 import os
 import signal
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +121,7 @@ def test_an_output_that_views_its_request_comes_back_intact(own_helper):
     # the reply started at the buffer's offset 0
     helper = own_helper(lambda a: ([a + 1, a, a[::-1]], None))
     a = np.arange(1000, dtype=np.float64)
-    got, call = helper.start([a], {}, lambda: None, copied)
+    got, call = helper.call(None, [a], {}, lambda: None, copied)
     assert call is None
     assert [g.tolist() for g in got] == [(a + 1).tolist(), a.tolist(), a[::-1].tolist()]
 
@@ -127,9 +130,62 @@ def test_an_output_that_views_its_request_comes_back_intact(own_helper):
 def test_a_reply_is_written_over_its_request(own_helper):
     helper = own_helper(lambda a: ([2 * a], None))
     a = np.ones(2**17, dtype=np.float64)  # 1 MiB
-    (got,), _ = helper.start([a], {}, lambda: None, copied)
+    (got,), _ = helper.call(None, [a], {}, lambda: None, copied)
     assert np.array_equal(got, 2 * a)
     assert os.fstat(helper._buffer.fd).st_size == a.nbytes
+
+
+def keeping_start(a, count=False):
+    """A start for the helper that keeps a state, and on a count request
+    returns how many of its states are alive there."""
+    if count:
+        return [np.array([len(KEPT)])], None
+    state = Kept()
+    KEPT.add(state)
+    return [a], state
+
+
+class Kept:
+    def __call__(self, a):
+        return [a]
+
+
+KEPT = weakref.WeakSet()  # the helper's own copy, after the fork
+
+
+def kept_count(helper) -> int:
+    (got,), _ = helper.call(None, [np.zeros(1)], {"count": True}, lambda: None, copied)
+    return int(got[0])
+
+
+@needs_helper
+def test_a_kept_state_lives_as_long_as_its_call(own_helper):
+    helper = own_helper(keeping_start)
+    a = np.arange(3.0)
+    _, call = helper.call(None, [a], {}, lambda: None, copied)
+    assert kept_count(helper) == 1
+    del call
+    gc.collect()
+    assert kept_count(helper) == 0  # the request that says so also drops it
+    _, call = helper.call(None, [a], {}, lambda: None, copied)
+    got, none = helper.call(call, [a], {}, lambda: None, copied)
+    assert none is None and got[0].tolist() == a.tolist()
+    assert kept_count(helper) == 0
+
+
+@needs_helper
+def test_a_call_of_an_ended_helper_drops_nothing_in_its_replacement(own_helper):
+    # both helpers number their states from 0
+    helper = own_helper(keeping_start)
+    a = np.arange(3.0)
+    _, old = helper.call(None, [a], {}, lambda: None, copied)
+    helper.stop()
+    _, new = helper.call(None, [a], {}, lambda: None, copied)
+    assert (old.number, new.number) == (0, 0)
+    del old
+    gc.collect()
+    assert kept_count(helper) == 1
+    assert helper.call(new, [a], {}, lambda: None, copied)[0][0].tolist() == a.tolist()
 
 
 @pytest.mark.parametrize("kind", ["qlstm", "lstm"])
@@ -204,8 +260,12 @@ def test_helper_warnings_reach_the_caller_under_its_errstate():
     layer.bwd.w["c"]["weight"].data[:] = 0.0
     layer.bwd.w["c"]["weight"].data[0] = 2e38
     layer.bwd.b["c"].data[:] = 2e38
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with pytest.warns(RuntimeWarning, match="overflow") as caught:
         layer.forward(Tensor(seq), mask)
+    # pointed at lstm_layer, which calls the helper
+    lines, first = inspect.getsourcelines(recurrent.lstm_layer)
+    assert {Path(w.filename).name for w in caught} == {"recurrent.py"}
+    assert all(first <= w.lineno < first + len(lines) for w in caught)
     with np.errstate(over="ignore", invalid="ignore"):
         layer.forward(Tensor(seq), mask)
 
